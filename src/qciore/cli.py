@@ -891,3 +891,7 @@ def main(argv=None) -> int:
     except (FileFormatError, ParseError, ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

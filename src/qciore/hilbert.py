@@ -527,18 +527,27 @@ def check_proof_sequence(
     """Check proofs in order, accumulating lemmas from accepted ones.
 
     An accepted proof contributes its header declarations and — when it has
-    no hypotheses — its conclusion under the proof's name.
+    no hypotheses — its conclusion under the proof's name.  A proof that
+    would store a lemma under a name already taken by a different formula
+    is rejected at step 0 and contributes nothing.
     """
     store = store.copy() if store is not None else LemmaStore()
     verdicts = []
     for p in proofs:
         v = check_proof(p, sig, store)
-        verdicts.append(v)
         if v.accepted:
-            for name, formula in p.taut_lemmas:
-                store.add(name, formula)
+            lemmas = list(p.taut_lemmas)
             if not p.hypotheses:
-                store.add(p.name, p.conclusion)
+                lemmas.append((p.name, p.conclusion))
+            extended = store.copy()
+            try:
+                for name, formula in lemmas:
+                    extended.add(name, formula)
+            except ValueError as e:
+                v = Verdict(False, 0, str(e))
+            else:
+                store = extended
+        verdicts.append(v)
     return verdicts, store
 
 

@@ -2,7 +2,11 @@
 
 The main matrix is CIORE; the P1 and LFI1 matrices are included for the
 triple-algebra comparisons.  Truth values are exact Fractions so they print
-as ``0``, ``1/2`` and ``1``.
+as ``0``, ``1/2`` and ``1``.  ``ZERO``, ``HALF`` and ``ONE`` are three
+canonical instances of a Fraction subclass that stores its hash: they equal
+and hash like the plain Fractions (and ints) of the same value, so tables
+accept either as keys, but looking them up costs no Python-level hash
+arithmetic.
 """
 
 from __future__ import annotations
@@ -26,9 +30,52 @@ from .syntax import (
     parse_formula,
 )
 
-ZERO = Fraction(0)
-HALF = Fraction(1, 2)
-ONE = Fraction(1)
+
+class _TruthValue(Fraction):
+    """A truth value: a Fraction whose hash is computed once, at construction.
+
+    Only ``ZERO``, ``HALF`` and ``ONE`` are built.  Copying and pickling give
+    back the same instance.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __new__(cls, numerator, denominator=1):
+        self = super().__new__(cls, numerator, denominator)
+        self._hash = Fraction.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if type(other) is _TruthValue:
+            return (
+                self._numerator == other._numerator
+                and self._denominator == other._denominator
+            )
+        return Fraction.__eq__(self, other)
+
+    def __repr__(self):
+        return "Fraction(%s, %s)" % (self._numerator, self._denominator)
+
+    def __reduce__(self):
+        # pickled by its module-level name
+        return _TRUTH_NAMES[self._numerator, self._denominator]
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+ZERO = _TruthValue(0)
+HALF = _TruthValue(1, 2)
+ONE = _TruthValue(1)
+_TRUTH_NAMES = {(0, 1): "ZERO", (1, 2): "HALF", (1, 1): "ONE"}
 
 #: canonical iteration order, matching the truth-table headers
 VALUES = (ONE, HALF, ZERO)

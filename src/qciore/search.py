@@ -298,7 +298,11 @@ def soundness_harness(
     representative formula per distinct value vector — an instance's values
     depend on its components only through those vectors, so this covers the
     whole pool.  Rule preservation (modus ponens and the two quantifier
-    introductions) is checked over the full pool in every structure.
+    introductions) is checked for every pair of pool formulas in every
+    structure, and counted per pair; whether a rule fails on a pair depends
+    only on the two value vectors, so it is decided once per pair of vector
+    classes (and variable) on the representatives.  A violation names the
+    pool formulas themselves.
     """
     pool = list(enumerate_formulas(sig, variables, instance_depth))
     if axiom_pool is None:
@@ -332,25 +336,21 @@ def soundness_harness(
             if name in eq_ids
         ]
 
-    # rule templates over the full pool, built once
-    imps = {}
-    for a in pool:
-        for b in pool:
-            imps[(id(a), id(b))] = Imp(a, b)
+    # rule instances over the full pool, as indices into it: modus ponens
+    # on every pair, and (i, j, x) for each quantifier introduction from
+    # pool[i] -> pool[j] whose side condition holds
+    closed = {x: [not possibly_free(x, f) for f in pool] for x in variables}
+    indices = range(len(pool))
     forall_in = [
-        (imps[(id(a), id(b))], Imp(a, Forall(x, b)))
-        for a in pool
-        for b in pool
-        for x in variables
-        if not possibly_free(x, a)
+        (i, j, x) for i in indices for j in indices for x in variables if closed[x][i]
     ]
     exists_in = [
-        (imps[(id(a), id(b))], Imp(Exists(x, a), b))
-        for a in pool
-        for b in pool
-        for x in variables
-        if not possibly_free(x, b)
+        (i, j, x) for i in indices for j in indices for x in variables if closed[x][j]
     ]
+    quantifier_rules = (
+        ("forall-in", forall_in, lambda a, b, x: Imp(a, Forall(x, b))),
+        ("exists-in", exists_in, lambda a, b, x: Imp(Exists(x, a), b)),
+    )
 
     prop_schemas = [
         (name, PROP_AXIOMS[name], schema_metavariables(PROP_AXIOMS[name]))
@@ -374,14 +374,16 @@ def soundness_harness(
                         return s
                 return None
 
-            # one representative pool formula per distinct value vector
+            # one representative pool formula per distinct value vector, and
+            # the class (index into reps) of every pool formula
             reps = []
-            seen = set()
+            class_of = {}
+            cls = []
             for f in pool:
-                v = vector(f)
-                if v not in seen:
-                    seen.add(v)
+                c = class_of.setdefault(vector(f), len(reps))
+                if c == len(reps):
                     reps.append(f)
+                cls.append(c)
 
             # the memo is keyed by object identity, so every formula built
             # while it is live must be kept alive alongside it
@@ -403,33 +405,48 @@ def soundness_harness(
                 if not ok:
                     report.violations.append(Violation("axiom", name, inst, A, witness))
 
-            valid_cache: dict[int, bool] = {}
+            # A rule's premises and conclusion over pool formulas a and b take
+            # their values from those of a and b, so whether the rule fails
+            # depends only on their classes (and the variable): it is decided
+            # once per combination, on formulas built from representatives.
+            fails = [first_failure(f) for f in reps]
+            premise_ok: dict = {}
+            conclusion_fails: dict = {}
 
-            def valid(f):
-                r = valid_cache.get(id(f))
-                if r is None:
-                    r = first_failure(f) is None
-                    valid_cache[id(f)] = r
-                return r
+            def premise_valid(ca, cb):
+                ok = premise_ok.get((ca, cb))
+                if ok is None:
+                    imp = Imp(reps[ca], reps[cb])
+                    alive.append(imp)
+                    ok = premise_ok[(ca, cb)] = first_failure(imp) is None
+                return ok
 
-            for a in pool:
-                for b in pool:
-                    imp = imps[(id(a), id(b))]
-                    report.rule_checks += 1
-                    if valid(a) and valid(imp) and not valid(b):
+            def conclusion_failure(build, ca, cb, x):
+                key = (build, ca, cb, x)
+                if key not in conclusion_fails:
+                    concl = build(reps[ca], reps[cb], x)
+                    alive.append(concl)
+                    conclusion_fails[key] = first_failure(concl)
+                return conclusion_fails[key]
+
+            report.rule_checks += len(pool) ** 2
+            for ca in cls:
+                if fails[ca] is not None:
+                    continue
+                for b, cb in zip(pool, cls):
+                    if fails[cb] is not None and premise_valid(ca, cb):
                         report.violations.append(
-                            Violation("rule", "MP", b, A, first_failure(b))
+                            Violation("rule", "MP", b, A, fails[cb])
                         )
-            for prem, concl in forall_in:
-                report.rule_checks += 1
-                if valid(prem) and not valid(concl):
-                    report.violations.append(
-                        Violation("rule", "forall-in", concl, A, first_failure(concl))
-                    )
-            for prem, concl in exists_in:
-                report.rule_checks += 1
-                if valid(prem) and not valid(concl):
-                    report.violations.append(
-                        Violation("rule", "exists-in", concl, A, first_failure(concl))
-                    )
+            for name, instances, build in quantifier_rules:
+                report.rule_checks += len(instances)
+                for i, j, x in instances:
+                    ca, cb = cls[i], cls[j]
+                    if premise_valid(ca, cb):
+                        s = conclusion_failure(build, ca, cb, x)
+                        if s is not None:
+                            concl = build(pool[i], pool[j], x)
+                            report.violations.append(
+                                Violation("rule", name, concl, A, s)
+                            )
     return report

@@ -42,10 +42,25 @@ EQ = "="  # key for the equality interpretation in Structure.preds
 
 @dataclass(frozen=True)
 class Assignment:
-    """A finite-support assignment: explicit pairs, default elsewhere."""
+    """A finite-support assignment: explicit pairs, default elsewhere.
+
+    The hash is computed once, on construction: memoised evaluation hashes
+    the assignment on every call.
+    """
 
     default: object
     pairs: tuple = ()  # (variable, element), sorted by variable
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.default, self.pairs)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__: string hashes differ from process to
+        # process, so a stored hash must not travel with the pickle
+        return (Assignment, (self.default, self.pairs))
 
     def get(self, x: str):
         for var, val in self.pairs:

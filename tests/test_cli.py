@@ -1,9 +1,14 @@
 """Tests for the file formats and the command-line entry points."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qciore
 from qciore.cli import (
     FileFormatError,
     format_structure,
@@ -217,6 +222,24 @@ def test_check_proof_shares_lemmas(capsys):
     assert capsys.readouterr().out.count("ACCEPTED") == 3
 
 
+def test_check_proof_reports_a_lemma_name_clash_and_goes_on(tmp_path, capsys):
+    first = tmp_path / "first.proof"
+    first.write_text("name: dup\nschema-atom: A B\n1. A -> (B -> A) ; ax Ax1\n")
+    second = tmp_path / "second.proof"
+    second.write_text("name: dup\nschema-atom: A B\n1. (A & B) -> A ; ax Ax4\n")
+    code = main(
+        ["check-proof", str(first), str(second), "tests/fixtures/imp_refl.proof"]
+    )
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert len(lines) == 3
+    assert lines[0].startswith("ACCEPTED dup")
+    assert lines[1] == (
+        "REJECTED dup at step 0: lemma 'dup' already stored with a different formula"
+    )
+    assert lines[2].startswith("ACCEPTED imp-refl")
+
+
 def test_search_command_finds_and_roundtrips(capsys):
     code = main(
         [
@@ -325,3 +348,26 @@ def test_mt_sub_rejects_non_substructure(tmp_path, capsys):
     code = main(["mt", "sub", str(a), str(b)])
     out = capsys.readouterr().out
     assert code == 1 and "not a substructure" in out
+
+
+# ---------------------------------------------------------------------------
+# Module entry points
+
+
+@pytest.mark.parametrize("module", ["qciore", "qciore.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    src = str(Path(qciore.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )}
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", module, "check-proof", *args],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    ok = run("tests/fixtures/imp_refl.proof")
+    assert ok.returncode == 0 and ok.stdout.startswith("ACCEPTED imp-refl"), ok
+    bad = run("tests/fixtures/generalization_mut_mp.proof")
+    assert bad.returncode == 1 and "REJECTED" in bad.stdout, bad

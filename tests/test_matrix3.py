@@ -1,4 +1,7 @@
+import copy
 import itertools
+import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -124,3 +127,39 @@ def test_iff_designated_means_same_status(v):
     iff = eval_prop(f, v, CIORE) in DESIGNATED
     same = (v[FVar("a")] in DESIGNATED) == (v[FVar("b")] in DESIGNATED)
     assert iff == same
+
+
+# ---------------------------------------------------------------------------
+# Truth values: canonical Fractions with a stored hash
+
+
+@pytest.mark.parametrize(
+    "value,plain,text",
+    [(ZERO, Fraction(0), "0"), (HALF, Fraction(1, 2), "1/2"), (ONE, Fraction(1), "1")],
+)
+def test_truth_values_behave_as_plain_fractions(value, plain, text):
+    assert isinstance(value, Fraction)
+    assert value == plain and plain == value and not value != plain
+    assert hash(value) == hash(plain)
+    assert str(value) == str(plain) == text
+    assert repr(value) == repr(plain)
+    for other in VALUES:
+        assert (value == other) == (value is other)
+        assert (value < other) == (plain < Fraction(other))
+    assert value + HALF == plain + Fraction(1, 2)
+    assert pickle.loads(pickle.dumps(value)) is value
+    assert copy.copy(value) is value and copy.deepcopy(value) is value
+
+
+def test_truth_values_equal_and_hash_like_ints():
+    for value, n in ((ZERO, 0), (ONE, 1)):
+        assert value == n and n == value and hash(value) == hash(n)
+    assert HALF != 0 and HALF != 1 and HALF == 0.5
+
+
+def test_tables_accept_plain_fraction_keys():
+    assert Fraction(1, 2) in DESIGNATED and Fraction(0) not in DESIGNATED
+    assert 1 in DESIGNATED and 0 not in DESIGNATED
+    assert CIORE.binary["->"][(Fraction(1, 2), Fraction(0))] is ZERO
+    assert CIORE.binary["&"][(1, Fraction(1, 2))] is ONE
+    assert CIORE.unary["@"][Fraction(1, 2)] is ZERO

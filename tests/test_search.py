@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from qciore.matrix3 import CIORE, DESIGNATED, LFI1, Matrix
+from qciore.hilbert import possibly_free
+from qciore.matrix3 import CIORE, DESIGNATED, HALF, LFI1, ONE, ZERO, Matrix
 from qciore.search import (
     HarnessReport,
     SearchSpec,
@@ -14,12 +15,20 @@ from qciore.search import (
     soundness_harness,
     structure_count,
 )
-from qciore.structures import eval_formula, is_valid_in
-from qciore.syntax import Signature, parse_formula
+from qciore.structures import assignments_over, eval_formula, is_valid_in
+from qciore.syntax import (
+    Exists,
+    Forall,
+    Imp,
+    Signature,
+    enumerate_formulas,
+    parse_formula,
+)
 
 SIG_P = Signature(predicates={"P": 1}, functions={}, constants=set())
 SIG_PR = Signature(predicates={"P": 1, "R": 2}, functions={}, constants=set())
 SIG_PQC = Signature(predicates={"P": 1, "Q": 1}, functions={}, constants={"c"})
+SIG_PC = Signature(predicates={"P": 1}, functions={}, constants={"c"})
 SIG_PEQ = Signature(
     predicates={"P": 1}, functions={}, constants=set(), has_equality=True
 )
@@ -240,3 +249,70 @@ def test_harness_flags_mutated_conjunction():
     for v in report.violations:
         value = eval_formula(v.formula, v.structure, v.assignment, None, mutated)
         assert value not in DESIGNATED
+
+
+def pointwise_rule_violations(sig, variables, depth, max_size, matrix):
+    """The rule phase pair by pair: every premise and conclusion over the
+    pool evaluated on its own, without a memo."""
+    pool = list(enumerate_formulas(sig, variables, depth))
+    frame = tuple(sorted(variables))
+    out = []
+    checks = 0
+    for n in range(1, max_size + 1):
+        for A in enumerate_structures(sig, n):
+            space = list(assignments_over(A, frame))
+
+            def failure(f):
+                for s in space:
+                    if eval_formula(f, A, s, None, matrix) == ZERO:
+                        return s
+                return None
+
+            for a in pool:
+                for b in pool:
+                    checks += 1
+                    if failure(a) is None and failure(Imp(a, b)) is None:
+                        if failure(b) is not None:
+                            out.append(("rule", "MP", b, A, failure(b)))
+            for name, closed_side, conclude in (
+                ("forall-in", 0, lambda a, b, x: Imp(a, Forall(x, b))),
+                ("exists-in", 1, lambda a, b, x: Imp(Exists(x, a), b)),
+            ):
+                for a in pool:
+                    for b in pool:
+                        for x in variables:
+                            if possibly_free(x, (a, b)[closed_side]):
+                                continue
+                            checks += 1
+                            concl = conclude(a, b, x)
+                            if failure(Imp(a, b)) is None and failure(concl) is not None:
+                                out.append(("rule", name, concl, A, failure(concl)))
+    return out, checks
+
+
+def mutated_implication(cell, value):
+    table = {**CIORE.binary["->"], cell: value}
+    return Matrix("mutated-implication", dict(CIORE.unary), {**CIORE.binary, "->": table})
+
+
+@pytest.mark.parametrize(
+    "cell,value,broken",
+    [((ONE, ZERO), ONE, {"MP"}), ((HALF, ZERO), HALF, {"MP", "exists-in"})],
+    ids=["1-0:1", "h-0:h"],
+)
+@pytest.mark.parametrize(
+    "sig,variables,depth",
+    [(SIG_P, ("x",), 1), (SIG_PC, ("x", "y"), 0)],
+    ids=["P-x-d1", "Pc-xy-d0"],
+)
+def test_rule_phase_matches_pointwise_reference(cell, value, broken, sig, variables, depth):
+    matrix = mutated_implication(cell, value)
+    report = soundness_harness(
+        sig, axiom_pool=[], instance_depth=depth, max_size=2,
+        variables=variables, matrix=matrix,
+    )
+    got = [(v.kind, v.name, v.formula, v.structure, v.assignment) for v in report.violations]
+    expected, checks = pointwise_rule_violations(sig, variables, depth, 2, matrix)
+    assert {v.name for v in report.violations} == broken
+    assert got == expected
+    assert report.rule_checks == checks

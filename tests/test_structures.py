@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -323,3 +324,15 @@ def test_default_element_never_leaks_into_sentences(d1, d2):
     A = remark_structure()
     f = parse_formula("(forall x. P(x)) -> exists y. ~P(y)", A.sig)
     assert eval_formula(f, A, Assignment(d1)) == eval_formula(f, A, Assignment(d2))
+
+
+def test_assignment_set_hashes_like_a_direct_build():
+    direct = Assignment("a", (("x", "b"), ("y", "c")))
+    built = Assignment("a").set("y", "c").set("x", "b")
+    assert built == direct and hash(built) == hash(direct)
+    assert Assignment("a", (("x", "b"),)).set("x", "c") == Assignment("a", (("x", "c"),))
+    assert Assignment("a") != Assignment("b")
+    assert {built: 1}[direct] == 1
+    again = pickle.loads(pickle.dumps(direct))
+    assert again == direct and hash(again) == hash(direct)
+    assert repr(direct) == "Assignment(default='a', pairs=(('x', 'b'), ('y', 'c')))"
