@@ -315,39 +315,30 @@ def _match_term_instance(f: Formula, quantifier, inst_on_left: bool):
 @dataclass(frozen=True)
 class AxiomSchema:
     name: str
-    kind: str  # "pattern" | "ax11" | ... | "eq1" | "eq2"
-    pattern: Formula | None = None
+    pattern: Formula | None = None  # None: matched by name in match_schema
 
 
 AXIOMS: dict[str, AxiomSchema] = {
-    name: AxiomSchema(name, "pattern", f) for name, f in PROP_AXIOMS.items()
+    name: AxiomSchema(name, f) for name, f in PROP_AXIOMS.items()
 }
 AXIOMS.update(
-    {
-        "Ax11": AxiomSchema("Ax11", "ax11"),
-        "Ax12": AxiomSchema("Ax12", "ax12"),
-        "Ax13": AxiomSchema("Ax13", "ax13"),
-        "Ax14": AxiomSchema("Ax14", "ax14"),
-        "Ax15": AxiomSchema("Ax15", "ax15"),
-        "Ax16": AxiomSchema("Ax16", "ax16"),
-        "Eq1": AxiomSchema("Eq1", "eq1"),
-        "Eq2": AxiomSchema("Eq2", "eq2"),
-    }
+    (name, AxiomSchema(name))
+    for name in ("Ax11", "Ax12", "Ax13", "Ax14", "Ax15", "Ax16", "Eq1", "Eq2")
 )
 
 
 def match_schema(f: Formula, schema: AxiomSchema):
     """Match ``f`` as an instance of the axiom schema; None on failure."""
-    kind = schema.kind
-    if kind == "pattern":
+    name = schema.name
+    if schema.pattern is not None:
         return match_pattern(schema.pattern, f)
-    if kind == "ax11":  # body(t/x) -> exists x. body
+    if name == "Ax11":  # body(t/x) -> exists x. body
         return _match_term_instance(f, Exists, inst_on_left=True)
-    if kind == "ax12":  # forall x. body -> body(t/x)
+    if name == "Ax12":  # forall x. body -> body(t/x)
         return _match_term_instance(f, Forall, inst_on_left=False)
-    if kind in ("ax13", "ax14", "ax15", "ax16"):
-        return _match_cons_quant(f, kind)
-    if kind == "eq1":  # forall x. x = x
+    if name in ("Ax13", "Ax14", "Ax15", "Ax16"):
+        return _match_cons_quant(f, name)
+    if name == "Eq1":  # forall x. x = x
         if (
             isinstance(f, Forall)
             and isinstance(f.body, Eq)
@@ -356,21 +347,21 @@ def match_schema(f: Formula, schema: AxiomSchema):
         ):
             return {"x": f.var}
         return None
-    if kind == "eq2":
+    if name == "Eq2":
         return _match_eq_subst(f)
-    raise ValueError("unknown schema kind %r" % kind)
+    raise ValueError("unknown axiom %r" % name)
 
 
-def _match_cons_quant(f: Formula, kind: str):
+def _match_cons_quant(f: Formula, name: str):
     """The four axioms moving the consistency sign through quantifiers."""
     if not isinstance(f, Imp):
         return None
     shapes = {
         # lhs shape, rhs shape: ("cons", Q) is @(Q x. body), (Q, "cons") is Q x. @body
-        "ax13": (("cons", Exists), (Exists, "cons")),  # @(exists) -> exists @
-        "ax14": (("cons", Forall), (Exists, "cons")),  # @(forall) -> exists @
-        "ax15": ((Exists, "cons"), ("cons", Exists)),  # exists @ -> @(exists)
-        "ax16": ((Exists, "cons"), ("cons", Forall)),  # exists @ -> @(forall)
+        "Ax13": (("cons", Exists), (Exists, "cons")),  # @(exists) -> exists @
+        "Ax14": (("cons", Forall), (Exists, "cons")),  # @(forall) -> exists @
+        "Ax15": ((Exists, "cons"), ("cons", Exists)),  # exists @ -> @(exists)
+        "Ax16": ((Exists, "cons"), ("cons", Forall)),  # exists @ -> @(forall)
     }
 
     def decompose(g: Formula, shape):
@@ -382,8 +373,8 @@ def _match_cons_quant(f: Formula, kind: str):
                 return g.var, g.body.sub
         return None
 
-    left = decompose(f.left, shapes[kind][0])
-    right = decompose(f.right, shapes[kind][1])
+    left = decompose(f.left, shapes[name][0])
+    right = decompose(f.right, shapes[name][1])
     if left is None or right is None or left != right:
         return None
     return {"x": left[0], "body": left[1]}
@@ -463,7 +454,7 @@ def _check_step(p, sig, store, idx, step) -> str | None:
         schema = AXIOMS.get(just.axiom_id)
         if schema is None:
             return "unknown axiom %r" % just.axiom_id
-        if schema.kind in ("eq1", "eq2") and not sig.has_equality:
+        if schema.name in ("Eq1", "Eq2") and not sig.has_equality:
             return "axiom %s needs an equality signature" % schema.name
         if match_schema(f, schema) is None:
             return "not an instance of %s" % schema.name

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .syntax import (
     And,
+    BINARY_OPS,
     Cons,
     Eq,
     Exists,
@@ -27,6 +28,7 @@ from .syntax import (
     Neg,
     Or,
     Pred,
+    UNARY_OPS,
     parse_formula,
 )
 
@@ -176,8 +178,6 @@ LFI1 = Matrix(
     },
 )
 
-MATRICES = {"CIORE": CIORE, "P1": P1, "LFI1": LFI1}
-
 
 def atoms_of(f: Formula) -> list[Formula]:
     """The distinct atomic leaves of ``f`` (predicates, equalities,
@@ -207,13 +207,13 @@ def eval_prop(f: Formula, v: dict[Formula, Fraction], m: Matrix = CIORE) -> Frac
         except KeyError:
             raise ValueError("valuation gives no value to atom %s" % f) from None
     if isinstance(f, (Neg, Cons)):
-        op = "~" if isinstance(f, Neg) else "@"
+        op = UNARY_OPS[type(f)]
         table = m.unary.get(op)
         if table is None:
             raise ValueError("matrix %s has no connective %r" % (m.name, op))
         return table[eval_prop(f.sub, v, m)]
     if isinstance(f, (And, Or, Imp)):
-        op = BINARY_SYMBOL[type(f)]
+        op = BINARY_OPS[type(f)]
         table = m.binary.get(op)
         if table is None:
             raise ValueError("matrix %s has no connective %r" % (m.name, op))
@@ -221,9 +221,6 @@ def eval_prop(f: Formula, v: dict[Formula, Fraction], m: Matrix = CIORE) -> Frac
     if isinstance(f, (Forall, Exists)):
         raise ValueError("quantifier in propositional formula: %s" % f)
     raise TypeError("not a formula: %r" % (f,))
-
-
-BINARY_SYMBOL = {And: "&", Or: "|", Imp: "->"}
 
 
 def is_tautology3(

@@ -17,6 +17,7 @@ from .matrix3 import CIORE, DESIGNATED, HALF, Matrix, ONE, ZERO
 from .syntax import (
     And,
     App,
+    BINARY_OPS,
     Cons,
     Const,
     Eq,
@@ -30,6 +31,7 @@ from .syntax import (
     Pred,
     Signature,
     Term,
+    UNARY_OPS,
     Var,
     free_vars,
 )
@@ -232,13 +234,13 @@ def _eval(f: Formula, A: Structure, s: Assignment, memo, matrix: Matrix) -> Frac
     if isinstance(f, FVar):
         raise ValueError("metavariable %s in a concrete formula" % f.name)
     if isinstance(f, (Neg, Cons)):
-        op = "~" if isinstance(f, Neg) else "@"
+        op = UNARY_OPS[type(f)]
         table = matrix.unary.get(op)
         if table is None:
             raise ValueError("%s does not interpret %s" % (matrix.name, op))
         return table[eval_formula(f.sub, A, s, memo, matrix)]
     if isinstance(f, (And, Or, Imp)):
-        op = {And: "&", Or: "|", Imp: "->"}[type(f)]
+        op = BINARY_OPS[type(f)]
         table = matrix.binary.get(op)
         if table is None:
             raise ValueError("%s does not interpret %s" % (matrix.name, op))
@@ -317,12 +319,12 @@ def _triple(f: Formula, A: Structure, frame: tuple[str, ...], memo: dict) -> Tri
             }
         )
     elif isinstance(f, (Neg, Cons)):
-        op = "~" if isinstance(f, Neg) else "@"
-        out = triple_op(op, _triple(f.sub, A, frame, memo))
+        out = triple_op(UNARY_OPS[type(f)], _triple(f.sub, A, frame, memo))
     elif isinstance(f, (And, Or, Imp)):
-        op = {And: "&", Or: "|", Imp: "->"}[type(f)]
         out = triple_op(
-            op, _triple(f.left, A, frame, memo), _triple(f.right, A, frame, memo)
+            BINARY_OPS[type(f)],
+            _triple(f.left, A, frame, memo),
+            _triple(f.right, A, frame, memo),
         )
     elif isinstance(f, (Forall, Exists)):
         x = f.var

@@ -152,6 +152,8 @@ class Exists:
 
 Formula = Pred | Eq | FVar | Neg | Cons | And | Or | Imp | Forall | Exists
 
+#: the connective symbol of each compound node type
+UNARY_OPS = {Neg: "~", Cons: "@"}
 BINARY_OPS = {And: "&", Or: "|", Imp: "->"}
 
 
@@ -183,6 +185,7 @@ _PREC_OR = 2
 _PREC_AND = 3
 _PREC_UNARY = 4
 _PREC_ATOM = 5
+_BINARY_PREC = {And: _PREC_AND, Or: _PREC_OR, Imp: _PREC_IMP}
 
 
 def formula_to_str(f: Formula) -> str:
@@ -199,25 +202,22 @@ def _fmt(f: Formula, ctx: int) -> str:
         return f.name
     if isinstance(f, Eq):
         return "%s = %s" % (f.left, f.right)
-    if isinstance(f, Neg):
-        return "~" + _fmt(f.sub, _PREC_UNARY)
-    if isinstance(f, Cons):
-        return "@" + _fmt(f.sub, _PREC_UNARY)
+    if isinstance(f, (Neg, Cons)):
+        return UNARY_OPS[type(f)] + _fmt(f.sub, _PREC_UNARY)
     if isinstance(f, (Forall, Exists)):
         kw = "forall" if isinstance(f, Forall) else "exists"
         s = "%s %s. %s" % (kw, f.var, _fmt(f.body, 0))
         # A quantifier swallows everything to its right, so it needs parens
         # whenever anything follows it.
         return "(%s)" % s if ctx > _PREC_QUANT else s
-    if isinstance(f, And):
-        s = "%s & %s" % (_fmt(f.left, _PREC_AND), _fmt(f.right, _PREC_AND + 1))
-        return "(%s)" % s if ctx > _PREC_AND else s
-    if isinstance(f, Or):
-        s = "%s | %s" % (_fmt(f.left, _PREC_OR), _fmt(f.right, _PREC_OR + 1))
-        return "(%s)" % s if ctx > _PREC_OR else s
-    if isinstance(f, Imp):
-        s = "%s -> %s" % (_fmt(f.left, _PREC_IMP + 1), _fmt(f.right, _PREC_IMP))
-        return "(%s)" % s if ctx > _PREC_IMP else s
+    if isinstance(f, (And, Or, Imp)):
+        prec = _BINARY_PREC[type(f)]
+        # & and | group to the left, -> to the right
+        left, right = (prec + 1, prec) if isinstance(f, Imp) else (prec, prec + 1)
+        s = "%s %s %s" % (
+            _fmt(f.left, left), BINARY_OPS[type(f)], _fmt(f.right, right)
+        )
+        return "(%s)" % s if ctx > prec else s
     raise TypeError("not a formula: %r" % (f,))
 
 
@@ -407,14 +407,6 @@ def parse_formula(text: str, sig: Signature | None = None) -> Formula:
     return f
 
 
-def parse_term(text: str, sig: Signature | None = None) -> Term:
-    p = _Parser(text, sig)
-    t = p.term()
-    if p.pos != len(p.toks):
-        raise p.error("unexpected trailing input")
-    return t
-
-
 # ---------------------------------------------------------------------------
 # Variables and substitution
 
@@ -448,17 +440,6 @@ def free_vars(f: Formula) -> set[str]:
     if isinstance(f, (Forall, Exists)):
         return free_vars(f.body) - {f.var}
     raise TypeError("not a formula: %r" % (f,))
-
-
-def all_vars(f: Formula) -> set[str]:
-    """Every variable occurring in ``f``, free or bound."""
-    if isinstance(f, (Forall, Exists)):
-        return all_vars(f.body) | {f.var}
-    if isinstance(f, (Neg, Cons)):
-        return all_vars(f.sub)
-    if isinstance(f, (And, Or, Imp)):
-        return all_vars(f.left) | all_vars(f.right)
-    return free_vars(f)
 
 
 def is_free_for(t: Term, x: str, f: Formula) -> bool:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Hashable
 
-from .matrix3 import CIORE, HALF, LFI1, ONE, P1, ZERO, Matrix
+from .matrix3 import CIORE, HALF, ONE, ZERO, Matrix
 
 
 @dataclass(frozen=True)
@@ -96,17 +96,6 @@ def triple_op(op: str, r: Triple, u: Triple | None = None, m: Matrix = CIORE) ->
             {x: table[(r.value_at(x), u.value_at(x))] for x in r.carrier}
         )
     raise ValueError("unknown connective %r" % op)
-
-
-def p1_lfi1_triple_op(
-    op: str, r: Triple, u: Triple | None = None, which: str = "P1"
-) -> Triple:
-    """The same pointwise lift under the P1 or LFI1 matrix."""
-    if which == "P1":
-        return triple_op(op, r, u, P1)
-    if which == "LFI1":
-        return triple_op(op, r, u, LFI1)
-    raise ValueError("which must be 'P1' or 'LFI1', not %r" % which)
 
 
 def all_triples(carrier) -> list[Triple]:

@@ -83,11 +83,35 @@ def test_structure_round_trip_odd_equality():
         "domain = {a}\nfun f/1 { (a)->b }",  # value outside the domain
         "domain = {a}\nfun f/1 { }",  # partial table
         "domain = {a}\nnonsense = 3",
+        "domain = {a,}",  # trailing comma
+        "domain = {a b}",  # missing comma
+        "domain = {a}\npred P/1 { plus={(a),} minus={} dot={} }",
+        "domain = {a}\npred P/1 { plus={(a a)} minus={} dot={} }",
+        "domain = {a}\npred P/1 { plus={(a} minus={} dot={} }",  # unclosed tuple
     ],
 )
 def test_structure_errors(bad):
     with pytest.raises(FileFormatError):
         parse_structure(bad)
+
+
+PLUS_ONLY = "domain = {a}\npred P/1 { plus=%s minus={} dot={} }"
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("domain = {a,}", "expected a name, found '}'"),
+        ("domain = {a b}", "expected '}', found 'b'"),
+        (PLUS_ONLY % "{(a),}", "expected '(', found '}'"),
+        (PLUS_ONLY % "{(a a)}", "expected ')', found 'a'"),
+        (PLUS_ONLY % "{(a}", "expected ')', found '}'"),
+    ],
+)
+def test_list_error_messages(bad, message):
+    with pytest.raises(FileFormatError) as err:
+        parse_structure(bad)
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +135,7 @@ def test_proof_file_parses():
         "name: x\n1. A ; hyp 1\nname: y",  # header after steps
         "name: b@d name\n1. A ; hyp 1",
         "name: x\n1. P(a) & P(a, a) ; hyp 1",  # arity clash
+        "name: x\n1. P(f(a)) -> P(f(a, a)) ; hyp 1",  # function arity clash
         "name: x\n1. A ; because",  # unknown justification
     ],
 )
@@ -240,6 +265,40 @@ def test_check_proof_reports_a_lemma_name_clash_and_goes_on(tmp_path, capsys):
     assert lines[2].startswith("ACCEPTED imp-refl")
 
 
+def test_check_proof_reports_unreadable_files_and_goes_on(tmp_path, capsys):
+    bad = tmp_path / "bad.proof"
+    bad.write_text("name: x\n")
+    missing = tmp_path / "missing.proof"
+    code = main(
+        [
+            "check-proof",
+            "tests/fixtures/imp_refl.proof",
+            str(bad),
+            str(missing),
+            "tests/fixtures/imp_trans.proof",
+        ]
+    )
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert len(lines) == 4
+    assert lines[0].startswith("ACCEPTED imp-refl")
+    assert lines[1] == "ERROR %s: proof x has no steps" % bad
+    assert lines[2].startswith("ERROR %s: " % missing)
+    assert lines[3].startswith("ACCEPTED imp-trans")
+
+
+def test_check_proof_unreadable_file_adds_no_lemmas(tmp_path, capsys):
+    # the file proves nothing: it fails to parse after a valid taut header
+    bad = tmp_path / "bad.proof"
+    bad.write_text("name: x\ntaut t: A -> A\n")
+    cites = tmp_path / "cites.proof"
+    cites.write_text("name: y\nschema-atom: A\n1. A -> A ; lemma t\n")
+    code = main(["check-proof", str(bad), str(cites)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert lines[1] == "REJECTED y at step 1: no lemma named 't' in the store"
+
+
 def test_search_command_finds_and_roundtrips(capsys):
     code = main(
         [
@@ -314,6 +373,14 @@ def test_twist_verify_rejects_infeasible_sizes(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "not feasible" in err
+
+
+def test_twist_verify_caps_the_size_at_6(capsys):
+    code = main(["twist-verify", "--sizes", "1,7"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "not feasible" in err
+    assert out == ""  # refused before any size was checked
 
 
 def test_mt_commands(tmp_path, capsys):

@@ -7,7 +7,6 @@ from qciore.triples import (
     Triple,
     all_triples,
     make_triple,
-    p1_lfi1_triple_op,
     triple_from_map,
     triple_op,
     triple_to_map,
@@ -124,10 +123,10 @@ def test_partition_preserved_by_all_ops():
 
 def test_p1_closed_forms():
     for r in all_triples({"a", "b"}):
-        got = p1_lfi1_triple_op("~", r, which="P1")
+        got = triple_op("~", r, m=P1)
         assert got == Triple(r.minus | r.dot, r.plus, frozenset())
     for r, u in itertools.product(all_triples({"a", "b"}), repeat=2):
-        got = p1_lfi1_triple_op("->", r, u, which="P1")
+        got = triple_op("->", r, u, P1)
         assert got.plus == r.minus | u.plus | u.dot
         assert got.minus == (r.plus | r.dot) & u.minus
         assert got.dot == frozenset()
@@ -135,28 +134,26 @@ def test_p1_closed_forms():
 
 def test_p1_examples():
     X = frozenset({"a", "b"})
-    assert p1_lfi1_triple_op("~", Triple(frozenset(), frozenset(), X)) == Triple(
+    assert triple_op("~", Triple(frozenset(), frozenset(), X), m=P1) == Triple(
         X, frozenset(), frozenset()
     )
     r = Triple(X, frozenset(), frozenset())
     u = Triple(frozenset(), X, frozenset())
-    assert p1_lfi1_triple_op("->", r, u) == Triple(frozenset(), X, frozenset())
+    assert triple_op("->", r, u, P1) == Triple(frozenset(), X, frozenset())
 
 
 def test_p1_lacks_conjunction():
     r = triple_from_map({"x": ONE})
     with pytest.raises(ValueError):
-        p1_lfi1_triple_op("&", r, r, which="P1")
-    with pytest.raises(ValueError):
-        p1_lfi1_triple_op("~", r, which="J3")
+        triple_op("&", r, r, P1)
 
 
 def test_lfi1_dot_meets_dot():
     r = triple_from_map({"x": HALF})
-    assert p1_lfi1_triple_op("&", r, r, which="LFI1") == r
+    assert triple_op("&", r, r, LFI1) == r
     # and under LFI1, 1/2 | 0 stays 1/2 (unlike the main matrix)
     u = triple_from_map({"x": ZERO})
-    assert p1_lfi1_triple_op("|", r, u, which="LFI1") == r
+    assert triple_op("|", r, u, LFI1) == r
 
 
 def test_all_triples_exhaustive():
