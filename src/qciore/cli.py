@@ -673,22 +673,22 @@ def cmd_twist_verify(args) -> int:
         alg = PowersetAlgebra(frozenset(range(1, k + 1)))
         triples = all_twist_triples(alg)
         pairs = all_twist_pairs(alg)
-        if {dagger(z) for z in triples} != set(pairs):
+        # each triple with its pair, the pair computed once
+        duals = [(z, dagger(z)) for z in triples]
+        if {p for _, p in duals} != set(pairs):
             problems.append("size %d: the triple map is not onto the pairs" % k)
-        for z in triples:
-            if ddagger(dagger(z)) != z:
+        for z, p in duals:
+            if ddagger(p) != z:
                 problems.append("size %d: round trip broken at %s" % (k, z))
                 break
         for op in UNARY_OPS.values():
-            for z in triples:
-                if dagger(twist_triple_op(op, z)) != pair_op(op, dagger(z)):
+            for z, p in duals:
+                if dagger(twist_triple_op(op, z)) != pair_op(op, p):
                     problems.append("size %d: %s not preserved" % (k, op))
                     break
         for op in BINARY_OPS.values():
-            for z, w in itertools.product(triples, repeat=2):
-                if dagger(twist_triple_op(op, z, w)) != pair_op(
-                    op, dagger(z), dagger(w)
-                ):
+            for (z, p), (w, q) in itertools.product(duals, repeat=2):
+                if dagger(twist_triple_op(op, z, w)) != pair_op(op, p, q):
                     problems.append("size %d: %s not preserved" % (k, op))
                     break
         print(

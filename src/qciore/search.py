@@ -19,6 +19,7 @@ from fractions import Fraction
 from .hilbert import instantiate, possibly_free, schema_metavariables
 from .matrix3 import CIORE, DESIGNATED, Matrix, PROP_AXIOMS, ZERO
 from .structures import (
+    EQ,
     Assignment,
     Structure,
     assignments_over,
@@ -27,6 +28,8 @@ from .structures import (
     make_structure,
 )
 from .syntax import (
+    And,
+    App,
     CaptureError,
     Cons,
     Const,
@@ -35,6 +38,9 @@ from .syntax import (
     Forall,
     Formula,
     Imp,
+    Neg,
+    Or,
+    Pred,
     Signature,
     Var,
     enumerate_formulas,
@@ -232,13 +238,48 @@ class Violation:
 @dataclass
 class HarnessReport:
     structures_checked: int = 0
-    axiom_checks: int = 0
+    axiom_checks: int = 0  # instances decided
+    axiom_evaluations: int = 0  # instances evaluated; the rest reuse a verdict
     rule_checks: int = 0
     violations: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+
+def _symbols(f: Formula) -> tuple:
+    """The predicates (``"="`` for equality), functions and constants that
+    ``f`` mentions, each sorted."""
+    preds, funs, consts = set(), set(), set()
+
+    def term(t):
+        if isinstance(t, Const):
+            consts.add(t.name)
+        elif isinstance(t, App):
+            funs.add(t.fun)
+            for a in t.args:
+                term(a)
+
+    def walk(f):
+        if isinstance(f, Pred):
+            preds.add(f.name)
+            for a in f.args:
+                term(a)
+        elif isinstance(f, Eq):
+            preds.add(EQ)
+            term(f.left)
+            term(f.right)
+        elif isinstance(f, (Neg, Cons)):
+            walk(f.sub)
+        elif isinstance(f, (And, Or, Imp)):
+            walk(f.left)
+            walk(f.right)
+        elif isinstance(f, (Forall, Exists)):
+            walk(f.body)
+
+    walk(f)
+    return tuple(sorted(preds)), tuple(sorted(funs)), tuple(sorted(consts))
 
 
 def _quantifier_axiom_instances(pool, variables, terms):
@@ -292,18 +333,29 @@ def soundness_harness(
     """Validity of axiom instances, and validity preservation of the rules.
 
     Every schema in ``axiom_pool`` (default: all of them) is instantiated
-    with formulas of depth ≤ ``instance_depth`` over ``variables`` and
-    checked for validity in every structure of size ≤ ``max_size``.  The
-    propositional schemas are instantiated per structure over one
-    representative formula per distinct value vector — an instance's values
-    depend on its components only through those vectors, so this covers the
-    whole pool.  Rule preservation (modus ponens and the two quantifier
-    introductions) is checked for every pair of pool formulas in every
-    structure, and counted per pair; whether a rule fails on a pair depends
-    only on the two value vectors, so it is decided once per pair of vector
-    classes (and variable) on the representatives.  A violation names the
-    pool formulas themselves.
+    with formulas of depth ≤ ``instance_depth`` over ``variables`` (distinct
+    names) and checked for validity in every structure of size ≤
+    ``max_size``.  The propositional schemas are instantiated per structure
+    over one representative formula per distinct value vector — an
+    instance's values depend on its components only through those vectors,
+    so this covers the whole pool.  The connectives are truth-functional, so
+    an instance's first failing assignment is also decided once per run for
+    each schema and tuple of component vectors, and the instance is built
+    again only where it is a violation to report.  A fixed quantifier or
+    equality instance's value depends only on the domain and on the
+    interpretations of the symbols it mentions (its reduct), so its verdict
+    is decided once per run for each such domain and interpretation.
+    ``axiom_checks`` counts the instances decided, structure by structure;
+    ``axiom_evaluations`` counts those actually evaluated.  Rule
+    preservation (modus ponens and the two quantifier introductions) is
+    checked for every pair of pool formulas in every structure, and counted
+    per pair; whether a rule fails on a pair depends only on the two value
+    vectors, so it is decided once per pair of vector classes (and
+    variable) on the representatives.  A violation names the pool formulas
+    themselves.
     """
+    if len(set(variables)) != len(variables):
+        raise ValueError("variables repeat a name: %s" % (variables,))
     pool = list(enumerate_formulas(sig, variables, instance_depth))
     if axiom_pool is None:
         axiom_pool = (
@@ -318,7 +370,10 @@ def soundness_harness(
     if unknown:
         raise ValueError("unknown axiom schemas: %s" % ", ".join(unknown))
 
-    extra_var = next(v for v in ("y", "z", "w", "u", "x0") if v not in variables)
+    spares = itertools.chain(
+        ("y", "z", "w", "u"), ("x%d" % i for i in itertools.count())
+    )
+    extra_var = next(v for v in spares if v not in variables)
     terms = (
         [Var(v) for v in variables]
         + [Var(extra_var)]
@@ -335,6 +390,19 @@ def soundness_harness(
             for name, f in _equality_axiom_instances(pool, variables, extra_var)
             if name in eq_ids
         ]
+    # the fixed instances grouped by the symbols they mention; slot[k] is
+    # (group, position in group) of fixed_instances[k]
+    groups = []  # (symbols, member instances)
+    group_of: dict = {}
+    slot = []
+    for _, f in fixed_instances:
+        symbols = _symbols(f)
+        g = group_of.setdefault(symbols, len(groups))
+        if g == len(groups):
+            groups.append((symbols, []))
+        slot.append((g, len(groups[g][1])))
+        groups[g][1].append(f)
+    fixed_verdicts: dict = {}  # (group, reduct key) -> [(ok, witness), ...]
 
     # rule instances over the full pool, as indices into it: modus ponens
     # on every pair, and (i, j, x) for each quantifier introduction from
@@ -356,6 +424,10 @@ def soundness_harness(
         (name, PROP_AXIOMS[name], schema_metavariables(PROP_AXIOMS[name]))
         for name in prop_ids
     ]
+    # per schema: tuple of component vector ids -> index in the assignment
+    # space of the instance's first failure, or None
+    prop_failures: list[dict] = [{} for _ in prop_schemas]
+    vector_ids: dict = {}  # value vector -> small int, for the whole run
     frame = tuple(sorted(variables))
     report = HarnessReport()
 
@@ -374,34 +446,64 @@ def soundness_harness(
                         return s
                 return None
 
-            # one representative pool formula per distinct value vector, and
-            # the class (index into reps) of every pool formula
+            # one representative pool formula per distinct value vector, the
+            # run-wide id of its vector, and the class (index into reps) of
+            # every pool formula
             reps = []
+            rep_ids = []
             class_of = {}
             cls = []
             for f in pool:
-                c = class_of.setdefault(vector(f), len(reps))
+                v = vector(f)
+                c = class_of.setdefault(v, len(reps))
                 if c == len(reps):
                     reps.append(f)
+                    rep_ids.append(vector_ids.setdefault(v, len(vector_ids)))
                 cls.append(c)
+            rep_of = dict(zip(rep_ids, reps))
+
+            def instance(pattern, mvars, ids):
+                return instantiate(pattern, dict(zip(mvars, map(rep_of.get, ids))))
 
             # the memo is keyed by object identity, so every formula built
             # while it is live must be kept alive alongside it
             alive = []
-            for name, pattern, mvars in prop_schemas:
-                for combo in itertools.product(reps, repeat=len(mvars)):
-                    inst = instantiate(pattern, dict(zip(mvars, combo)))
-                    alive.append(inst)
-                    report.axiom_checks += 1
-                    s = first_failure(inst)
-                    if s is not None:
+            for (name, pattern, mvars), failures in zip(prop_schemas, prop_failures):
+                report.axiom_checks += len(reps) ** len(mvars)
+                for ids in itertools.product(rep_ids, repeat=len(mvars)):
+                    inst = None
+                    if ids not in failures:
+                        inst = instance(pattern, mvars, ids)
+                        alive.append(inst)
+                        report.axiom_evaluations += 1
+                        s = first_failure(inst)
+                        failures[ids] = None if s is None else space.index(s)
+                    i = failures[ids]
+                    if i is not None:
+                        if inst is None:
+                            inst = instance(pattern, mvars, ids)
                         report.violations.append(
-                            Violation("axiom", name, inst, A, s)
+                            Violation("axiom", name, inst, A, space[i])
                         )
 
-            for name, inst in fixed_instances:
-                report.axiom_checks += 1
-                ok, witness = is_valid_in(inst, A, matrix)
+            verdicts = []
+            for g, ((preds, funs, consts), members) in enumerate(groups):
+                key = (
+                    g,
+                    A.domain,
+                    tuple(A.preds[p] for p in preds),
+                    tuple(frozenset(A.funs[h].items()) for h in funs),
+                    tuple(A.consts[c] for c in consts),
+                )
+                got = fixed_verdicts.get(key)
+                if got is None:
+                    got = [is_valid_in(f, A, matrix) for f in members]
+                    fixed_verdicts[key] = got
+                    report.axiom_evaluations += len(members)
+                verdicts.append(got)
+            report.axiom_checks += len(fixed_instances)
+            for (name, inst), (g, k) in zip(fixed_instances, slot):
+                ok, witness = verdicts[g][k]
                 if not ok:
                     report.violations.append(Violation("axiom", name, inst, A, witness))
 

@@ -572,8 +572,10 @@ def enumerate_formulas(sig: Signature, variables: list[str], max_depth: int):
     Atom arguments range over ``variables`` and the signature's constants;
     quantifiers bind variables from ``variables`` (shadowing permitted).
     The order is deterministic: by depth, then atoms / ~ / @ / forall /
-    exists / & / | / -> within a level.
+    exists / & / | / -> within a level.  ``variables`` must be distinct.
     """
+    if len(set(variables)) != len(variables):
+        raise ValueError("variables repeat a name: %s" % (tuple(variables),))
     terms: list[Term] = [Var(v) for v in variables]
     terms += [Const(c) for c in sorted(sig.constants)]
 

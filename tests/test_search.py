@@ -1,14 +1,28 @@
 """Tests for structure enumeration, countermodel search, and the harness."""
 
+import itertools
 import time
 
 import pytest
 
-from qciore.hilbert import possibly_free
-from qciore.matrix3 import CIORE, DESIGNATED, HALF, LFI1, ONE, ZERO, Matrix
+from qciore.hilbert import instantiate, possibly_free, schema_metavariables
+from qciore.matrix3 import (
+    CIORE,
+    DESIGNATED,
+    HALF,
+    LFI1,
+    ONE,
+    PROP_AXIOMS,
+    ZERO,
+    Matrix,
+)
 from qciore.search import (
+    EQ_AXIOM_IDS,
+    QUANT_AXIOM_IDS,
     HarnessReport,
     SearchSpec,
+    _equality_axiom_instances,
+    _quantifier_axiom_instances,
     check_consequence_bounded,
     enumerate_structures,
     find_countermodel,
@@ -17,10 +31,12 @@ from qciore.search import (
 )
 from qciore.structures import assignments_over, eval_formula, is_valid_in
 from qciore.syntax import (
+    Const,
     Exists,
     Forall,
     Imp,
     Signature,
+    Var,
     enumerate_formulas,
     parse_formula,
 )
@@ -29,6 +45,7 @@ SIG_P = Signature(predicates={"P": 1}, functions={}, constants=set())
 SIG_PR = Signature(predicates={"P": 1, "R": 2}, functions={}, constants=set())
 SIG_PQC = Signature(predicates={"P": 1, "Q": 1}, functions={}, constants={"c"})
 SIG_PC = Signature(predicates={"P": 1}, functions={}, constants={"c"})
+SIG_PF = Signature(predicates={"P": 1}, functions={"f": 1}, constants=set())
 SIG_PEQ = Signature(
     predicates={"P": 1}, functions={}, constants=set(), has_equality=True
 )
@@ -316,3 +333,101 @@ def test_rule_phase_matches_pointwise_reference(cell, value, broken, sig, variab
     assert {v.name for v in report.violations} == broken
     assert got == expected
     assert report.rule_checks == checks
+
+
+def test_harness_rejects_repeated_variables():
+    # ("x", "x") would double the pool and build assignments like {x=e1, x=e2}
+    with pytest.raises(ValueError, match="repeat"):
+        soundness_harness(SIG_P, instance_depth=0, max_size=1, variables=("x", "x"))
+
+
+def test_harness_spare_variable_avoids_every_given_name():
+    variables = ("y", "z", "w", "u", "x0")
+    report = soundness_harness(SIG_P, instance_depth=0, max_size=1, variables=variables)
+    assert report.ok
+    assert report.structures_checked == 3
+
+
+def test_harness_reuses_axiom_verdicts_across_structures():
+    report = soundness_harness(SIG_PR, instance_depth=0, max_size=2)
+    assert report.ok and report.structures_checked == 738
+    assert 0 < report.axiom_evaluations < report.axiom_checks
+
+
+def reference_axiom_violations(sig, depth, max_size, matrix):
+    """The axiom phase structure by structure on the frame (x): every
+    instance evaluated in every structure, no verdict carried over."""
+    variables = ("x",)
+    pool = list(enumerate_formulas(sig, variables, depth))
+    terms = [Var("x"), Var("y")] + [Const(c) for c in sorted(sig.constants)]
+    fixed = _quantifier_axiom_instances(pool, variables, terms)
+    if sig.has_equality:
+        fixed += _equality_axiom_instances(pool, variables, "y")
+    out = []
+    checks = structures = 0
+    for n in range(1, max_size + 1):
+        for A in enumerate_structures(sig, n):
+            structures += 1
+            space = list(assignments_over(A, variables))
+
+            def vector(f):
+                return tuple(eval_formula(f, A, s, None, matrix) for s in space)
+
+            reps = {}
+            for f in pool:
+                reps.setdefault(vector(f), f)
+            for name, pattern in PROP_AXIOMS.items():
+                mvars = schema_metavariables(pattern)
+                for combo in itertools.product(reps.values(), repeat=len(mvars)):
+                    inst = instantiate(pattern, dict(zip(mvars, combo)))
+                    checks += 1
+                    values = vector(inst)
+                    if ZERO in values:
+                        s = space[values.index(ZERO)]
+                        out.append(("axiom", name, inst, A, s))
+            for name, inst in fixed:
+                checks += 1
+                ok, witness = is_valid_in(inst, A, matrix)
+                if not ok:
+                    out.append(("axiom", name, inst, A, witness))
+    return out, checks, structures
+
+
+def mutated_consistency(cell, value):
+    table = {**CIORE.unary["@"], cell: value}
+    return Matrix(
+        "mutated-consistency", {**CIORE.unary, "@": table}, dict(CIORE.binary)
+    )
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [CIORE, mutated_implication((HALF, ONE), ZERO), mutated_consistency(ZERO, ZERO)],
+    ids=["ciore", "h-1:0", "@0:0"],
+)
+def test_axiom_phase_matches_per_structure_reference(matrix):
+    found = set()
+    for sig, depth in ((SIG_PC, 1), (SIG_PF, 0), (SIG_PEQ, 0)):
+        report = soundness_harness(sig, instance_depth=depth, max_size=2, matrix=matrix)
+        got = [
+            (v.kind, v.name, v.formula, v.structure, v.assignment)
+            for v in report.violations
+            if v.kind == "axiom"
+        ]
+        expected, checks, structures = reference_axiom_violations(
+            sig, depth, 2, matrix
+        )
+        assert got == expected
+        assert report.axiom_checks == checks
+        assert report.structures_checked == structures
+        assert report.axiom_evaluations <= checks
+        found |= {v[1] for v in expected}
+    if matrix is CIORE:
+        assert not found
+    else:
+        # the reference itself sees propositional and quantifier violations,
+        # and under the mutated implication equality violations too
+        assert found & set(PROP_AXIOMS)
+        assert found & set(QUANT_AXIOM_IDS)
+        has_eq = bool(found & set(EQ_AXIOM_IDS))
+        assert has_eq == (matrix.name == "mutated-implication")

@@ -139,6 +139,13 @@ def test_enumerate_formulas_counts_and_uniqueness():
     assert level2 == list(enumerate_formulas(sig, ["x"], 2))
 
 
+def test_enumerate_formulas_rejects_repeated_variables():
+    sig = Signature(predicates={"P": 1})
+    # ("x", "x") would yield the 8 formulas of ("x",) and 18 repeats
+    with pytest.raises(ValueError, match="repeat"):
+        list(enumerate_formulas(sig, ("x", "x"), 1))
+
+
 def _depth(f):
     if isinstance(f, (Neg, Cons)):
         return 1 + _depth(f.sub)
