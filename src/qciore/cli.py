@@ -608,6 +608,7 @@ def cmd_search(args) -> int:
                         "found": True,
                         "size": res.size,
                         "structures_checked": res.structures_checked,
+                        "structures_evaluated": res.structures_evaluated,
                         "structure": text,
                         "assignment": _assignment_json(res.assignment),
                         "value": str(res.value),
@@ -631,6 +632,7 @@ def cmd_search(args) -> int:
                         "found": False,
                         "limit_hit": res.limit_hit,
                         "structures_checked": res.structures_checked,
+                        "structures_evaluated": res.structures_evaluated,
                     }
                 )
             )
@@ -648,6 +650,7 @@ def cmd_search(args) -> int:
                     "exhausted": True,
                     "max_domain_size": args.max,
                     "structures_checked": res.structures_checked,
+                    "structures_evaluated": res.structures_evaluated,
                 }
             )
         )

@@ -126,6 +126,90 @@ def structure_count(sig: Signature, n: int, equality_normal: bool = True) -> int
 
 
 # ---------------------------------------------------------------------------
+# Reducts: a formula's value in a structure depends only on the domain and on
+# how the structure interprets the symbols the formula mentions
+
+
+def _symbols(f: Formula) -> tuple:
+    """The predicates (``"="`` for equality), functions and constants that
+    ``f`` mentions, each sorted."""
+    preds, funs, consts = set(), set(), set()
+
+    def term(t):
+        if isinstance(t, Const):
+            consts.add(t.name)
+        elif isinstance(t, App):
+            funs.add(t.fun)
+            for a in t.args:
+                term(a)
+
+    def walk(f):
+        if isinstance(f, Pred):
+            preds.add(f.name)
+            for a in f.args:
+                term(a)
+        elif isinstance(f, Eq):
+            preds.add(EQ)
+            term(f.left)
+            term(f.right)
+        elif isinstance(f, (Neg, Cons)):
+            walk(f.sub)
+        elif isinstance(f, (And, Or, Imp)):
+            walk(f.left)
+            walk(f.right)
+        elif isinstance(f, (Forall, Exists)):
+            walk(f.body)
+
+    walk(f)
+    return tuple(sorted(preds)), tuple(sorted(funs)), tuple(sorted(consts))
+
+
+def _signature_symbols(sig: Signature) -> tuple:
+    """Every symbol of ``sig``, in the form ``_symbols`` gives."""
+    preds = set(sig.predicates) | ({EQ} if sig.has_equality else set())
+    return tuple(sorted(preds)), tuple(sorted(sig.functions)), tuple(sorted(sig.constants))
+
+
+def _leaves_out_a_symbol(symbols: tuple, everything: tuple) -> bool:
+    """True when ``symbols`` are some but not all of ``everything``: only
+    then can two distinct structures have the same reduct to them."""
+    return symbols != everything and all(
+        set(part) <= set(whole) for part, whole in zip(symbols, everything)
+    )
+
+
+def _group_by_symbols(formulas) -> tuple[list, list]:
+    """The formulas grouped by the symbols they mention, in order of first
+    appearance: a list of (symbols, members), and for each formula its
+    (group, position in group)."""
+    groups = []
+    group_of: dict = {}
+    slot = []
+    for f in formulas:
+        symbols = _symbols(f)
+        g = group_of.setdefault(symbols, len(groups))
+        if g == len(groups):
+            groups.append((symbols, []))
+        slot.append((g, len(groups[g][1])))
+        groups[g][1].append(f)
+    return groups, slot
+
+
+def _reduct_key(A: Structure, symbols: tuple) -> tuple:
+    """How ``A`` interprets ``symbols`` (as ``_symbols`` gives them): the
+    predicate triples (equality's under ``EQ``), then the function tables as
+    frozensets of items, then the constants' elements, in one flat tuple
+    (the symbols fix each position).  With the domain it fixes the value of
+    every formula over those symbols."""
+    preds, funs, consts = symbols
+    return (
+        *[A.preds[p] for p in preds],
+        *[frozenset(A.funs[h].items()) for h in funs],
+        *[A.consts[c] for c in consts],
+    )
+
+
+# ---------------------------------------------------------------------------
 # Countermodel search
 
 
@@ -151,7 +235,8 @@ class SearchResult:
     assignment: Assignment | None = None
     value: Fraction | None = None
     size: int | None = None
-    structures_checked: int = 0
+    structures_checked: int = 0  # structures decided
+    structures_evaluated: int = 0  # of those, where a formula was evaluated
     exhausted: bool = False
     limit_hit: str | None = None
 
@@ -163,30 +248,90 @@ def find_countermodel(spec: SearchSpec, progress=None, progress_every: int = 100
     re-evaluated from scratch before being reported.  ``progress``, if
     given, is called with (structures checked, elapsed seconds) every
     ``progress_every`` structures.
+
+    A formula's verdict depends only on the domain and on the
+    interpretations of the symbols it mentions (its reduct).  The premises
+    are grouped by the symbols they mention; within one domain size, each
+    group's verdict (all members valid) and the target's (ok, witness) are
+    decided once per reduct and read back for every other structure with
+    that reduct.  A group or target that mentions every symbol of the
+    signature shares no reduct between structures and is evaluated in each
+    one.  ``structures_checked`` counts the structures decided;
+    ``structures_evaluated`` counts those in which at least one premise or
+    the target was evaluated rather than read back.
     """
     t0 = time.monotonic()
-    checked = 0
+    checked = evaluated = 0
+    # (symbols, premises) per group, and the target's symbols; None where
+    # the formulas mention every symbol of the signature, as they all do
+    # when it has only one (then they are not walked at all)
+    premise_groups = [(None, spec.gamma)] if spec.gamma else []
+    target_symbols = None
+    sig = spec.sig
+    if len(sig.predicates) + sig.has_equality + len(sig.functions) + len(sig.constants) > 1:
+        everything = _signature_symbols(sig)
+        premise_groups = [
+            (symbols if _leaves_out_a_symbol(symbols, everything) else None, members)
+            for symbols, members in _group_by_symbols(spec.gamma)[0]
+        ]
+        target_symbols = _symbols(spec.phi)
+        if not _leaves_out_a_symbol(target_symbols, everything):
+            target_symbols = None
+
     for n in range(1, spec.max_domain_size + 1):
+        # per premise group (symbols, members, reduct key -> verdict), and
+        # reduct key -> the target's (ok, witness)
+        premise_checks = [(symbols, members, {}) for symbols, members in premise_groups]
+        target_verdicts: dict = {}
         for A in enumerate_structures(spec.sig, n, spec.equality_normal):
             if spec.max_structures is not None and checked >= spec.max_structures:
                 return SearchResult(
-                    found=False, structures_checked=checked, limit_hit="structure budget"
+                    found=False,
+                    structures_checked=checked,
+                    structures_evaluated=evaluated,
+                    limit_hit="structure budget",
                 )
             if (
                 spec.time_budget_s is not None
                 and time.monotonic() - t0 > spec.time_budget_s
             ):
                 return SearchResult(
-                    found=False, structures_checked=checked, limit_hit="time budget"
+                    found=False,
+                    structures_checked=checked,
+                    structures_evaluated=evaluated,
+                    limit_hit="time budget",
                 )
             checked += 1
             if progress is not None and checked % progress_every == 0:
                 progress(checked, time.monotonic() - t0)
-            if not all(is_valid_in(g, A)[0] for g in spec.gamma):
+            fresh = False  # whether a premise or the target is evaluated in A
+            got = None  # the target's (ok, witness) once every premise is valid
+            for symbols, members, verdicts in premise_checks:
+                if symbols is None:
+                    ok = all(is_valid_in(g, A)[0] for g in members)
+                    fresh = True
+                else:
+                    key = _reduct_key(A, symbols)
+                    ok = verdicts.get(key)
+                    if ok is None:
+                        ok = verdicts[key] = all(is_valid_in(g, A)[0] for g in members)
+                        fresh = True
+                if not ok:
+                    break
+            else:
+                if target_symbols is None:
+                    got = is_valid_in(spec.phi, A)
+                    fresh = True
+                else:
+                    key = _reduct_key(A, target_symbols)
+                    got = target_verdicts.get(key)
+                    if got is None:
+                        got = target_verdicts[key] = is_valid_in(spec.phi, A)
+                        fresh = True
+            evaluated += fresh
+            if got is None or got[0]:
                 continue
-            ok, witness = is_valid_in(spec.phi, A)
-            if ok:
-                continue
+            witness = got[1]
             value = eval_formula(spec.phi, A, witness)
             if value in DESIGNATED or not all(
                 is_valid_in(g, A)[0] for g in spec.gamma
@@ -199,8 +344,14 @@ def find_countermodel(spec: SearchSpec, progress=None, progress_every: int = 100
                 value=value,
                 size=n,
                 structures_checked=checked,
+                structures_evaluated=evaluated,
             )
-    return SearchResult(found=False, structures_checked=checked, exhausted=True)
+    return SearchResult(
+        found=False,
+        structures_checked=checked,
+        structures_evaluated=evaluated,
+        exhausted=True,
+    )
 
 
 def check_consequence_bounded(
@@ -246,40 +397,6 @@ class HarnessReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-def _symbols(f: Formula) -> tuple:
-    """The predicates (``"="`` for equality), functions and constants that
-    ``f`` mentions, each sorted."""
-    preds, funs, consts = set(), set(), set()
-
-    def term(t):
-        if isinstance(t, Const):
-            consts.add(t.name)
-        elif isinstance(t, App):
-            funs.add(t.fun)
-            for a in t.args:
-                term(a)
-
-    def walk(f):
-        if isinstance(f, Pred):
-            preds.add(f.name)
-            for a in f.args:
-                term(a)
-        elif isinstance(f, Eq):
-            preds.add(EQ)
-            term(f.left)
-            term(f.right)
-        elif isinstance(f, (Neg, Cons)):
-            walk(f.sub)
-        elif isinstance(f, (And, Or, Imp)):
-            walk(f.left)
-            walk(f.right)
-        elif isinstance(f, (Forall, Exists)):
-            walk(f.body)
-
-    walk(f)
-    return tuple(sorted(preds)), tuple(sorted(funs)), tuple(sorted(consts))
 
 
 def _quantifier_axiom_instances(pool, variables, terms):
@@ -344,9 +461,12 @@ def soundness_harness(
     again only where it is a violation to report.  A fixed quantifier or
     equality instance's value depends only on the domain and on the
     interpretations of the symbols it mentions (its reduct), so its verdict
-    is decided once per run for each such domain and interpretation.
-    ``axiom_checks`` counts the instances decided, structure by structure;
-    ``axiom_evaluations`` counts those actually evaluated.  Rule
+    is decided once per run for each such domain and interpretation; the
+    instances that mention every symbol of the signature share no reduct
+    between structures, so they are evaluated in each structure and their
+    verdicts are not stored.  ``axiom_checks`` counts the instances
+    decided, structure by structure; ``axiom_evaluations`` counts those
+    actually evaluated.  Rule
     preservation (modus ponens and the two quantifier introductions) is
     checked for every pair of pool formulas in every structure, and counted
     per pair; whether a rule fails on a pair depends only on the two value
@@ -391,18 +511,12 @@ def soundness_harness(
             if name in eq_ids
         ]
     # the fixed instances grouped by the symbols they mention; slot[k] is
-    # (group, position in group) of fixed_instances[k]
-    groups = []  # (symbols, member instances)
-    group_of: dict = {}
-    slot = []
-    for _, f in fixed_instances:
-        symbols = _symbols(f)
-        g = group_of.setdefault(symbols, len(groups))
-        if g == len(groups):
-            groups.append((symbols, []))
-        slot.append((g, len(groups[g][1])))
-        groups[g][1].append(f)
-    fixed_verdicts: dict = {}  # (group, reduct key) -> [(ok, witness), ...]
+    # (group, position in group) of fixed_instances[k].  Only a group that
+    # leaves out a symbol of the signature can meet its reduct again.
+    groups, slot = _group_by_symbols(f for _, f in fixed_instances)
+    everything = _signature_symbols(sig)
+    reusable = [_leaves_out_a_symbol(symbols, everything) for symbols, _ in groups]
+    fixed_verdicts: dict = {}  # (group, domain, reduct key) -> [(ok, witness), ...]
 
     # rule instances over the full pool, as indices into it: modus ponens
     # on every pair, and (i, j, x) for each quantifier introduction from
@@ -487,19 +601,14 @@ def soundness_harness(
                         )
 
             verdicts = []
-            for g, ((preds, funs, consts), members) in enumerate(groups):
-                key = (
-                    g,
-                    A.domain,
-                    tuple(A.preds[p] for p in preds),
-                    tuple(frozenset(A.funs[h].items()) for h in funs),
-                    tuple(A.consts[c] for c in consts),
-                )
-                got = fixed_verdicts.get(key)
+            for g, (symbols, members) in enumerate(groups):
+                key = (g, A.domain, _reduct_key(A, symbols)) if reusable[g] else None
+                got = fixed_verdicts.get(key)  # nothing is stored under None
                 if got is None:
                     got = [is_valid_in(f, A, matrix) for f in members]
-                    fixed_verdicts[key] = got
                     report.axiom_evaluations += len(members)
+                    if key is not None:
+                        fixed_verdicts[key] = got
                 verdicts.append(got)
             report.axiom_checks += len(fixed_instances)
             for (name, inst), (g, k) in zip(fixed_instances, slot):

@@ -9,6 +9,7 @@ when every instance is false.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -109,6 +110,12 @@ def make_structure(
     return A
 
 
+@functools.lru_cache(maxsize=64)
+def _tuples_over(domain: tuple, arity: int) -> frozenset:
+    """domain^arity, built once per (domain, arity)."""
+    return frozenset(itertools.product(domain, repeat=arity))
+
+
 def validate_structure(A: Structure) -> None:
     sig = A.sig
     dom = set(A.domain)
@@ -119,7 +126,7 @@ def validate_structure(A: Structure) -> None:
         t = A.preds.get(name)
         if t is None:
             raise ValueError("no interpretation for predicate %s" % name)
-        full = frozenset(itertools.product(A.domain, repeat=arity))
+        full = _tuples_over(A.domain, arity)
         if t.carrier != full:
             raise ValueError(
                 "predicate %s: triple carrier does not cover domain^%d" % (name, arity)
@@ -131,8 +138,7 @@ def validate_structure(A: Structure) -> None:
         fmap = A.funs.get(name)
         if fmap is None:
             raise ValueError("no interpretation for function %s" % name)
-        full = set(itertools.product(A.domain, repeat=arity))
-        if set(fmap) != full:
+        if fmap.keys() != _tuples_over(A.domain, arity):
             raise ValueError("function %s is not total on domain^%d" % (name, arity))
         for out in fmap.values():
             if out not in dom:

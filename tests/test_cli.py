@@ -322,6 +322,20 @@ def test_search_command_finds_and_roundtrips(capsys):
     assert values == {0}
 
 
+def test_search_json_reports_structures_evaluated(capsys):
+    code = main(
+        [
+            "search", "--refute", "Q(c)", "--gamma", "P(c)", "--gamma", "~P(c)",
+            "--gamma", "@P(c)", "--max", "2", "--json",
+        ]
+    )
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0 and data["exhausted"]
+    # bare identifiers are variables: the premises mention P only, the target Q
+    assert data["structures_checked"] == 9 + 81
+    assert data["structures_evaluated"] == 3 + 9
+
+
 def test_search_command_exhausts(capsys):
     code = main(["search", "--refute", "(forall x. P(x)) -> P(y)", "--max", "2"])
     out = capsys.readouterr().out

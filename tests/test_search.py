@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from qciore.cli import format_structure
 from qciore.hilbert import instantiate, possibly_free, schema_metavariables
 from qciore.matrix3 import (
     CIORE,
@@ -23,13 +24,21 @@ from qciore.search import (
     SearchSpec,
     _equality_axiom_instances,
     _quantifier_axiom_instances,
+    _reduct_key,
+    _signature_symbols,
     check_consequence_bounded,
     enumerate_structures,
     find_countermodel,
     soundness_harness,
     structure_count,
 )
-from qciore.structures import assignments_over, eval_formula, is_valid_in
+from qciore.structures import (
+    EQ,
+    assignments_over,
+    eval_formula,
+    is_valid_in,
+    make_structure,
+)
 from qciore.syntax import (
     Const,
     Exists,
@@ -40,6 +49,7 @@ from qciore.syntax import (
     enumerate_formulas,
     parse_formula,
 )
+from qciore.triples import make_triple
 
 SIG_P = Signature(predicates={"P": 1}, functions={}, constants=set())
 SIG_PR = Signature(predicates={"P": 1, "R": 2}, functions={}, constants=set())
@@ -49,6 +59,7 @@ SIG_PF = Signature(predicates={"P": 1}, functions={"f": 1}, constants=set())
 SIG_PEQ = Signature(
     predicates={"P": 1}, functions={}, constants=set(), has_equality=True
 )
+SIG_PFC = Signature(predicates={"P": 1}, functions={"f": 1}, constants={"c"})
 
 
 def canonical(a):
@@ -224,6 +235,129 @@ def test_progress_callback_fires():
 def test_spec_rejects_bad_bound():
     with pytest.raises(ValueError):
         SearchSpec(sig=SIG_P, phi=parse_formula("P(x)"), max_domain_size=0)
+
+
+def reference_search(spec, progress_every):
+    """The search as a plain loop: every premise and the target evaluated
+    in every structure, no verdict carried over.  Returns the summary that
+    ``summary`` gives for a result, and the progress calls."""
+    calls = []
+    checked = 0
+    for n in range(1, spec.max_domain_size + 1):
+        for A in enumerate_structures(spec.sig, n, spec.equality_normal):
+            if spec.max_structures is not None and checked >= spec.max_structures:
+                return (False, None, checked, False, "structure budget", None, None, None), calls
+            checked += 1
+            if checked % progress_every == 0:
+                calls.append(checked)
+            if not all(is_valid_in(g, A)[0] for g in spec.gamma):
+                continue
+            ok, witness = is_valid_in(spec.phi, A)
+            if not ok:
+                value = eval_formula(spec.phi, A, witness)
+                return (True, n, checked, False, None, value, format_structure(A), witness), calls
+    return (False, None, checked, True, None, None, None, None), calls
+
+
+def summary(res):
+    text = None if res.structure is None else format_structure(res.structure)
+    return (
+        res.found, res.size, res.structures_checked, res.exhausted, res.limit_hit,
+        res.value, text, res.assignment,
+    )
+
+
+# (signature, premises, target, max size, extra spec fields, found?)
+CACHED_SEARCHES = [
+    (SIG_PQC, ["P(c)", "~P(c)"], "Q(c)", 3, {}, True),
+    (SIG_PQC, ["P(c)", "~P(c)", "@P(c)"], "Q(c)", 3, {}, False),
+    (SIG_PQC, ["P(c)", "Q(x)"], "Q(c)", 3, {}, False),
+    (SIG_PQC, ["P(c)", "Q(x)"], "P(x)", 3, {}, True),
+    (SIG_PQC, ["P(c)", "~P(c)", "@P(c)"], "Q(c)", 3, {"max_structures": 200}, False),
+    (SIG_PQC, [], "Q(x) -> Q(c)", 3, {}, True),
+    (SIG_PQC, [], "Q(x) | ~Q(x)", 3, {}, False),
+    (SIG_PF, ["P(x) -> P(f(x))"], "P(f(x)) -> P(x)", 3, {}, True),
+    (SIG_PF, ["P(f(x))"], "P(f(f(x))) | ~P(x)", 3, {}, False),
+    (SIG_PFC, ["P(c)", "P(x) -> P(f(x))"], "P(f(x))", 3, {}, True),
+    (SIG_PFC, ["P(f(x))"], "P(f(c))", 3, {}, False),
+    (SIG_PEQ, ["exists x. P(x)"], "@(x = x)", 3, {}, True),
+    (SIG_PEQ, ["exists x. P(x)"], "x = x", 3, {}, False),
+    (SIG_PEQ, ["P(x) | ~P(x)"], "x = x", 2, {"equality_normal": False}, True),
+]
+
+
+@pytest.mark.parametrize(
+    "sig,gamma,phi,size,extra,found",
+    CACHED_SEARCHES,
+    ids=["%s|%s|%d" % (";".join(c[1]), c[2], i) for i, c in enumerate(CACHED_SEARCHES)],
+)
+def test_search_matches_per_structure_reference(sig, gamma, phi, size, extra, found):
+    spec = SearchSpec(
+        sig=sig,
+        phi=parse_formula(phi, sig),
+        gamma=tuple(parse_formula(g, sig) for g in gamma),
+        max_domain_size=size,
+        **extra,
+    )
+    calls = []
+    res = find_countermodel(spec, progress=lambda k, t: calls.append(k), progress_every=7)
+    expected, expected_calls = reference_search(spec, 7)
+    assert summary(res) == expected
+    assert calls == expected_calls
+    assert res.found == found
+    assert 0 < res.structures_evaluated <= res.structures_checked
+
+
+def criterion_5_exhaustive(size):
+    gamma = tuple(parse_formula(g, SIG_PQC) for g in ("P(c)", "~P(c)", "@P(c)"))
+    spec = SearchSpec(
+        sig=SIG_PQC, phi=parse_formula("Q(c)", SIG_PQC), gamma=gamma, max_domain_size=size
+    )
+    return find_countermodel(spec)
+
+
+@pytest.mark.parametrize("size,evaluated,checked", [(3, 102, 2358), (4, 426, 28602)])
+def test_search_evaluates_once_per_reduct(size, evaluated, checked):
+    # the premises mention P and c only: 3^n * n reducts at size n
+    res = criterion_5_exhaustive(size)
+    assert res.exhausted and not res.found
+    assert res.structures_checked == checked
+    assert res.structures_evaluated == evaluated
+
+
+def test_search_evaluates_whole_signature_formulas_everywhere():
+    phi = parse_formula("(forall x. P(x)) -> P(y)")
+    res = find_countermodel(SearchSpec(sig=SIG_P, phi=phi, max_domain_size=3))
+    assert res.exhausted
+    assert res.structures_evaluated == res.structures_checked == 3 + 9 + 27
+
+
+def test_reduct_key_tells_apart_functions_constants_and_equality():
+    sig = Signature(
+        predicates={"P": 1}, functions={"f": 1}, constants={"c"}, has_equality=True
+    )
+    everything = _signature_symbols(sig)
+    assert everything == (("=", "P"), ("f",), ("c",))
+    dom = ("a", "b")
+    P = make_triple({("a",)}, {("b",)}, set())
+    eq = make_triple({("a", "a"), ("b", "b")}, {("a", "b"), ("b", "a")}, set())
+    eq_dubious = make_triple({("a", "a")}, {("a", "b"), ("b", "a")}, {("b", "b")})
+    f = {("a",): "a", ("b",): "b"}
+    f_swap = {("a",): "b", ("b",): "a"}
+
+    def key(preds=None, funs=None, consts=None):
+        A = make_structure(
+            sig, dom, preds or {"P": P, EQ: eq}, funs or {"f": f}, consts or {"c": "a"}
+        )
+        return _reduct_key(A, everything)
+
+    base = key()
+    assert key() == base
+    assert key(funs={"f": f_swap}) != base
+    assert key(consts={"c": "b"}) != base
+    assert key(preds={"P": P, EQ: eq_dubious}) != base
+    # a structure built from equal tables has an equal key
+    assert key(funs={"f": dict(f)}) == base
 
 
 # ---------------------------------------------------------------------------
