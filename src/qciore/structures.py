@@ -36,7 +36,7 @@ from .syntax import (
     Var,
     free_vars,
 )
-from .triples import Triple, make_triple, triple_from_map, triple_op
+from .triples import CarrierIndex, Triple, make_triple, triple_from_map, triple_op
 
 POS, NEG, BOTH = "POS", "NEG", "BOTH"
 
@@ -298,18 +298,44 @@ def formula_triple(
 ) -> Triple:
     """The semantic triple of ``f`` over assignment tuples aligned with ``frame``.
 
-    Uses the set-valued route: atom triples from the structure, connective
-    triples via the pointwise table lift, quantifier triples from the
-    value-set functions along the quantified coordinate.  ``memo`` is keyed
-    by (id(subformula), frame); one memo per structure.
+    Uses the set-valued route on masks: atom triples from the structure,
+    connective triples via ``triple_op``'s lift of the tables, quantifier
+    triples from the value-set rules along the quantified coordinate.  Every
+    triple is mask-built over the index of domain^k in ``itertools.product``
+    order, the first frame variable most significant.  ``memo`` holds those
+    triples keyed by (id(subformula), frame), so the caller must keep the
+    formula objects alive; one memo per structure.
     """
     frame = tuple(frame)
-    if len(set(frame)) != len(frame):
+    names = set(frame)
+    if len(names) != len(frame):
         raise ValueError("frame repeats a variable")
-    missing = free_vars(f) - set(frame)
-    if missing:
-        raise ValueError("frame %s misses free variables %s" % (frame, sorted(missing)))
+    fv = free_vars(f)
+    if not fv <= names:
+        raise ValueError("frame %s misses free variables %s" % (frame, sorted(fv - names)))
     return _triple(f, A, frame, memo if memo is not None else {})
+
+
+@functools.lru_cache(maxsize=64)
+def _frame_index(domain: tuple, k: int) -> CarrierIndex:
+    """The index of domain^k, in ``itertools.product`` order."""
+    return CarrierIndex.of(tuple(itertools.product(domain, repeat=k)))
+
+
+@functools.lru_cache(maxsize=256)
+def _variant_masks(n: int, k: int, pos: int, projected: bool) -> tuple[int, ...]:
+    """For each index of a k-variable frame over n elements, the mask of its
+    variants along the quantified variable in the body's frame: the variable
+    at ``pos`` of the same frame, or appended last when ``projected``."""
+    if projected:
+        line = (1 << n) - 1
+        return tuple(line << (o * n) for o in range(n**k))
+    stride = n ** (k - 1 - pos)
+    out = []
+    for o in range(n**k):
+        base = o - (o // stride) % n * stride
+        out.append(sum(1 << (base + d * stride) for d in range(n)))
+    return tuple(out)
 
 
 def _triple(f: Formula, A: Structure, frame: tuple[str, ...], memo: dict) -> Triple:
@@ -333,23 +359,32 @@ def _triple(f: Formula, A: Structure, frame: tuple[str, ...], memo: dict) -> Tri
             _triple(f.right, A, frame, memo),
         )
     elif isinstance(f, (Forall, Exists)):
-        x = f.var
-        if x in frame:
-            aux_frame = frame
-            pos = frame.index(x)
-        else:
-            aux_frame = frame + (x,)
-            pos = len(frame)
+        # tilde_forall / tilde_exists on the set of variant values, per index
+        k = len(frame)
+        projected = f.var not in frame
+        aux_frame = frame + (f.var,) if projected else frame
         sub = _triple(f.body, A, aux_frame, memo)
-        tilde = tilde_forall if isinstance(f, Forall) else tilde_exists
-        values = {}
-        for tup in itertools.product(A.domain, repeat=len(frame)):
-            aux = tup if x in frame else tup + (A.domain[0],)
-            Y = {
-                sub.value_at(aux[:pos] + (a,) + aux[pos + 1 :]) for a in A.domain
-            }
-            values[tup] = tilde(Y)
-        out = triple_from_map(values)
+        sp, sm = sub.masks(_frame_index(A.domain, len(aux_frame)))
+        variants = _variant_masks(
+            len(A.domain), k, k if projected else frame.index(f.var), projected
+        )
+        plus = minus = 0
+        if isinstance(f, Forall):
+            # 0 if some variant is 0, else 1 if some variant is 1, else 1/2
+            for o, v in enumerate(variants):
+                if sm & v:
+                    minus |= 1 << o
+                elif sp & v:
+                    plus |= 1 << o
+        else:
+            # 0 if every variant is 0, 1/2 if every variant is 1/2, else 1
+            sd = ~(sp | sm)
+            for o, v in enumerate(variants):
+                if sm & v == v:
+                    minus |= 1 << o
+                elif sd & v != v:
+                    plus |= 1 << o
+        out = Triple.from_masks(_frame_index(A.domain, k), plus, minus)
     elif isinstance(f, FVar):
         raise ValueError("metavariable %s in a concrete formula" % f.name)
     else:

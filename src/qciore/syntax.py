@@ -422,24 +422,38 @@ def term_vars(t: Term) -> set[str]:
     return out
 
 
-def free_vars(f: Formula) -> set[str]:
-    """Free variables of a formula (metavariables contribute none)."""
-    if isinstance(f, Pred):
-        out: set[str] = set()
-        for a in f.args:
-            out |= term_vars(a)
+_NO_VARS: frozenset[str] = frozenset()
+
+
+def free_vars(f: Formula) -> frozenset[str]:
+    """Free variables of a formula (metavariables contribute none).
+
+    The result is cached on the node, as formulas are immutable: each node
+    is walked once, however often it or a formula containing it is asked.
+    A node reuses its subformula's frozenset wherever the sets are equal.
+    """
+    out = getattr(f, "_free_vars", None)
+    if out is not None:
         return out
-    if isinstance(f, Eq):
-        return term_vars(f.left) | term_vars(f.right)
-    if isinstance(f, FVar):
-        return set()
-    if isinstance(f, (Neg, Cons)):
-        return free_vars(f.sub)
-    if isinstance(f, (And, Or, Imp)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Forall, Exists)):
-        return free_vars(f.body) - {f.var}
-    raise TypeError("not a formula: %r" % (f,))
+    if isinstance(f, Pred):
+        out = frozenset(v for a in f.args for v in term_vars(a)) or _NO_VARS
+    elif isinstance(f, Eq):
+        out = frozenset(term_vars(f.left) | term_vars(f.right)) or _NO_VARS
+    elif isinstance(f, FVar):
+        out = _NO_VARS
+    elif isinstance(f, (Neg, Cons)):
+        out = free_vars(f.sub)
+    elif isinstance(f, (And, Or, Imp)):
+        left, right = free_vars(f.left), free_vars(f.right)
+        out = left if right <= left else right if left <= right else left | right
+    elif isinstance(f, (Forall, Exists)):
+        out = free_vars(f.body)
+        if f.var in out:
+            out = out.difference((f.var,)) or _NO_VARS
+    else:
+        raise TypeError("not a formula: %r" % (f,))
+    object.__setattr__(f, "_free_vars", out)
+    return out
 
 
 def is_free_for(t: Term, x: str, f: Formula) -> bool:

@@ -2,29 +2,147 @@
 
 A triple splits a carrier X into the elements where a relation holds
 (``plus``), fails (``minus``), and is dubious or contradictory (``dot``).
-Operations are the pointwise lift of a 3-valued matrix; the closed set
-formulas from the literature serve as cross-check oracles in the tests.
+
+A triple is kept in one of two forms; no caller can tell them apart.
+
+* Set-built (``Triple(plus, minus, dot)``, ``make_triple``, ``all_triples``,
+  the predicate interpretations of a structure): three frozensets.
+* Mask-built (``triple_from_map``, ``triple_op`` and the quantifier step of
+  ``structures.formula_triple``): two int bit masks, ``plus`` and ``minus``,
+  over a ``CarrierIndex`` that numbers the carrier; ``dot`` is every other
+  bit.  It carries the frozensets too, decoded once per (index, masks) and
+  shared by every triple with those masks.
+
+Operations lift a 3-valued matrix's table over whole masks: a class of the
+result is the union, over the value pairs the table sends to it, of the
+intersections of the operands' classes.  The closed set formulas from the
+literature serve as cross-check oracles in the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 from fractions import Fraction
-from functools import cached_property
 from typing import Hashable
 
-from .matrix3 import CIORE, HALF, ONE, ZERO, Matrix
+from .matrix3 import CIORE, HALF, ONE, VALUES, ZERO, Matrix
+
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
+class CarrierIndex:
+    """A numbering of a carrier: ``elements[i]`` is bit ``i`` of a mask.
+
+    ``CarrierIndex.of`` returns one shared index per element tuple, so
+    triples over the same tuple combine and compare their masks directly.
+    """
+
+    __slots__ = ("elements", "position", "carrier", "full")
+
+    def __init__(self, elements: tuple):
+        self.elements = elements
+        self.position = {x: i for i, x in enumerate(elements)}
+        if len(self.position) != len(elements):
+            raise ValueError("carrier index repeats an element")
+        self.carrier = frozenset(elements)
+        self.full = (1 << len(elements)) - 1
+
+    @staticmethod
+    @functools.lru_cache(maxsize=256)
+    def of(elements: tuple) -> "CarrierIndex":
+        """The shared index over ``elements``, in that order."""
+        return CarrierIndex(elements)
+
+
+@functools.lru_cache(maxsize=4096)
+def _decode(index: CarrierIndex, plus: int, minus: int) -> tuple[frozenset, ...]:
+    """The (plus, minus, dot) frozensets of a pair of masks over ``index``."""
+    elements = index.elements
+    out = ([], [], [])
+    for i, x in enumerate(elements):
+        bit = 1 << i
+        out[0 if plus & bit else 1 if minus & bit else 2].append(x)
+    return tuple(map(frozenset, out))
+
+
 class Triple:
-    plus: frozenset
-    minus: frozenset
-    dot: frozenset
+    """Three pairwise disjoint classes of a carrier; immutable and hashable.
 
-    @cached_property
+    ``Triple(plus, minus, dot)`` builds one from frozensets (``index`` is
+    None), ``Triple.from_masks`` from masks over a ``CarrierIndex``.  Both
+    forms carry ``plus``, ``minus`` and ``dot`` as frozensets, so equality,
+    hashing, ``value_at`` and printing mean the same for both; a mask-built
+    triple's frozensets are the ones shared by its (index, masks).
+    """
+
+    __slots__ = ("plus", "minus", "dot", "index", "_masks", "_carrier", "_hash")
+
+    def __init__(self, plus: frozenset, minus: frozenset, dot: frozenset):
+        _set(self, "plus", plus)
+        _set(self, "minus", minus)
+        _set(self, "dot", dot)
+        _set(self, "index", None)
+
+    @staticmethod
+    def from_masks(index: CarrierIndex, plus: int, minus: int) -> "Triple":
+        """The triple whose plus and minus classes are the given masks."""
+        t = object.__new__(Triple)
+        t_plus, t_minus, t_dot = _decode(index, plus, minus)
+        _set(t, "plus", t_plus)
+        _set(t, "minus", t_minus)
+        _set(t, "dot", t_dot)
+        _set(t, "index", index)
+        _set(t, "_masks", (plus, minus))
+        return t
+
+    @property
     def carrier(self) -> frozenset:
-        return self.plus | self.minus | self.dot
+        if self.index is not None:
+            return self.index.carrier
+        try:
+            return self._carrier
+        except AttributeError:
+            _set(self, "_carrier", self.plus | self.minus | self.dot)
+            return self._carrier
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            _set(self, "_hash", hash((self.plus, self.minus, self.dot)))
+            return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r of an immutable Triple" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r of an immutable Triple" % name)
+
+    def masks(self, index: CarrierIndex) -> tuple[int, int]:
+        """(plus, minus) as masks over ``index``, which must number the carrier."""
+        if self.index is index:
+            return self._masks
+        if self.carrier != index.carrier:
+            raise ValueError("carrier mismatch: %s vs %s" % (index.carrier, self.carrier))
+        position = index.position
+        return (
+            sum(1 << position[x] for x in self.plus),
+            sum(1 << position[x] for x in self.minus),
+        )
+
+    def __eq__(self, other):
+        # mask-built triples with equal masks share their frozensets, so the
+        # tuple comparison settles them by identity
+        if type(other) is not Triple:
+            return NotImplemented
+        return (self.plus, self.minus, self.dot) == (other.plus, other.minus, other.dot)
+
+    def __reduce__(self):
+        # an index is process-local; a pickle carries the classes only
+        return (Triple, (self.plus, self.minus, self.dot))
+
+    def __repr__(self) -> str:
+        return "Triple(plus=%r, minus=%r, dot=%r)" % (self.plus, self.minus, self.dot)
 
     def value_at(self, x: Hashable) -> Fraction:
         if x in self.plus:
@@ -51,51 +169,86 @@ def make_triple(plus, minus, dot) -> Triple:
 
 
 def triple_from_map(f: dict) -> Triple:
-    plus, minus, dot = set(), set(), set()
+    """The triple of a map from carrier elements to truth values.
+
+    The masks are over the shared index of the map's keys, in their order.
+    """
+    plus = minus = 0
+    bit = 1
     for x, v in f.items():
         if v == ONE:
-            plus.add(x)
+            plus |= bit
         elif v == ZERO:
-            minus.add(x)
-        elif v == HALF:
-            dot.add(x)
-        else:
+            minus |= bit
+        elif v != HALF:
             raise ValueError("map value %r at %r is not a truth value" % (v, x))
-    return Triple(frozenset(plus), frozenset(minus), frozenset(dot))
+        bit <<= 1
+    return Triple.from_masks(CarrierIndex.of(tuple(f)), plus, minus)
 
 
-def triple_to_map(r: Triple) -> dict:
-    out = {}
-    for x in r.plus:
-        out[x] = ONE
-    for x in r.minus:
-        out[x] = ZERO
-    for x in r.dot:
-        out[x] = HALF
-    return out
+@functools.lru_cache(maxsize=64)
+def _lift(m: Matrix, op: str) -> tuple[tuple, tuple]:
+    """The operand class positions (in ``VALUES`` order) that the table of
+    ``op`` sends to 1 and to 0: positions for a unary connective, position
+    pairs for a binary one."""
+    if op in ("~", "@"):
+        table = m.unary.get(op)
+        cells = [((i,), a) for i, a in enumerate(VALUES)]
+    else:
+        table = m.binary.get(op)
+        cells = [
+            ((i, j), (a, b)) for i, a in enumerate(VALUES) for j, b in enumerate(VALUES)
+        ]
+    if table is None:
+        raise ValueError("matrix %s has no connective %r" % (m.name, op))
+    ones, zeros = [], []
+    for where, arg in cells:
+        v = table[arg]
+        if v == ONE:
+            ones.append(where)
+        elif v == ZERO:
+            zeros.append(where)
+        elif v != HALF:
+            raise ValueError("table value %r at %r is not a truth value" % (v, arg))
+    return tuple(ones), tuple(zeros)
 
 
 def triple_op(op: str, r: Triple, u: Triple | None = None, m: Matrix = CIORE) -> Triple:
-    """Apply a connective to triples by lifting the matrix table pointwise."""
+    """Apply a connective to triples by lifting the matrix table over masks.
+
+    The result is over ``r``'s index (one built from ``r``'s carrier when
+    ``r`` is set-built); ``u`` must have the same carrier.
+    """
     if op in ("~", "@"):
         if u is not None:
             raise ValueError("unary connective %r takes one triple" % op)
-        table = m.unary.get(op)
-        if table is None:
-            raise ValueError("matrix %s has no connective %r" % (m.name, op))
-        return triple_from_map({x: table[r.value_at(x)] for x in r.carrier})
-    if op in ("&", "|", "->"):
+    elif op in ("&", "|", "->"):
         if u is None:
             raise ValueError("binary connective %r takes two triples" % op)
-        if r.carrier != u.carrier:
-            raise ValueError("carrier mismatch: %s vs %s" % (r.carrier, u.carrier))
-        table = m.binary.get(op)
-        if table is None:
-            raise ValueError("matrix %s has no connective %r" % (m.name, op))
-        return triple_from_map(
-            {x: table[(r.value_at(x), u.value_at(x))] for x in r.carrier}
-        )
-    raise ValueError("unknown connective %r" % op)
+    else:
+        raise ValueError("unknown connective %r" % op)
+    ones, zeros = _lift(m, op)
+    index = r.index
+    if index is None:
+        index = CarrierIndex.of(tuple(r.carrier))
+        rp, rm = r.masks(index)
+    else:
+        rp, rm = r._masks
+    R = (rp, index.full & ~(rp | rm), rm)  # the classes in VALUES order
+    plus = minus = 0
+    if u is None:
+        for (i,) in ones:
+            plus |= R[i]
+        for (i,) in zeros:
+            minus |= R[i]
+    else:
+        up, um = u._masks if u.index is index else u.masks(index)
+        U = (up, index.full & ~(up | um), um)
+        for i, j in ones:
+            plus |= R[i] & U[j]
+        for i, j in zeros:
+            minus |= R[i] & U[j]
+    return Triple.from_masks(index, plus, minus)
 
 
 def all_triples(carrier) -> list[Triple]:

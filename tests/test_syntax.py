@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -77,6 +79,34 @@ def test_free_vars():
     f = parse_formula("forall x. P(x, y) & exists y. Q(y)")
     assert free_vars(f) == {"y"}
     assert free_vars(parse_formula("x = x")) == {"x"}
+
+
+def test_free_vars_cached_on_the_node():
+    text = "(forall x. P(x, y) & exists y. Q(y, z)) -> ~R(f(w), c)"
+    f = parse_formula(text)
+    fresh = parse_formula(text)
+    fv = free_vars(f)
+    assert type(fv) is frozenset and fv == {"y", "z", "w", "c"}
+    assert free_vars(f) is fv  # read back, not recomputed
+    assert free_vars(f.left.body) is free_vars(f.left.body)
+    # the cache is invisible: equality, hash, printing and pickling
+    assert f == fresh and hash(f) == hash(fresh)
+    assert parse_formula(formula_to_str(f)) == f
+    again = pickle.loads(pickle.dumps(f))
+    assert again == f and hash(again) == hash(f) and free_vars(again) == fv
+    assert formula_to_str(again) == formula_to_str(fresh)
+    # callers take unions and differences; the cached set never changes
+    grown = free_vars(f)
+    grown |= {"u"}
+    assert grown - {"u"} == fv and free_vars(f) == {"y", "z", "w", "c"}
+    assert set() | free_vars(f) == fv and free_vars(f) - {"y"} == {"z", "w", "c"}
+    assert sorted(free_vars(f.left)) == ["y", "z"]
+    assert universal_closure(f) == Forall("c", Forall("w", Forall("y", Forall("z", f))))
+    # sentences, shadowing and the empty set
+    assert free_vars(parse_formula("forall x. exists x. P(x)")) == frozenset()
+    assert free_vars(parse_formula("forall x. P(x) & Q(x, y)")) == {"y"}
+    with pytest.raises(TypeError):
+        free_vars(Var("x"))
 
 
 def test_substitute():

@@ -1,15 +1,19 @@
 import itertools
+import pickle
 
 import pytest
 
+from qciore.cli import format_structure
 from qciore.matrix3 import HALF, LFI1, ONE, P1, ZERO
+from qciore.search import _reduct_key
+from qciore.structures import EQ, make_structure
+from qciore.syntax import Signature
 from qciore.triples import (
     Triple,
     all_triples,
     make_triple,
     triple_from_map,
     triple_op,
-    triple_to_map,
 )
 
 X3 = frozenset({"a", "b", "c"})
@@ -27,9 +31,10 @@ def test_from_map_examples():
 
 def test_map_round_trip():
     for r in all_triples({"a", "b"}):
-        assert triple_from_map(triple_to_map(r)) == r
+        assert triple_from_map({x: r.value_at(x) for x in r.carrier}) == r
     m = {"a": ONE, "b": HALF, "c": ZERO}
-    assert triple_to_map(triple_from_map(m)) == m
+    t = triple_from_map(m)
+    assert {x: t.value_at(x) for x in t.carrier} == m
 
 
 def test_bad_map_value_rejected():
@@ -162,3 +167,73 @@ def test_all_triples_exhaustive():
     assert len(set(ts)) == 27
     assert all(t.carrier == X3 for t in ts)
     assert all_triples(set()) == [Triple(frozenset(), frozenset(), frozenset())]
+
+
+def _same_classes():
+    """One triple over pairs, built from a map (masks) and from its sets."""
+    values = {("a", "a"): ONE, ("a", "b"): HALF, ("b", "a"): ZERO, ("b", "b"): ONE}
+    masked = triple_from_map(values)
+    built = make_triple(
+        {("a", "a"), ("b", "b")}, {("b", "a")}, {("a", "b")}
+    )
+    return masked, built
+
+
+def test_mask_built_and_set_built_are_indistinguishable():
+    masked, built = _same_classes()
+    assert masked.index is not None and built.index is None
+    assert masked == built and built == masked
+    assert hash(masked) == hash(built)
+    assert {built: "x"}[masked] == "x" and {masked: "y"}[built] == "y"
+    assert len({masked, built}) == 1
+    assert str(masked) == str(built) and repr(masked) == repr(built)
+    assert masked.carrier == built.carrier
+    for x in built.carrier:
+        assert masked.value_at(x) == built.value_at(x)
+    for t in (masked, built):
+        with pytest.raises(KeyError):
+            t.value_at(("c", "c"))
+    assert masked != triple_op("~", built) and masked != "not a triple"
+    # a pickle carries the classes, not the index
+    again = pickle.loads(pickle.dumps(masked))
+    assert again == masked and hash(again) == hash(masked) and again.index is None
+    # immutable, like the frozen sets it holds
+    with pytest.raises(AttributeError):
+        masked.plus = frozenset()
+    with pytest.raises(AttributeError):
+        built.index = masked.index
+
+
+def test_structures_do_not_see_the_representation():
+    masked, built = _same_classes()
+    sig = Signature(predicates={"R": 2}, has_equality=True)
+    pairs = itertools.product("ab", repeat=2)
+    eq = triple_from_map({p: ONE if p[0] == p[1] else ZERO for p in pairs})
+    a = make_structure(sig, ("a", "b"), {"R": masked, EQ: eq})
+    b = make_structure(
+        sig, ("a", "b"), {"R": built, EQ: make_triple(eq.plus, eq.minus, eq.dot)}
+    )
+    assert format_structure(a) == format_structure(b)
+    symbols = (("R", EQ), (), ())
+    assert _reduct_key(a, symbols) == _reduct_key(b, symbols)
+    seen = {_reduct_key(a, symbols): "verdict"}
+    assert seen[_reduct_key(b, symbols)] == "verdict"
+
+
+def test_triple_op_checks_carriers_in_both_forms():
+    masked, built = _same_classes()
+    other = triple_from_map({("a", "a"): ONE})
+    narrow = make_triple({("a", "a")}, (), ())
+    for r, u in ((masked, other), (other, built), (built, narrow)):
+        with pytest.raises(ValueError, match="carrier mismatch"):
+            triple_op("&", r, u)
+    # same carrier, different forms and orders: one answer
+    backwards = sorted(built.carrier, reverse=True)
+    reordered = triple_from_map({x: built.value_at(x) for x in backwards})
+    assert reordered.index is not masked.index
+    for r, u in itertools.product((masked, built, reordered), repeat=2):
+        assert triple_op("->", r, u) == triple_op("->", built, built)
+    with pytest.raises(ValueError):
+        make_triple({"a"}, {"a"}, set())
+    with pytest.raises(ValueError, match="not a truth value"):
+        triple_from_map({"a": ONE, "b": 2})
