@@ -37,6 +37,7 @@ from .syntax import (
     Exists,
     Forall,
     Formula,
+    FVar,
     Imp,
     Neg,
     Or,
@@ -445,37 +446,41 @@ def soundness_harness(
     max_size: int = 2,
     variables: tuple[str, ...] = ("x",),
     matrix: Matrix = CIORE,
-    equality_normal: bool = True,
 ) -> HarnessReport:
     """Validity of axiom instances, and validity preservation of the rules.
 
     Every schema in ``axiom_pool`` (default: all of them) is instantiated
     with formulas of depth ≤ ``instance_depth`` over ``variables`` (distinct
     names) and checked for validity in every structure of size ≤
-    ``max_size``.  The propositional schemas are instantiated per structure
-    over one representative formula per distinct value vector — an
-    instance's values depend on its components only through those vectors,
-    so this covers the whole pool.  The connectives are truth-functional, so
-    an instance's first failing assignment is also decided once per run for
-    each schema and tuple of component vectors, and the instance is built
-    again only where it is a violation to report.  A fixed quantifier or
-    equality instance's value depends only on the domain and on the
-    interpretations of the symbols it mentions (its reduct), so its verdict
-    is decided once per run for each such domain and interpretation; the
-    instances that mention every symbol of the signature share no reduct
-    between structures, so they are evaluated in each structure and their
-    verdicts are not stored.  ``axiom_checks`` counts the instances
-    decided, structure by structure; ``axiom_evaluations`` counts those
-    actually evaluated.  Rule
-    preservation (modus ponens and the two quantifier introductions) is
-    checked for every pair of pool formulas in every structure, and counted
-    per pair; whether a rule fails on a pair depends only on the two value
-    vectors, so it is decided once per pair of vector classes (and
-    variable) on the representatives.  A violation names the pool formulas
+    ``max_size``.  Rule preservation (modus ponens and the two quantifier
+    introductions) is checked for every pair of pool formulas in every
+    structure, and counted per pair.  A violation names the pool formulas
     themselves.
+
+    A formula built from pool formulas by a fixed pattern takes its value
+    vector from theirs: the connectives are truth-functional, and every
+    variable a pattern quantifies is in the frame.  So the propositional
+    schemas are instantiated per structure over one representative formula
+    per distinct value vector, which covers the whole pool, and one run-wide
+    table per pattern decides each instance once per run for each tuple of
+    component vectors.  The patterns are the propositional schemas, the
+    modus ponens premise ``a -> b`` and, per variable x, the conclusions
+    ``a -> forall x. b`` and ``(exists x. a) -> b``, so every rule check is
+    decided once per run per pair of vector classes (and variable).  An
+    instance is built again from the pool formulas only where it is a
+    violation to report.  A fixed quantifier or equality instance's value
+    depends only on the domain and on the interpretations of the symbols it
+    mentions (its reduct), so its verdict is decided once per run for each
+    such domain and interpretation; the instances that mention every symbol
+    of the signature share no reduct between structures, so they are
+    evaluated in each structure and their verdicts are not stored.
+    ``axiom_checks`` counts the instances decided, structure by structure;
+    ``axiom_evaluations`` counts those actually evaluated.
     """
     if len(set(variables)) != len(variables):
         raise ValueError("variables repeat a name: %s" % (variables,))
+    if max_size < 1:
+        raise ValueError("max_size must be at least 1, not %d" % max_size)
     pool = list(enumerate_formulas(sig, variables, instance_depth))
     if axiom_pool is None:
         axiom_pool = (
@@ -518,86 +523,87 @@ def soundness_harness(
     reusable = [_leaves_out_a_symbol(symbols, everything) for symbols, _ in groups]
     fixed_verdicts: dict = {}  # (group, domain, reduct key) -> [(ok, witness), ...]
 
-    # rule instances over the full pool, as indices into it: modus ponens
-    # on every pair, and (i, j, x) for each quantifier introduction from
-    # pool[i] -> pool[j] whose side condition holds
+    # the pattern tables: each propositional schema, then the modus ponens
+    # premise, then per variable the two quantifier introductions'
+    # conclusions.  Each maps a tuple of component vector ids to the index
+    # in the assignment space of the instance's first failure, or None.
+    a, b = FVar("a"), FVar("b")
+    patterns = [PROP_AXIOMS[name] for name in prop_ids] + [Imp(a, b)]
+    mp = len(prop_ids)
+    conclusion = {}  # (rule, variable) -> index of its conclusion's table
+    for x in variables:
+        conclusion["forall-in", x] = len(patterns)
+        conclusion["exists-in", x] = len(patterns) + 1
+        patterns += [Imp(a, Forall(x, b)), Imp(Exists(x, a), b)]
+    tables = [(p, schema_metavariables(p), {}) for p in patterns]
+    vector_ids: dict = {}  # value vector -> small int, for the whole run
+
+    # quantifier rule instances over the full pool, as (i, j, table of the
+    # conclusion) for each introduction from pool[i] -> pool[j] whose side
+    # condition holds
     closed = {x: [not possibly_free(x, f) for f in pool] for x in variables}
     indices = range(len(pool))
     forall_in = [
-        (i, j, x) for i in indices for j in indices for x in variables if closed[x][i]
+        (i, j, conclusion["forall-in", x])
+        for i in indices for j in indices for x in variables if closed[x][i]
     ]
     exists_in = [
-        (i, j, x) for i in indices for j in indices for x in variables if closed[x][j]
+        (i, j, conclusion["exists-in", x])
+        for i in indices for j in indices for x in variables if closed[x][j]
     ]
-    quantifier_rules = (
-        ("forall-in", forall_in, lambda a, b, x: Imp(a, Forall(x, b))),
-        ("exists-in", exists_in, lambda a, b, x: Imp(Exists(x, a), b)),
-    )
 
-    prop_schemas = [
-        (name, PROP_AXIOMS[name], schema_metavariables(PROP_AXIOMS[name]))
-        for name in prop_ids
-    ]
-    # per schema: tuple of component vector ids -> index in the assignment
-    # space of the instance's first failure, or None
-    prop_failures: list[dict] = [{} for _ in prop_schemas]
-    vector_ids: dict = {}  # value vector -> small int, for the whole run
     frame = tuple(sorted(variables))
     report = HarnessReport()
 
     for n in range(1, max_size + 1):
-        for A in enumerate_structures(sig, n, equality_normal):
+        for A in enumerate_structures(sig, n):
             report.structures_checked += 1
             memo: dict = {}
             space = list(assignments_over(A, frame))
 
-            def vector(f):
-                return tuple(eval_formula(f, A, s, memo, matrix) for s in space)
-
-            def first_failure(f):
-                for s in space:
-                    if eval_formula(f, A, s, memo, matrix) == ZERO:
-                        return s
-                return None
-
-            # one representative pool formula per distinct value vector, the
-            # run-wide id of its vector, and the class (index into reps) of
-            # every pool formula
-            reps = []
-            rep_ids = []
-            class_of = {}
-            cls = []
+            # the run-wide vector id of every pool formula; per id, the
+            # first pool formula with that vector (its representative) and
+            # the index of the vector's first failure, or None
+            ids = []
+            rep_of: dict = {}
+            fails: dict = {}
             for f in pool:
-                v = vector(f)
-                c = class_of.setdefault(v, len(reps))
-                if c == len(reps):
-                    reps.append(f)
-                    rep_ids.append(vector_ids.setdefault(v, len(vector_ids)))
-                cls.append(c)
-            rep_of = dict(zip(rep_ids, reps))
-
-            def instance(pattern, mvars, ids):
-                return instantiate(pattern, dict(zip(mvars, map(rep_of.get, ids))))
+                v = tuple(eval_formula(f, A, s, memo, matrix) for s in space)
+                i = vector_ids.setdefault(v, len(vector_ids))
+                if i not in rep_of:
+                    rep_of[i] = f
+                    fails[i] = v.index(ZERO) if ZERO in v else None
+                ids.append(i)
+            rep_ids = list(rep_of)
 
             # the memo is keyed by object identity, so every formula built
             # while it is live must be kept alive alongside it
             alive = []
-            for (name, pattern, mvars), failures in zip(prop_schemas, prop_failures):
-                report.axiom_checks += len(reps) ** len(mvars)
-                for ids in itertools.product(rep_ids, repeat=len(mvars)):
-                    inst = None
-                    if ids not in failures:
-                        inst = instance(pattern, mvars, ids)
-                        alive.append(inst)
-                        report.axiom_evaluations += 1
-                        s = first_failure(inst)
-                        failures[ids] = None if s is None else space.index(s)
-                    i = failures[ids]
-                    if i is not None:
-                        if inst is None:
-                            inst = instance(pattern, mvars, ids)
+
+            def failure(t, key):
+                """Table t's entry for the vector ids ``key``, filled on a miss
+                from the instance over their representatives."""
+                pattern, mvars, table = tables[t]
+                if key not in table:
+                    inst = instantiate(pattern, dict(zip(mvars, map(rep_of.get, key))))
+                    alive.append(inst)
+                    table[key] = next(
+                        (k for k, s in enumerate(space)
+                         if eval_formula(inst, A, s, memo, matrix) == ZERO),
+                        None,
+                    )
+                return table[key]
+
+            for t, name in enumerate(prop_ids):
+                pattern, mvars, _ = tables[t]
+                report.axiom_checks += len(rep_ids) ** len(mvars)
+                for key in itertools.product(rep_ids, repeat=len(mvars)):
+                    k = failure(t, key)
+                    if k is not None:
+                        env = dict(zip(mvars, map(rep_of.get, key)))
+                        inst = instantiate(pattern, env)
                         report.violations.append(
-                            Violation("axiom", name, inst, A, space[i])
+                            Violation("axiom", name, inst, A, space[k])
                         )
 
             verdicts = []
@@ -616,48 +622,27 @@ def soundness_harness(
                 if not ok:
                     report.violations.append(Violation("axiom", name, inst, A, witness))
 
-            # A rule's premises and conclusion over pool formulas a and b take
-            # their values from those of a and b, so whether the rule fails
-            # depends only on their classes (and the variable): it is decided
-            # once per combination, on formulas built from representatives.
-            fails = [first_failure(f) for f in reps]
-            premise_ok: dict = {}
-            conclusion_fails: dict = {}
-
-            def premise_valid(ca, cb):
-                ok = premise_ok.get((ca, cb))
-                if ok is None:
-                    imp = Imp(reps[ca], reps[cb])
-                    alive.append(imp)
-                    ok = premise_ok[(ca, cb)] = first_failure(imp) is None
-                return ok
-
-            def conclusion_failure(build, ca, cb, x):
-                key = (build, ca, cb, x)
-                if key not in conclusion_fails:
-                    concl = build(reps[ca], reps[cb], x)
-                    alive.append(concl)
-                    conclusion_fails[key] = first_failure(concl)
-                return conclusion_fails[key]
-
             report.rule_checks += len(pool) ** 2
-            for ca in cls:
-                if fails[ca] is not None:
+            for ia in ids:
+                if fails[ia] is not None:
                     continue
-                for b, cb in zip(pool, cls):
-                    if fails[cb] is not None and premise_valid(ca, cb):
+                for f, ib in zip(pool, ids):
+                    if fails[ib] is not None and failure(mp, (ia, ib)) is None:
                         report.violations.append(
-                            Violation("rule", "MP", b, A, fails[cb])
+                            Violation("rule", "MP", f, A, space[fails[ib]])
                         )
-            for name, instances, build in quantifier_rules:
+            for rule, instances in (("forall-in", forall_in), ("exists-in", exists_in)):
                 report.rule_checks += len(instances)
-                for i, j, x in instances:
-                    ca, cb = cls[i], cls[j]
-                    if premise_valid(ca, cb):
-                        s = conclusion_failure(build, ca, cb, x)
-                        if s is not None:
-                            concl = build(pool[i], pool[j], x)
+                for i, j, t in instances:
+                    key = (ids[i], ids[j])
+                    if failure(mp, key) is None:
+                        k = failure(t, key)
+                        if k is not None:
+                            env = {"a": pool[i], "b": pool[j]}
+                            concl = instantiate(tables[t][0], env)
                             report.violations.append(
-                                Violation("rule", name, concl, A, s)
+                                Violation("rule", rule, concl, A, space[k])
                             )
+    # every evaluation of a propositional instance left one table entry
+    report.axiom_evaluations += sum(len(table) for _, _, table in tables[:mp])
     return report

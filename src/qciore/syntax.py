@@ -586,10 +586,13 @@ def enumerate_formulas(sig: Signature, variables: list[str], max_depth: int):
     Atom arguments range over ``variables`` and the signature's constants;
     quantifiers bind variables from ``variables`` (shadowing permitted).
     The order is deterministic: by depth, then atoms / ~ / @ / forall /
-    exists / & / | / -> within a level.  ``variables`` must be distinct.
+    exists / & / | / -> within a level.  ``variables`` must be distinct,
+    and ``max_depth`` at least 0.
     """
     if len(set(variables)) != len(variables):
         raise ValueError("variables repeat a name: %s" % (tuple(variables),))
+    if max_depth < 0:
+        raise ValueError("depth must be at least 0, not %d" % max_depth)
     terms: list[Term] = [Var(v) for v in variables]
     terms += [Const(c) for c in sorted(sig.constants)]
 

@@ -235,16 +235,23 @@ def lifted_quantifier(kind: str, representation: str, x: str, space: AssignmentS
     """Apply the lifted quantifier to a triple or pair over ``space``.
 
     ``kind`` is "forall" or "exists"; ``representation`` "T" (triples) or
-    "P" (pairs).  The pair version is the triple version conjugated by the
-    dagger/ddagger pair.
+    "P" (pairs).  With Â = ``hat_forall`` and Ê = ``hat_exists``, the pair
+    forms are ∀x(a, b) = (Â a, Ê(b∖a) ∪ Â(a∩b)) and ∃x(a, b) = (Ê a,
+    Â(b∖a) ∪ Â(a∩b)): the triple forms conjugated by dagger/ddagger.
     """
     if x not in space.frame:
         raise ValueError("variable %r is not in the frame %s" % (x, space.frame))
+    if kind not in ("forall", "exists"):
+        raise ValueError("kind must be 'forall' or 'exists', not %r" % kind)
     alg = space.algebra
     if representation == "P":
         if not isinstance(z, TwistPair) or z.alg != alg:
             raise ValueError("expected a pair over the assignment-space algebra")
-        return dagger(lifted_quantifier(kind, "T", x, space, ddagger(z)))
+        a, b = z.a, z.b
+        all_dot = space.hat_forall(x, a & b)
+        if kind == "forall":
+            return TwistPair(alg, space.hat_forall(x, a), space.hat_exists(x, b - a) | all_dot)
+        return TwistPair(alg, space.hat_exists(x, a), space.hat_forall(x, b - a) | all_dot)
     if representation != "T":
         raise ValueError("representation must be 'T' or 'P', not %r" % representation)
     if not isinstance(z, TwistTriple) or z.alg != alg:
@@ -255,8 +262,6 @@ def lifted_quantifier(kind: str, representation: str, x: str, space: AssignmentS
         some_minus = space.hat_exists(x, z.b)
         all_dot = space.hat_forall(x, z.c)
         return TwistTriple(alg, some_plus - some_minus, some_minus, all_dot)
-    if kind == "exists":
-        all_minus = space.hat_forall(x, z.b)
-        all_dot = space.hat_forall(x, z.c)
-        return TwistTriple(alg, S - (all_minus | all_dot), all_minus, all_dot)
-    raise ValueError("kind must be 'forall' or 'exists', not %r" % kind)
+    all_minus = space.hat_forall(x, z.b)
+    all_dot = space.hat_forall(x, z.c)
+    return TwistTriple(alg, S - (all_minus | all_dot), all_minus, all_dot)

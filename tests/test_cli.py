@@ -421,6 +421,17 @@ def test_mt_commands(tmp_path, capsys):
     assert code == 1 and "separated by" in out
 
 
+@pytest.mark.parametrize(
+    "command,depth", [("elementary", "-1"), ("equiv", "-2"), ("tarski", "-1")]
+)
+def test_mt_rejects_negative_depth(command, depth, capsys):
+    code = main(["mt", command, REMARK, REMARK, "--depth", depth])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("error:") and "depth" in err
+    assert out == ""  # no verdict over an empty range of depths
+
+
 def test_mt_sub_rejects_non_substructure(tmp_path, capsys):
     a = tmp_path / "a.struct"
     b = tmp_path / "b.struct"

@@ -453,8 +453,8 @@ def mutated_implication(cell, value):
 )
 @pytest.mark.parametrize(
     "sig,variables,depth",
-    [(SIG_P, ("x",), 1), (SIG_PC, ("x", "y"), 0)],
-    ids=["P-x-d1", "Pc-xy-d0"],
+    [(SIG_P, ("x",), 1), (SIG_PC, ("x", "y"), 0), (SIG_P, ("x", "y"), 1)],
+    ids=["P-x-d1", "Pc-xy-d0", "P-xy-d1"],
 )
 def test_rule_phase_matches_pointwise_reference(cell, value, broken, sig, variables, depth):
     matrix = mutated_implication(cell, value)
@@ -473,6 +473,13 @@ def test_harness_rejects_repeated_variables():
     # ("x", "x") would double the pool and build assignments like {x=e1, x=e2}
     with pytest.raises(ValueError, match="repeat"):
         soundness_harness(SIG_P, instance_depth=0, max_size=1, variables=("x", "x"))
+
+
+@pytest.mark.parametrize("max_size", [0, -1])
+def test_harness_rejects_a_size_bound_below_1(max_size):
+    # there is no structure of size 0: the report would be ok after none
+    with pytest.raises(ValueError, match="max_size"):
+        soundness_harness(SIG_P, instance_depth=0, max_size=max_size)
 
 
 def test_harness_spare_variable_avoids_every_given_name():

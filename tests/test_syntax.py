@@ -176,6 +176,12 @@ def test_enumerate_formulas_rejects_repeated_variables():
         list(enumerate_formulas(sig, ("x", "x"), 1))
 
 
+def test_enumerate_formulas_rejects_negative_depth():
+    sig = Signature(predicates={"P": 1})
+    with pytest.raises(ValueError, match="depth"):
+        list(enumerate_formulas(sig, ("x",), -1))
+
+
 def _depth(f):
     if isinstance(f, (Neg, Cons)):
         return 1 + _depth(f.sub)
