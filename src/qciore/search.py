@@ -72,45 +72,50 @@ def _equality_interpretations(domain: tuple, equality_normal: bool):
         yield make_triple(plus, off, dot)
 
 
-def enumerate_structures(sig: Signature, n: int, equality_normal: bool = True):
-    """Every structure with domain (e1..en), each exactly once.
-
-    The order is deterministic: predicates in sorted name order, each
-    ranging over all class assignments; then functions in sorted name order
-    over all total maps; then constants in sorted name order over all
-    elements; equality last.
-    """
+def _factors(sig: Signature, n: int, equality_normal: bool) -> tuple:
+    """The domain (e1..en) and one factor per symbol of ``sig``, each
+    (``Structure`` field, name, interpretations), in the order that
+    ``enumerate_structures`` gives.  A reduct signature's factors are the
+    full one's for its symbols, in the same order, so a structure's reduct
+    is the one at the mixed-radix index of its indices into those."""
     if n < 1:
         raise ValueError("domain size must be at least 1")
     domain = tuple("e%d" % i for i in range(1, n + 1))
-    pred_names = sorted(sig.predicates)
-    fun_names = sorted(sig.functions)
-    const_names = sorted(sig.constants)
-
     factors = []
-    for name in pred_names:
+    for name in sorted(sig.predicates):
         carrier = tuple(itertools.product(domain, repeat=sig.predicates[name]))
-        factors.append(list(all_triples(carrier)))
-    for name in fun_names:
+        factors.append(("preds", name, all_triples(carrier)))
+    for name in sorted(sig.functions):
         keys = tuple(itertools.product(domain, repeat=sig.functions[name]))
-        factors.append(
-            [
-                dict(zip(keys, values))
-                for values in itertools.product(domain, repeat=len(keys))
-            ]
-        )
-    factors.append(list(itertools.product(domain, repeat=len(const_names))))
+        images = itertools.product(domain, repeat=len(keys))
+        factors.append(("funs", name, [dict(zip(keys, values)) for values in images]))
+    factors += [("consts", name, domain) for name in sorted(sig.constants)]
     if sig.has_equality:
-        factors.append(list(_equality_interpretations(domain, equality_normal)))
+        factors.append(("preds", EQ, list(_equality_interpretations(domain, equality_normal))))
+    return domain, factors
 
-    np, nf = len(pred_names), len(fun_names)
-    for combo in itertools.product(*factors):
-        preds = dict(zip(pred_names, combo[:np]))
-        funs = dict(zip(fun_names, combo[np : np + nf]))
-        consts = dict(zip(const_names, combo[np + nf]))
-        if sig.has_equality:
-            preds["="] = combo[-1]
-        yield make_structure(sig, domain, preds, funs, consts)
+
+def _structure_at(sig: Signature, domain: tuple, factors: list, indices) -> Structure:
+    """The structure that interprets each factor's symbol by the
+    interpretation at its index in ``indices``, built and validated."""
+    parts: dict = {"preds": {}, "funs": {}, "consts": {}}
+    for (part, name, values), i in zip(factors, indices):
+        parts[part][name] = values[i]
+    return make_structure(sig, domain, **parts)
+
+
+def enumerate_structures(sig: Signature, n: int, equality_normal: bool = True):
+    """Every structure with domain (e1..en), each exactly once.
+
+    The order is deterministic: the lexicographic product of one factor per
+    symbol (``_factors``), the last varying fastest.  Predicates come in
+    sorted name order, each ranging over all class assignments; then
+    functions in sorted name order over all total maps; then constants, one
+    factor each, in sorted name order over all elements; equality last.
+    """
+    domain, factors = _factors(sig, n, equality_normal)
+    for indices in itertools.product(*(range(len(v)) for _, _, v in factors)):
+        yield _structure_at(sig, domain, factors, indices)
 
 
 def structure_count(sig: Signature, n: int, equality_normal: bool = True) -> int:
@@ -227,6 +232,10 @@ class SearchSpec:
     def __post_init__(self):
         if self.max_domain_size < 1:
             raise ValueError("max_domain_size must be at least 1")
+        if self.max_structures is not None and self.max_structures < 0:
+            raise ValueError("max_structures must not be negative")
+        if self.time_budget_s is not None and self.time_budget_s < 0:
+            raise ValueError("time_budget_s must not be negative")
 
 
 @dataclass
@@ -242,6 +251,40 @@ class SearchResult:
     limit_hit: str | None = None
 
 
+def _first_failure(members, A: Structure) -> tuple:
+    """(True, None) when every formula of ``members`` is valid in ``A``,
+    else (False, the least refuting assignment of the first that is not)."""
+    for f in members:
+        ok, witness = is_valid_in(f, A)
+        if not ok:
+            return False, witness
+    return True, None
+
+
+def _reduct_walk(sig: Signature, symbols: tuple, factors: list, n: int, equality_normal: bool):
+    """For the reducts of ``sig``'s size-``n`` structures to ``symbols`` (as
+    ``_symbols`` gives them): the (factor position, stride) pairs whose
+    products sum a structure's indices to its reduct's index, the reducts
+    enumerated so far (None once decided), their enumeration, and an empty
+    verdict table."""
+    preds, funs, consts = symbols
+    wanted = {("preds", p) for p in preds} | {("funs", h) for h in funs}
+    wanted |= {("consts", c) for c in consts}
+    strides, stride = [], 1
+    for position in reversed(range(len(factors))):
+        part, name, values = factors[position]
+        if (part, name) in wanted:
+            strides.append((position, stride))
+            stride *= len(values)
+    reduct_sig = Signature(
+        predicates={p: sig.predicates[p] for p in preds if p != EQ},
+        functions={h: sig.functions[h] for h in funs},
+        constants=set(consts),
+        has_equality=EQ in preds,
+    )
+    return strides, [], enumerate_structures(reduct_sig, n, equality_normal), {}
+
+
 def find_countermodel(spec: SearchSpec, progress=None, progress_every: int = 1000):
     """First structure where every premise is valid and phi is not.
 
@@ -252,91 +295,85 @@ def find_countermodel(spec: SearchSpec, progress=None, progress_every: int = 100
 
     A formula's verdict depends only on the domain and on the
     interpretations of the symbols it mentions (its reduct).  The premises
-    are grouped by the symbols they mention; within one domain size, each
-    group's verdict (all members valid) and the target's (ok, witness) are
-    decided once per reduct and read back for every other structure with
-    that reduct.  A group or target that mentions every symbol of the
-    signature shares no reduct between structures and is evaluated in each
-    one.  ``structures_checked`` counts the structures decided;
-    ``structures_evaluated`` counts those in which at least one premise or
-    the target was evaluated rather than read back.
+    are grouped by the symbols they mention.  Within one domain size the
+    search walks the structures of ``enumerate_structures`` as tuples of
+    indices into the factors of ``_factors``, in the same order.  A group or
+    the target that leaves out a symbol keeps a verdict table keyed by the
+    index of the reduct, which is taken from ``enumerate_structures`` over
+    the reduct's signature; each verdict is decided once, on the reduct, and
+    read back for every other structure with that reduct.  A full structure
+    is built (and validated) only for a check that mentions every symbol of
+    the signature, and for the countermodel.  ``structures_checked`` counts
+    the structures decided; ``structures_evaluated`` counts those in which
+    at least one premise or the target was evaluated rather than read back.
     """
+    if progress_every < 1:
+        raise ValueError("progress_every must be at least 1")
     t0 = time.monotonic()
     checked = evaluated = 0
-    # (symbols, premises) per group, and the target's symbols; None where
-    # the formulas mention every symbol of the signature, as they all do
-    # when it has only one (then they are not walked at all)
-    premise_groups = [(None, spec.gamma)] if spec.gamma else []
-    target_symbols = None
     sig = spec.sig
+    # (symbols, members) per premise group, then the target's; symbols are
+    # None where the formulas mention every symbol of the signature, as they
+    # all do when it has only one (then they are not walked at all)
+    checks = [(None, spec.gamma)] if spec.gamma else []
+    checks.append((None, (spec.phi,)))
     if len(sig.predicates) + sig.has_equality + len(sig.functions) + len(sig.constants) > 1:
         everything = _signature_symbols(sig)
-        premise_groups = [
+        checks = [
             (symbols if _leaves_out_a_symbol(symbols, everything) else None, members)
             for symbols, members in _group_by_symbols(spec.gamma)[0]
+            + [(_symbols(spec.phi), (spec.phi,))]
         ]
-        target_symbols = _symbols(spec.phi)
-        if not _leaves_out_a_symbol(target_symbols, everything):
-            target_symbols = None
 
     for n in range(1, spec.max_domain_size + 1):
-        # per premise group (symbols, members, reduct key -> verdict), and
-        # reduct key -> the target's (ok, witness)
-        premise_checks = [(symbols, members, {}) for symbols, members in premise_groups]
-        target_verdicts: dict = {}
-        for A in enumerate_structures(spec.sig, n, spec.equality_normal):
+        domain, factors = _factors(sig, n, spec.equality_normal)
+        walks = [
+            None if symbols is None
+            else _reduct_walk(sig, symbols, factors, n, spec.equality_normal)
+            for symbols, _ in checks
+        ]
+        for indices in itertools.product(*(range(len(v)) for _, _, v in factors)):
+            limit_hit = None
             if spec.max_structures is not None and checked >= spec.max_structures:
+                limit_hit = "structure budget"
+            elif spec.time_budget_s is not None and time.monotonic() - t0 > spec.time_budget_s:
+                limit_hit = "time budget"
+            if limit_hit:
                 return SearchResult(
                     found=False,
                     structures_checked=checked,
                     structures_evaluated=evaluated,
-                    limit_hit="structure budget",
-                )
-            if (
-                spec.time_budget_s is not None
-                and time.monotonic() - t0 > spec.time_budget_s
-            ):
-                return SearchResult(
-                    found=False,
-                    structures_checked=checked,
-                    structures_evaluated=evaluated,
-                    limit_hit="time budget",
+                    limit_hit=limit_hit,
                 )
             checked += 1
             if progress is not None and checked % progress_every == 0:
                 progress(checked, time.monotonic() - t0)
-            fresh = False  # whether a premise or the target is evaluated in A
-            got = None  # the target's (ok, witness) once every premise is valid
-            for symbols, members, verdicts in premise_checks:
-                if symbols is None:
-                    ok = all(is_valid_in(g, A)[0] for g in members)
+            A = None  # the full structure, built only where a check needs it
+            fresh = False  # whether a premise or the target is evaluated here
+            for (_, members), walk in zip(checks, walks):
+                if walk is None:
+                    A = A or _structure_at(sig, domain, factors, indices)
+                    verdict = _first_failure(members, A)
                     fresh = True
                 else:
-                    key = _reduct_key(A, symbols)
-                    ok = verdicts.get(key)
-                    if ok is None:
-                        ok = verdicts[key] = all(is_valid_in(g, A)[0] for g in members)
+                    strides, reducts, reduct_walk, verdicts = walk
+                    i = sum(indices[position] * stride for position, stride in strides)
+                    verdict = verdicts.get(i)
+                    if verdict is None:
+                        while len(reducts) <= i:
+                            reducts.append(next(reduct_walk))
+                        verdict = verdicts[i] = _first_failure(members, reducts[i])
+                        reducts[i] = None
                         fresh = True
-                if not ok:
+                if not verdict[0]:
                     break
-            else:
-                if target_symbols is None:
-                    got = is_valid_in(spec.phi, A)
-                    fresh = True
-                else:
-                    key = _reduct_key(A, target_symbols)
-                    got = target_verdicts.get(key)
-                    if got is None:
-                        got = target_verdicts[key] = is_valid_in(spec.phi, A)
-                        fresh = True
             evaluated += fresh
-            if got is None or got[0]:
-                continue
-            witness = got[1]
+            if verdict[0] or members is not checks[-1][1]:
+                continue  # the target holds, or a premise fails
+            A = A or _structure_at(sig, domain, factors, indices)
+            witness = verdict[1]
             value = eval_formula(spec.phi, A, witness)
-            if value in DESIGNATED or not all(
-                is_valid_in(g, A)[0] for g in spec.gamma
-            ):
+            if value in DESIGNATED or not _first_failure(spec.gamma, A)[0]:
                 raise RuntimeError("countermodel failed its own re-check")
             return SearchResult(
                 found=True,

@@ -358,6 +358,15 @@ def test_search_command_respects_limits(capsys):
     assert code == 3 and "structure budget" in out
 
 
+@pytest.mark.parametrize("flag", ["--max-structures", "--time-budget"])
+def test_search_command_rejects_a_negative_budget(flag, capsys):
+    # no budget below 0 can be met: an error, not "stopped after 0 structures"
+    code = main(["search", "--refute", "P(x)", flag, "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err.startswith("error:") and "negative" in captured.err
+
+
 def test_search_progress_lines(capsys):
     main(
         [

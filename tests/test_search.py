@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from qciore import search
 from qciore.cli import format_structure
 from qciore.hilbert import instantiate, possibly_free, schema_metavariables
 from qciore.matrix3 import (
@@ -60,6 +61,10 @@ SIG_PEQ = Signature(
     predicates={"P": 1}, functions={}, constants=set(), has_equality=True
 )
 SIG_PFC = Signature(predicates={"P": 1}, functions={"f": 1}, constants={"c"})
+SIG_PQCD = Signature(predicates={"P": 1, "Q": 1}, functions={}, constants={"c", "d"})
+SIG_PCEQ = Signature(
+    predicates={"P": 1}, functions={}, constants={"c"}, has_equality=True
+)
 
 
 def canonical(a):
@@ -237,6 +242,23 @@ def test_spec_rejects_bad_bound():
         SearchSpec(sig=SIG_P, phi=parse_formula("P(x)"), max_domain_size=0)
 
 
+def test_spec_rejects_negative_budgets():
+    phi = parse_formula("P(x)")
+    with pytest.raises(ValueError, match="max_structures"):
+        SearchSpec(sig=SIG_P, phi=phi, max_structures=-1)
+    with pytest.raises(ValueError, match="time_budget_s"):
+        SearchSpec(sig=SIG_P, phi=phi, time_budget_s=-0.5)
+    # 0 stays legal: the search stops before the first structure
+    res = find_countermodel(SearchSpec(sig=SIG_P, phi=phi, max_structures=0))
+    assert res.limit_hit == "structure budget" and res.structures_checked == 0
+
+
+def test_search_rejects_a_progress_stride_below_1():
+    spec = SearchSpec(sig=SIG_P, phi=parse_formula("P(x)"))
+    with pytest.raises(ValueError, match="progress_every"):
+        find_countermodel(spec, progress=lambda k, t: None, progress_every=0)
+
+
 def reference_search(spec, progress_every):
     """The search as a plain loop: every premise and the target evaluated
     in every structure, no verdict carried over.  Returns the summary that
@@ -283,6 +305,14 @@ CACHED_SEARCHES = [
     (SIG_PEQ, ["exists x. P(x)"], "@(x = x)", 3, {}, True),
     (SIG_PEQ, ["exists x. P(x)"], "x = x", 3, {}, False),
     (SIG_PEQ, ["P(x) | ~P(x)"], "x = x", 2, {"equality_normal": False}, True),
+    # the target is decided only where the premises (over P and Q) hold, so
+    # its reduct index (over Q and c) jumps ahead and comes back
+    (SIG_PQC, ["P(x) -> Q(x)", "exists x. P(x) & ~Q(x)"], "Q(c)", 3, {}, True),
+    # each constant is its own factor: the reducts keep one of c and d
+    (SIG_PQCD, ["P(c)", "Q(c) -> P(d)"], "P(d)", 2, {}, True),
+    # a premise over P and = leaves out c; equality is its reduct's last factor
+    (SIG_PCEQ, ["P(x) -> x = x", "P(c)"], "x = c -> P(x)", 2, {"equality_normal": False},
+     True),
 ]
 
 
@@ -323,6 +353,33 @@ def test_search_evaluates_once_per_reduct(size, evaluated, checked):
     assert res.exhausted and not res.found
     assert res.structures_checked == checked
     assert res.structures_evaluated == evaluated
+
+
+@pytest.mark.parametrize("size,built", [(3, 102), (4, 426)])
+def test_search_builds_only_the_reducts_it_evaluates(size, built, monkeypatch):
+    # the premises mention P and c only and never hold together, so the only
+    # structures built are the reducts to P and c, one per evaluation
+    calls = []
+    make = search.make_structure
+    monkeypatch.setattr(
+        search, "make_structure", lambda *a, **k: calls.append(a) or make(*a, **k)
+    )
+    res = criterion_5_exhaustive(size)
+    assert len(calls) == built == res.structures_evaluated
+
+
+def test_search_fails_loudly_on_a_wrong_symbol_set(monkeypatch):
+    # a target decided on a reduct that lacks one of its symbols raises,
+    # rather than reading back a verdict from a structure it does not fix
+    symbols = search._symbols
+    monkeypatch.setattr(search, "_symbols", lambda f: (symbols(f)[0], (), symbols(f)[2]))
+    spec = SearchSpec(
+        sig=SIG_PFC,
+        phi=parse_formula("P(f(c))", SIG_PFC),
+        gamma=(parse_formula("P(c)", SIG_PFC),),
+    )
+    with pytest.raises(ValueError, match="does not interpret f"):
+        find_countermodel(spec)
 
 
 def test_search_evaluates_whole_signature_formulas_everywhere():
