@@ -668,11 +668,12 @@ def cmd_twist_verify(args) -> int:
         raise FileFormatError("sizes must be positive integers")
     # the check is exhaustive over 9**k triple pairs per binary connective,
     # so each size costs about nine times the one before: size 6 takes
-    # ~20 s on a 2-core Intel Xeon, size 7 would take minutes
+    # ~5 s on a 2-core Intel Xeon, so size 7 would take ~45 s (an estimate)
     if any(k > 6 for k in sizes):
         raise FileFormatError("sizes above 6 are not feasible to verify exhaustively")
     problems = []
     for k in sizes:
+        before = len(problems)
         alg = PowersetAlgebra(frozenset(range(1, k + 1)))
         triples = all_twist_triples(alg)
         pairs = all_twist_pairs(alg)
@@ -696,7 +697,7 @@ def cmd_twist_verify(args) -> int:
                     break
         print(
             "size %d: %d triples, %d pairs, connectives %s"
-            % (k, len(triples), len(pairs), "ok" if not problems else "BROKEN")
+            % (k, len(triples), len(pairs), "ok" if len(problems) == before else "BROKEN")
         )
     space = AssignmentSpace(("x", "y"), (0, 1))
     quant_ok = True

@@ -4,21 +4,43 @@ Pairs (a, b) with a join b = 1 carry the connectives through Boolean
 operations; triples (a, b, c) partition the base set.  The maps dagger and
 ddagger translate between the two and are exact inverses.  Lifted
 quantifier operators act on triples/pairs over the powerset algebra of an
-assignment space.
+assignment space.  Components are held as int bit masks over ``alg.index``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from functools import cached_property
+
+from .triples import CarrierIndex
+
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
 class PowersetAlgebra:
-    """The Boolean algebra of all subsets of ``base``."""
+    """The Boolean algebra of all subsets of ``base``, its ``index`` numbering the
+    base in ``order`` (default: sorted by ``str``), part of the algebra's identity."""
 
     base: frozenset
+    order: tuple = field(default=None, repr=False)
+    index: CarrierIndex = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        order = tuple(sorted(self.base, key=str)) if self.order is None else self.order
+        index = CarrierIndex(order)  # rejects an order that repeats an element
+        if index.carrier != self.base:
+            raise ValueError("order %s does not number the base %s" % (order, set(self.base)))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "index", index)
+
+    def encode(self, a) -> int:
+        return sum(1 << self.index.position[x] for x in self.check_element(a))
+
+    def decode(self, mask: int) -> frozenset:
+        return frozenset(x for i, x in enumerate(self.index.elements) if mask >> i & 1)
 
     @property
     def top(self) -> frozenset:
@@ -47,19 +69,45 @@ class PowersetAlgebra:
         return a
 
 
-@dataclass(frozen=True)
-class TwistPair:
-    alg: PowersetAlgebra
-    a: frozenset
-    b: frozenset
+class _Element(tuple):
+    """``(alg, mask, ...)``, equal only to its own type over an equal algebra."""
+
+    __slots__ = ()
+    alg = property(operator.itemgetter(0))
+    __hash__ = tuple.__hash__
+
+    def __init_subclass__(cls):
+        for i, name in enumerate(cls._fields, 1):  # .a, .b, .c decode the masks
+            setattr(cls, name, property(lambda self, i=i: self[0].decode(self[i])))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return type(other) is not type(self) or tuple.__ne__(self, other)
+
+    def __reduce__(self):
+        return type(self), (self[0], *map(self[0].decode, self[1:]))
+
+    def __repr__(self) -> str:
+        fields = "".join(", %s=%r" % (f, getattr(self, f)) for f in self._fields)
+        return "%s(alg=%r%s)" % (type(self).__name__, self[0], fields)
 
 
-@dataclass(frozen=True)
-class TwistTriple:
-    alg: PowersetAlgebra
-    a: frozenset
-    b: frozenset
-    c: frozenset
+class TwistPair(_Element):
+    __slots__ = ()
+    _fields = ("a", "b")
+
+    def __new__(cls, alg: PowersetAlgebra, a, b):
+        return _new(cls, (alg, alg.encode(a), alg.encode(b)))
+
+
+class TwistTriple(_Element):
+    __slots__ = ()
+    _fields = ("a", "b", "c")
+
+    def __new__(cls, alg: PowersetAlgebra, a, b, c):
+        return _new(cls, (alg, alg.encode(a), alg.encode(b), alg.encode(c)))
 
 
 def twist_pair(alg: PowersetAlgebra, a, b) -> TwistPair:
@@ -79,17 +127,11 @@ def twist_triple(alg: PowersetAlgebra, a, b, c) -> TwistTriple:
 
 
 def bot_pair(alg: PowersetAlgebra) -> TwistPair:
-    return TwistPair(alg, alg.bot, alg.top)
+    return _new(TwistPair, (alg, 0, alg.index.full))
 
 
 def bot_triple(alg: PowersetAlgebra) -> TwistTriple:
-    return TwistTriple(alg, alg.bot, alg.top, alg.bot)
-
-
-def _check_same_algebra(z, w) -> PowersetAlgebra:
-    if w is not None and z.alg != w.alg:
-        raise ValueError("operands live over different algebras")
-    return z.alg
+    return _new(TwistTriple, (alg, 0, alg.index.full, 0))
 
 
 def pair_op(op: str, z: TwistPair, w: TwistPair | None = None) -> TwistPair:
@@ -100,81 +142,79 @@ def pair_op(op: str, z: TwistPair, w: TwistPair | None = None) -> TwistPair:
     operands two-sided)``, where z1 ⊓ z2 marks where an operand is
     two-sided (dubious).
     """
-    A = _check_same_algebra(z, w)
+    A, za, zb = z
+    full = A.index.full
     if op in ("~", "@"):
         if w is not None:
             raise ValueError("unary connective %r takes one pair" % op)
         if op == "~":
-            return TwistPair(A, z.b, z.a)
-        both = A.meet(z.a, z.b)
-        return TwistPair(A, A.compl(both), both)
+            return _new(TwistPair, (A, zb, za))
+        both = za & zb
+        return _new(TwistPair, (A, full & ~both, both))
     if w is None:
         raise ValueError("binary connective %r takes two pairs" % op)
+    B, wa, wb = w
+    if B is not A and B != A:
+        raise ValueError("operands live over different algebras")
     if op == "&":
-        first = A.meet(z.a, w.a)
+        first = za & wa
     elif op == "|":
-        first = A.join(z.a, w.a)
+        first = za | wa
     elif op == "->":
-        first = A.imp(z.a, w.a)
+        first = (full & ~za) | wa
     else:
         raise ValueError("unknown connective %r" % op)
-    both = A.meet(A.meet(z.a, z.b), A.meet(w.a, w.b))
-    return TwistPair(A, first, A.imp(first, both))
+    return _new(TwistPair, (A, first, (full & ~first) | (za & zb & wa & wb)))
 
 
 def twist_triple_op(op: str, z: TwistTriple, w: TwistTriple | None = None) -> TwistTriple:
     """Connectives on twist triples ((plus, minus, dot) components)."""
-    A = _check_same_algebra(z, w)
+    A, za, zb, zc = z
     if op in ("~", "@"):
         if w is not None:
             raise ValueError("unary connective %r takes one triple" % op)
         if op == "~":
-            return TwistTriple(A, z.b, z.a, z.c)
-        return TwistTriple(A, A.join(z.a, z.b), z.c, A.bot)
+            return _new(TwistTriple, (A, zb, za, zc))
+        return _new(TwistTriple, (A, za | zb, zc, 0))
     if w is None:
         raise ValueError("binary connective %r takes two triples" % op)
-    mt, jn = A.meet, A.join
+    B, wa, wb, wc = w
+    if B is not A and B != A:
+        raise ValueError("operands live over different algebras")
     if op == "&":
-        plus = jn(jn(mt(z.a, w.a), mt(z.a, w.c)), mt(z.c, w.a))
-        minus = jn(z.b, w.b)
+        plus = (za & wa) | (za & wc) | (zc & wa)
+        minus = zb | wb
     elif op == "|":
-        plus = jn(jn(z.a, w.a), jn(mt(z.b, w.c), mt(z.c, w.b)))
-        minus = mt(z.b, w.b)
+        plus = za | wa | (zb & wc) | (zc & wb)
+        minus = zb & wb
     elif op == "->":
-        plus = jn(jn(z.b, mt(z.a, w.a)), jn(mt(z.a, w.c), mt(z.c, w.a)))
-        minus = mt(jn(z.a, z.c), w.b)
+        plus = zb | (za & wa) | (za & wc) | (zc & wa)
+        minus = (za | zc) & wb
     else:
         raise ValueError("unknown connective %r" % op)
-    return TwistTriple(A, plus, minus, mt(z.c, w.c))
+    return _new(TwistTriple, (A, plus, minus, zc & wc))
 
 
 def dagger(z: TwistTriple) -> TwistPair:
     """Collapse a triple to a pair: (plus or dot, minus or dot)."""
-    A = z.alg
-    return TwistPair(A, A.join(z.a, z.c), A.join(z.b, z.c))
+    A, a, b, c = z
+    return _new(TwistPair, (A, a | c, b | c))
 
 
 def ddagger(p: TwistPair) -> TwistTriple:
     """Split a pair back into a triple; inverse of dagger."""
-    A = p.alg
-    return TwistTriple(
-        A,
-        A.meet(p.a, A.compl(p.b)),
-        A.meet(p.b, A.compl(p.a)),
-        A.meet(p.a, p.b),
-    )
+    A, a, b = p
+    return _new(TwistTriple, (A, a & ~b, b & ~a, a & b))
 
 
 def all_twist_triples(alg: PowersetAlgebra) -> list[TwistTriple]:
+    bits = [1 << alg.index.position[x] for x in sorted(alg.base, key=str)]
     out = []
-    items = sorted(alg.base, key=str)
-    for combo in itertools.product(range(3), repeat=len(items)):
-        parts: list[set] = [set(), set(), set()]
-        for x, k in zip(items, combo):
-            parts[k].add(x)
-        out.append(
-            TwistTriple(alg, frozenset(parts[0]), frozenset(parts[1]), frozenset(parts[2]))
-        )
+    for combo in itertools.product(range(3), repeat=len(bits)):
+        parts = [0, 0, 0]
+        for bit, k in zip(bits, combo):
+            parts[k] |= bit
+        out.append(_new(TwistTriple, (alg, *parts)))
     return out
 
 
@@ -190,7 +230,8 @@ def all_twist_pairs(alg: PowersetAlgebra) -> list[TwistPair]:
 class AssignmentSpace:
     """All assignments of a finite domain to a fixed frame of variables.
 
-    An assignment is a tuple of domain elements aligned with ``frame``.
+    An assignment is a tuple of domain elements aligned with ``frame``; the
+    algebra numbers them in ``itertools.product`` order.
     """
 
     frame: tuple[str, ...]
@@ -203,32 +244,33 @@ class AssignmentSpace:
             raise ValueError("domain must be nonempty")
 
     @cached_property
+    def algebra(self) -> PowersetAlgebra:
+        order = tuple(itertools.product(self.domain, repeat=len(self.frame)))
+        return PowersetAlgebra(frozenset(order), order)
+
+    @property
     def assignments(self) -> frozenset:
-        return frozenset(itertools.product(self.domain, repeat=len(self.frame)))
+        return self.algebra.base
 
     @cached_property
-    def algebra(self) -> PowersetAlgebra:
-        return PowersetAlgebra(self.assignments)
+    def _fibres(self) -> dict[str, list[int]]:
+        # per variable x, the masks of its fibres: the r assignments that differ
+        # only at x lie x's mixed-radix stride t apart in product order
+        r, n = len(self.domain), len(self.frame)
+        out = {}
+        for j, x in enumerate(self.frame):
+            t = r ** (n - 1 - j)
+            fibre = sum(1 << (k * t) for k in range(r))
+            out[x] = [fibre << i for i in range(r**n) if i // t % r == 0]
+        return out
 
-    def update(self, s: tuple, x: str, a) -> tuple:
-        i = self.frame.index(x)
-        return s[:i] + (a,) + s[i + 1 :]
+    def hat_exists(self, x: str, Y: int) -> int:
+        """Assignments (a mask over the algebra) with some x-variant inside Y."""
+        return sum(f for f in self._fibres[x] if Y & f)
 
-    def hat_exists(self, x: str, Y: frozenset) -> frozenset:
-        """Assignments with some x-variant inside Y."""
-        return frozenset(
-            s
-            for s in self.assignments
-            if any(self.update(s, x, a) in Y for a in self.domain)
-        )
-
-    def hat_forall(self, x: str, Y: frozenset) -> frozenset:
-        """Assignments with every x-variant inside Y."""
-        return frozenset(
-            s
-            for s in self.assignments
-            if all(self.update(s, x, a) in Y for a in self.domain)
-        )
+    def hat_forall(self, x: str, Y: int) -> int:
+        """Assignments (a mask over the algebra) with every x-variant inside Y."""
+        return sum(f for f in self._fibres[x] if Y & f == f)
 
 
 def lifted_quantifier(kind: str, representation: str, x: str, space: AssignmentSpace, z):
@@ -243,25 +285,23 @@ def lifted_quantifier(kind: str, representation: str, x: str, space: AssignmentS
         raise ValueError("variable %r is not in the frame %s" % (x, space.frame))
     if kind not in ("forall", "exists"):
         raise ValueError("kind must be 'forall' or 'exists', not %r" % kind)
-    alg = space.algebra
-    if representation == "P":
-        if not isinstance(z, TwistPair) or z.alg != alg:
-            raise ValueError("expected a pair over the assignment-space algebra")
-        a, b = z.a, z.b
-        all_dot = space.hat_forall(x, a & b)
-        if kind == "forall":
-            return TwistPair(alg, space.hat_forall(x, a), space.hat_exists(x, b - a) | all_dot)
-        return TwistPair(alg, space.hat_exists(x, a), space.hat_forall(x, b - a) | all_dot)
-    if representation != "T":
+    alg, E, A = space.algebra, space.hat_exists, space.hat_forall
+    if representation not in ("T", "P"):
         raise ValueError("representation must be 'T' or 'P', not %r" % representation)
-    if not isinstance(z, TwistTriple) or z.alg != alg:
-        raise ValueError("expected a triple over the assignment-space algebra")
-    S = space.assignments
+    pairs = representation == "P"
+    if not isinstance(z, TwistPair if pairs else TwistTriple) or z.alg != alg:
+        raise ValueError("expected a %s over the assignment-space algebra"
+                         % ("pair" if pairs else "triple"))
+    if pairs:
+        a, b = z[1:]
+        all_dot = A(x, a & b)
+        if kind == "forall":
+            return _new(TwistPair, (alg, A(x, a), E(x, b & ~a) | all_dot))
+        return _new(TwistPair, (alg, E(x, a), A(x, b & ~a) | all_dot))
+    a, b, c = z[1:]
+    all_dot = A(x, c)
     if kind == "forall":
-        some_plus = space.hat_exists(x, z.a)
-        some_minus = space.hat_exists(x, z.b)
-        all_dot = space.hat_forall(x, z.c)
-        return TwistTriple(alg, some_plus - some_minus, some_minus, all_dot)
-    all_minus = space.hat_forall(x, z.b)
-    all_dot = space.hat_forall(x, z.c)
-    return TwistTriple(alg, S - (all_minus | all_dot), all_minus, all_dot)
+        some_minus = E(x, b)
+        return _new(TwistTriple, (alg, E(x, a) & ~some_minus, some_minus, all_dot))
+    all_minus = A(x, b)
+    return _new(TwistTriple, (alg, alg.index.full & ~(all_minus | all_dot), all_minus, all_dot))

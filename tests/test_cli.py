@@ -391,6 +391,26 @@ def test_twist_verify_command(capsys):
     assert "lifted quantifiers" in out
 
 
+def test_twist_verify_labels_each_size_by_its_own_problems(capsys, monkeypatch):
+    from qciore import cli
+    from qciore.twist import twist_triple_op
+
+    real = cli.ddagger
+
+    def broken_on_one_element(p):
+        z = real(p)
+        return twist_triple_op("~", z) if len(p.alg.base) == 1 else z
+
+    monkeypatch.setattr(cli, "ddagger", broken_on_one_element)
+    code = main(["twist-verify", "--sizes", "1,2"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "size 1: 3 triples, 3 pairs, connectives BROKEN" in out
+    assert "size 2: 9 triples, 9 pairs, connectives ok" in out
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails and all(line.startswith("FAIL size 1:") for line in fails)
+
+
 def test_twist_verify_rejects_infeasible_sizes(capsys):
     code = main(["twist-verify", "--sizes", "1,99"])
     err = capsys.readouterr().err
