@@ -700,13 +700,32 @@ def cmd_twist_verify(args) -> int:
             % (k, len(triples), len(pairs), "ok" if len(problems) == before else "BROKEN")
         )
     space = AssignmentSpace(("x", "y"), (0, 1))
+    # the pointwise oracle: per triple z, a structure whose R(x, y) takes
+    # z's value at each assignment (x, y), in which eval_formula computes
+    # the quantified formulas without the hat operators
+    sig = Signature(predicates={"R": 2})
+    models = [
+        (z, make_structure(sig, space.domain, {"R": make_triple(z.a, z.b, z.c)}))
+        for z in all_twist_triples(space.algebra)
+    ]
+    expected = {}  # each lifted triple as a Triple over the assignments
     quant_ok = True
     for kind in ("forall", "exists"):
-        for var in ("x", "y"):
-            for z in all_twist_triples(space.algebra):
-                via_triple = dagger(lifted_quantifier(kind, "T", var, space, z))
+        for j, var in enumerate(space.frame):
+            f = parse_formula("%s %s. R(x, y)" % (kind, var), sig)
+            # f's value depends only on the other variable, the free one
+            free = [(b, Assignment(0, ((space.frame[1 - j], b),))) for b in space.domain]
+            for z, A in models:
+                lifted = lifted_quantifier(kind, "T", var, space, z)
+                t = expected.get(lifted)
+                if t is None:
+                    t = expected[lifted] = make_triple(lifted.a, lifted.b, lifted.c)
+                got = {b: eval_formula(f, A, s) for b, s in free}
+                if any(got[p[1 - j]] != t.value_at(p) for p in space.assignments):
+                    quant_ok = False
+                    problems.append("%s over %s misses eval_formula at %s" % (kind, var, z))
                 via_pair = lifted_quantifier(kind, "P", var, space, dagger(z))
-                if via_triple != via_pair:
+                if dagger(lifted) != via_pair:
                     quant_ok = False
                     problems.append("%s over %s diverges at %s" % (kind, var, z))
     print(

@@ -138,7 +138,13 @@ def structure_count(sig: Signature, n: int, equality_normal: bool = True) -> int
 
 def _symbols(f: Formula) -> tuple:
     """The predicates (``"="`` for equality), functions and constants that
-    ``f`` mentions, each sorted."""
+    ``f`` mentions, each sorted.
+
+    The result is cached on the node, as formulas are immutable (as
+    ``free_vars`` caches its own)."""
+    out = getattr(f, "_symbols", None)
+    if out is not None:
+        return out
     preds, funs, consts = set(), set(), set()
 
     def term(t):
@@ -167,7 +173,9 @@ def _symbols(f: Formula) -> tuple:
             walk(f.body)
 
     walk(f)
-    return tuple(sorted(preds)), tuple(sorted(funs)), tuple(sorted(consts))
+    out = tuple(sorted(preds)), tuple(sorted(funs)), tuple(sorted(consts))
+    object.__setattr__(f, "_symbols", out)
+    return out
 
 
 def _signature_symbols(sig: Signature) -> tuple:
@@ -261,11 +269,11 @@ def _first_failure(members, A: Structure) -> tuple:
     return True, None
 
 
-def _reduct_walk(sig: Signature, symbols: tuple, factors: list, n: int, equality_normal: bool):
-    """For the reducts of ``sig``'s size-``n`` structures to ``symbols`` (as
-    ``_symbols`` gives them): the (factor position, stride) pairs whose
-    products sum a structure's indices to its reduct's index, the reducts
-    enumerated so far (None once decided), their enumeration, and an empty
+def _reduct_walk(sig: Signature, symbols: tuple, factors: list):
+    """For the reducts of ``sig``'s structures over ``factors`` to ``symbols``
+    (as ``_symbols`` gives them): the (factor position, stride) pairs whose
+    products sum a structure's indices to its reduct's index, the reduct's
+    signature, the positions of its factors and those factors, and an empty
     verdict table."""
     preds, funs, consts = symbols
     wanted = {("preds", p) for p in preds} | {("funs", h) for h in funs}
@@ -282,7 +290,8 @@ def _reduct_walk(sig: Signature, symbols: tuple, factors: list, n: int, equality
         constants=set(consts),
         has_equality=EQ in preds,
     )
-    return strides, [], enumerate_structures(reduct_sig, n, equality_normal), {}
+    positions = [position for position, _ in reversed(strides)]
+    return strides, reduct_sig, positions, [factors[p] for p in positions], {}
 
 
 def find_countermodel(spec: SearchSpec, progress=None, progress_every: int = 1000):
@@ -299,13 +308,15 @@ def find_countermodel(spec: SearchSpec, progress=None, progress_every: int = 100
     search walks the structures of ``enumerate_structures`` as tuples of
     indices into the factors of ``_factors``, in the same order.  A group or
     the target that leaves out a symbol keeps a verdict table keyed by the
-    index of the reduct, which is taken from ``enumerate_structures`` over
-    the reduct's signature; each verdict is decided once, on the reduct, and
+    index of the reduct, which is built from the same factors at the
+    reduct's positions; each verdict is decided once, on the reduct, and
     read back for every other structure with that reduct.  A full structure
     is built (and validated) only for a check that mentions every symbol of
-    the signature, and for the countermodel.  ``structures_checked`` counts
-    the structures decided; ``structures_evaluated`` counts those in which
-    at least one premise or the target was evaluated rather than read back.
+    the signature, and for the countermodel; where every check does, the
+    structures are taken from ``enumerate_structures``.
+    ``structures_checked`` counts the structures decided;
+    ``structures_evaluated`` counts those in which at least one premise or
+    the target was evaluated rather than read back.
     """
     if progress_every < 1:
         raise ValueError("progress_every must be at least 1")
@@ -326,13 +337,21 @@ def find_countermodel(spec: SearchSpec, progress=None, progress_every: int = 100
         ]
 
     for n in range(1, spec.max_domain_size + 1):
-        domain, factors = _factors(sig, n, spec.equality_normal)
-        walks = [
-            None if symbols is None
-            else _reduct_walk(sig, symbols, factors, n, spec.equality_normal)
-            for symbols, _ in checks
-        ]
-        for indices in itertools.product(*(range(len(v)) for _, _, v in factors)):
+        if all(symbols is None for symbols, _ in checks):
+            # every check reads the whole structure: take each as enumerated
+            walks = [None] * len(checks)
+            points = ((None, A) for A in enumerate_structures(sig, n, spec.equality_normal))
+        else:
+            domain, factors = _factors(sig, n, spec.equality_normal)
+            walks = [
+                None if symbols is None else _reduct_walk(sig, symbols, factors)
+                for symbols, _ in checks
+            ]
+            points = (
+                (indices, None)
+                for indices in itertools.product(*(range(len(v)) for _, _, v in factors))
+            )
+        for indices, A in points:  # A is None where only indices are walked
             limit_hit = None
             if spec.max_structures is not None and checked >= spec.max_structures:
                 limit_hit = "structure budget"
@@ -348,7 +367,6 @@ def find_countermodel(spec: SearchSpec, progress=None, progress_every: int = 100
             checked += 1
             if progress is not None and checked % progress_every == 0:
                 progress(checked, time.monotonic() - t0)
-            A = None  # the full structure, built only where a check needs it
             fresh = False  # whether a premise or the target is evaluated here
             for (_, members), walk in zip(checks, walks):
                 if walk is None:
@@ -356,14 +374,14 @@ def find_countermodel(spec: SearchSpec, progress=None, progress_every: int = 100
                     verdict = _first_failure(members, A)
                     fresh = True
                 else:
-                    strides, reducts, reduct_walk, verdicts = walk
+                    strides, reduct_sig, positions, reduct_factors, verdicts = walk
                     i = sum(indices[position] * stride for position, stride in strides)
                     verdict = verdicts.get(i)
                     if verdict is None:
-                        while len(reducts) <= i:
-                            reducts.append(next(reduct_walk))
-                        verdict = verdicts[i] = _first_failure(members, reducts[i])
-                        reducts[i] = None
+                        reduct = _structure_at(
+                            reduct_sig, domain, reduct_factors, [indices[p] for p in positions]
+                        )
+                        verdict = verdicts[i] = _first_failure(members, reduct)
                         fresh = True
                 if not verdict[0]:
                     break

@@ -54,8 +54,14 @@ class Assignment:
     default: object
     pairs: tuple = ()  # (variable, element), sorted by variable
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.default, self.pairs)))
+    def __init__(self, default, pairs: tuple = ()):
+        # one call in place of the frozen dataclass's __init__ and a
+        # __post_init__: evaluation builds an assignment per quantifier
+        # instance.  object.__setattr__ keeps the attributes in the
+        # instance's shared-key storage, as vars(self) would not
+        object.__setattr__(self, "default", default)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "_hash", hash((default, pairs)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -206,62 +212,121 @@ def eval_formula(
 ) -> Fraction:
     """The 3-valued value of ``f`` in ``A`` under ``s``.
 
-    ``memo`` may be supplied to share work across calls; it is keyed by
-    (id(subformula), assignment), so the caller must keep the formula
-    objects alive and use one memo per structure and matrix.  ``matrix``
-    supplies the connective tables (quantifiers always use the fixed
-    set-based rules) — useful for demonstrating what breaks under a
+    Each node type has one handler in ``_HANDLERS``, looked up once per
+    node; a type without one raises ``TypeError``.  An atom reads its
+    variable arguments straight from ``s.pairs``, and a quantifier builds
+    each variant ``s.set(x, a)`` by slicing ``s.pairs`` around the place of
+    ``x``.  ``memo`` may be supplied to share work across calls; it is keyed
+    by (id(subformula), assignment), so the caller must keep the formula
+    objects alive and use one memo per structure and matrix; it is read once
+    per node and written only on a miss.  Without a memo no key is built.
+    ``matrix`` supplies the connective tables (quantifiers always use the
+    fixed set-based rules) — useful for demonstrating what breaks under a
     mutated table.
     """
-    if memo is not None:
-        key = (id(f), s)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-    v = _eval(f, A, s, memo, matrix)
-    if memo is not None:
-        memo[key] = v
+    handler = _HANDLERS.get(type(f))
+    if handler is None:
+        raise TypeError("not a formula: %r" % (f,))
+    if memo is None:
+        return handler(f, A, s, None, matrix)
+    key = (id(f), s)
+    v = memo.get(key)
+    if v is None:
+        v = memo[key] = handler(f, A, s, memo, matrix)
     return v
 
 
-def _eval(f: Formula, A: Structure, s: Assignment, memo, matrix: Matrix) -> Fraction:
-    if isinstance(f, Pred):
-        args = tuple(eval_term(t, A, s) for t in f.args)
-        t = A.preds.get(f.name)
-        if t is None:
-            raise ValueError("structure does not interpret predicate %s" % f.name)
-        return t.value_at(args)
-    if isinstance(f, Eq):
-        t = A.preds.get(EQ)
-        if t is None:
-            raise ValueError("structure does not interpret equality")
-        pair = (eval_term(f.left, A, s), eval_term(f.right, A, s))
-        return t.value_at(pair)
-    if isinstance(f, FVar):
-        raise ValueError("metavariable %s in a concrete formula" % f.name)
-    if isinstance(f, (Neg, Cons)):
-        op = UNARY_OPS[type(f)]
+def _atom_args(terms, A: Structure, s: Assignment) -> tuple:
+    """The values of an atom's argument terms: a variable is read straight
+    from ``s.pairs`` (as ``s.get`` reads it), any other term by ``eval_term``."""
+    out = []
+    for t in terms:
+        if type(t) is Var:
+            x = t.name
+            for var, val in s.pairs:
+                if var == x:
+                    break
+            else:
+                val = s.default
+            out.append(val)
+        else:
+            out.append(eval_term(t, A, s))
+    return tuple(out)
+
+
+def _eval_pred(f: Pred, A: Structure, s: Assignment, memo, matrix: Matrix) -> Fraction:
+    args = _atom_args(f.args, A, s)
+    t = A.preds.get(f.name)
+    if t is None:
+        raise ValueError("structure does not interpret predicate %s" % f.name)
+    return t.value_at(args)
+
+
+def _eval_eq(f: Eq, A: Structure, s: Assignment, memo, matrix: Matrix) -> Fraction:
+    t = A.preds.get(EQ)
+    if t is None:
+        raise ValueError("structure does not interpret equality")
+    return t.value_at(_atom_args((f.left, f.right), A, s))
+
+
+def _eval_fvar(f: FVar, A: Structure, s: Assignment, memo, matrix: Matrix) -> Fraction:
+    raise ValueError("metavariable %s in a concrete formula" % f.name)
+
+
+def _unary_handler(op: str):
+    def handler(f, A: Structure, s: Assignment, memo, matrix: Matrix) -> Fraction:
         table = matrix.unary.get(op)
         if table is None:
             raise ValueError("%s does not interpret %s" % (matrix.name, op))
         return table[eval_formula(f.sub, A, s, memo, matrix)]
-    if isinstance(f, (And, Or, Imp)):
-        op = BINARY_OPS[type(f)]
+
+    return handler
+
+
+def _binary_handler(op: str):
+    def handler(f, A: Structure, s: Assignment, memo, matrix: Matrix) -> Fraction:
         table = matrix.binary.get(op)
         if table is None:
             raise ValueError("%s does not interpret %s" % (matrix.name, op))
         return table[
-            (
-                eval_formula(f.left, A, s, memo, matrix),
-                eval_formula(f.right, A, s, memo, matrix),
-            )
+            eval_formula(f.left, A, s, memo, matrix),
+            eval_formula(f.right, A, s, memo, matrix),
         ]
-    if isinstance(f, (Forall, Exists)):
-        Y = {
-            eval_formula(f.body, A, s.set(f.var, a), memo, matrix) for a in A.domain
-        }
-        return tilde_forall(Y) if isinstance(f, Forall) else tilde_exists(Y)
-    raise TypeError("not a formula: %r" % (f,))
+
+    return handler
+
+
+def _quantifier_handler(rule):
+    def handler(f, A: Structure, s: Assignment, memo, matrix: Matrix) -> Fraction:
+        # the x-variants s.set(x, a), built by slicing: the pairs without x
+        # and x's insertion point are fixed, since s.pairs is sorted
+        x, body, default = f.var, f.body, s.default
+        kept = [p for p in s.pairs if p[0] != x]
+        i = 0
+        for var, _ in kept:
+            if var > x:
+                break
+            i += 1
+        before, after = kept[:i], kept[i:]
+        values = set()
+        for a in A.domain:
+            values.add(
+                eval_formula(body, A, Assignment(default, (*before, (x, a), *after)), memo, matrix)
+            )
+        return rule(values)
+
+    return handler
+
+
+_HANDLERS = {
+    Pred: _eval_pred,
+    Eq: _eval_eq,
+    FVar: _eval_fvar,
+    **{cls: _unary_handler(op) for cls, op in UNARY_OPS.items()},
+    **{cls: _binary_handler(op) for cls, op in BINARY_OPS.items()},
+    Forall: _quantifier_handler(tilde_forall),
+    Exists: _quantifier_handler(tilde_exists),
+}
 
 
 def holds(f: Formula, A: Structure, s: Assignment | None = None) -> bool:

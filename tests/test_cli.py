@@ -411,6 +411,27 @@ def test_twist_verify_labels_each_size_by_its_own_problems(capsys, monkeypatch):
     assert fails and all(line.startswith("FAIL size 1:") for line in fails)
 
 
+def test_twist_verify_checks_the_quantifiers_against_eval_formula(capsys, monkeypatch):
+    # each variable's fibres taken for the other's: both forms of
+    # lifted_quantifier share the fault and still agree with each other,
+    # so only the pointwise oracle can report it
+    from qciore.twist import AssignmentSpace
+
+    fibres = AssignmentSpace._fibres.func
+
+    def swapped(space):
+        real = fibres(space)
+        return dict(zip(space.frame, [real[x] for x in reversed(space.frame)]))
+
+    monkeypatch.setattr(AssignmentSpace, "_fibres", property(swapped))
+    code = main(["twist-verify", "--sizes", "1"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "lifted quantifiers over a 2-element domain: BROKEN" in out
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails and all("misses eval_formula" in line for line in fails)
+
+
 def test_twist_verify_rejects_infeasible_sizes(capsys):
     code = main(["twist-verify", "--sizes", "1,99"])
     err = capsys.readouterr().err

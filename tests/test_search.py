@@ -368,6 +368,33 @@ def test_search_builds_only_the_reducts_it_evaluates(size, built, monkeypatch):
     assert len(calls) == built == res.structures_evaluated
 
 
+def test_search_builds_each_predicates_interpretations_once_per_size(monkeypatch):
+    # the premise leaves out P and the target R: both reducts are built from
+    # the full walk's factors, so all_triples runs once per predicate and size
+    calls = []
+    triples = search.all_triples
+    monkeypatch.setattr(search, "all_triples", lambda c: calls.append(c) or triples(c))
+    spec = SearchSpec(
+        sig=SIG_PR,
+        phi=parse_formula("P(x) | ~P(x)", SIG_PR),
+        gamma=(parse_formula("R(x, y) | ~R(x, y)", SIG_PR),),
+        max_domain_size=2,
+    )
+    res = find_countermodel(spec)
+    assert res.exhausted
+    assert res.structures_checked == structure_count(SIG_PR, 1) + structure_count(SIG_PR, 2)
+    # P's carrier then R's, per size: 1 and 1 tuples, then 2 and 4
+    assert [len(c) for c in calls] == [1, 1, 2, 4]
+
+
+def test_symbols_are_cached_on_the_node():
+    f = parse_formula("P(f(c)) & forall x. x = x", SIG_PFC)
+    first = search._symbols(f)
+    assert first == (("=", "P"), ("f",), ("c",))
+    assert search._symbols(f) is first
+    assert f == parse_formula("P(f(c)) & forall x. x = x", SIG_PFC)  # the cache is not a field
+
+
 def test_search_fails_loudly_on_a_wrong_symbol_set(monkeypatch):
     # a target decided on a reduct that lacks one of its symbols raises,
     # rather than reading back a verdict from a structure it does not fix
