@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .hilbert import instantiate, possibly_free, schema_metavariables
-from .matrix3 import CIORE, DESIGNATED, Matrix, PROP_AXIOMS, ZERO
+from .matrix3 import CIORE, DESIGNATED, Matrix, PROP_AXIOMS
 from .structures import (
     EQ,
     Assignment,
+    MaskProgram,
     Structure,
     assignments_over,
     eval_formula,
@@ -455,23 +456,34 @@ class HarnessReport:
         return not self.violations
 
 
+def _consistency_axioms(x: str, a: Formula) -> tuple:
+    """Ax13-Ax16 on the variable x for the formula ``a``: with a
+    metavariable for ``a``, their patterns."""
+    return (
+        ("Ax13", Imp(Cons(Exists(x, a)), Exists(x, Cons(a)))),
+        ("Ax14", Imp(Cons(Forall(x, a)), Exists(x, Cons(a)))),
+        ("Ax15", Imp(Exists(x, Cons(a)), Cons(Exists(x, a)))),
+        ("Ax16", Imp(Exists(x, Cons(a)), Cons(Forall(x, a)))),
+    )
+
+
+def _quantifier_axioms(phi: Formula, x: str, terms) -> list:
+    """The six quantifier axioms' instances on one pool formula and
+    variable: Ax11 and Ax12 per term free for x, then Ax13-Ax16."""
+    out = []
+    for t in terms:
+        try:
+            inst = substitute(phi, x, t)
+        except CaptureError:
+            continue
+        out.append(("Ax11", Imp(inst, Exists(x, phi))))
+        out.append(("Ax12", Imp(Forall(x, phi), inst)))
+    return out + list(_consistency_axioms(x, phi))
+
+
 def _quantifier_axiom_instances(pool, variables, terms):
     """Concrete instances of the six quantifier axioms over the pool."""
-    out = []
-    for phi in pool:
-        for x in variables:
-            for t in terms:
-                try:
-                    inst = substitute(phi, x, t)
-                except CaptureError:
-                    continue
-                out.append(("Ax11", Imp(inst, Exists(x, phi))))
-                out.append(("Ax12", Imp(Forall(x, phi), inst)))
-            out.append(("Ax13", Imp(Cons(Exists(x, phi)), Exists(x, Cons(phi)))))
-            out.append(("Ax14", Imp(Cons(Forall(x, phi)), Exists(x, Cons(phi)))))
-            out.append(("Ax15", Imp(Exists(x, Cons(phi)), Cons(Exists(x, phi)))))
-            out.append(("Ax16", Imp(Exists(x, Cons(phi)), Cons(Forall(x, phi)))))
-    return out
+    return [inst for phi in pool for x in variables for inst in _quantifier_axioms(phi, x, terms)]
 
 
 def _equality_axiom_instances(pool, variables, extra_var):
@@ -494,6 +506,11 @@ def _equality_axiom_instances(pool, variables, extra_var):
     return out
 
 
+def _lowest_bit(mask: int) -> int | None:
+    """The index of the lowest set bit of ``mask``, or None when it is 0."""
+    return (mask & -mask).bit_length() - 1 if mask else None
+
+
 def soundness_harness(
     sig: Signature,
     axiom_pool=None,
@@ -512,24 +529,33 @@ def soundness_harness(
     structure, and counted per pair.  A violation names the pool formulas
     themselves.
 
-    A formula built from pool formulas by a fixed pattern takes its value
-    vector from theirs: the connectives are truth-functional, and every
-    variable a pattern quantifies is in the frame.  So the propositional
-    schemas are instantiated per structure over one representative formula
-    per distinct value vector, which covers the whole pool, and one run-wide
-    table per pattern decides each instance once per run for each tuple of
-    component vectors.  The patterns are the propositional schemas, the
-    modus ponens premise ``a -> b`` and, per variable x, the conclusions
-    ``a -> forall x. b`` and ``(exists x. a) -> b``, so every rule check is
-    decided once per run per pair of vector classes (and variable).  An
+    The pool is compiled once into a ``MaskProgram`` over the frame of the
+    sorted variables.  In each structure it gives every pool formula's value
+    vector over the frame's assignments as two masks, from atom masks read
+    pointwise by ``eval_formula``.  A vector's run-wide id is its (width,
+    plus, minus); its first failure is the lowest set bit of ``minus``.  A
+    formula built from pool formulas by a fixed pattern takes its vector
+    from theirs: the connectives are truth-functional, and every variable a
+    pattern quantifies is in the frame.  So one run-wide table per pattern
+    maps a tuple of component vector ids to the index of the instance's
+    first failure, or None.  On a miss the instance is built with
+    ``instantiate`` over the first pool formula of each class (its
+    representative), compiled once per run for each tuple of
+    representatives, and evaluated on their masks.  The patterns are the
+    propositional schemas, Ax13-Ax16 per variable, the modus ponens premise
+    ``a -> b`` and, per variable x, the conclusions ``a -> forall x. b`` and
+    ``(exists x. a) -> b``: each such axiom instance and rule check is
+    decided once per run per tuple of vector classes (and variable).  An
     instance is built again from the pool formulas only where it is a
-    violation to report.  A fixed quantifier or equality instance's value
-    depends only on the domain and on the interpretations of the symbols it
-    mentions (its reduct), so its verdict is decided once per run for each
-    such domain and interpretation; the instances that mention every symbol
-    of the signature share no reduct between structures, so they are
-    evaluated in each structure and their verdicts are not stored.
-    ``axiom_checks`` counts the instances decided, structure by structure;
+    violation to report; a failing Ax13-Ax16 instance takes its witness from
+    ``is_valid_in``.  Ax11, Ax12 and the equality instances are decided by
+    ``is_valid_in``.  Their value depends only on the domain and on the
+    interpretations of the symbols they mention (their reduct), so their
+    verdicts are decided once per run for each such domain and
+    interpretation; those that mention every symbol of the signature share
+    no reduct between structures, so they are evaluated in each structure
+    and their verdicts are not stored.  ``axiom_checks`` counts the
+    instances decided, structure by structure;
     ``axiom_evaluations`` counts those actually evaluated.
     """
     if len(set(variables)) != len(variables):
@@ -559,39 +585,53 @@ def soundness_harness(
         + [Var(extra_var)]
         + [Const(c) for c in sorted(sig.constants)]
     )
-    fixed_instances = [
-        (name, f)
-        for name, f in _quantifier_axiom_instances(pool, variables, terms)
-        if name in quant_ids
-    ]
-    if eq_ids:
-        fixed_instances += [
-            (name, f)
-            for name, f in _equality_axiom_instances(pool, variables, extra_var)
-            if name in eq_ids
-        ]
-    # the fixed instances grouped by the symbols they mention; slot[k] is
-    # (group, position in group) of fixed_instances[k].  Only a group that
-    # leaves out a symbol of the signature can meet its reduct again.
-    groups, slot = _group_by_symbols(f for _, f in fixed_instances)
-    everything = _signature_symbols(sig)
-    reusable = [_leaves_out_a_symbol(symbols, everything) for symbols, _ in groups]
-    fixed_verdicts: dict = {}  # (group, domain, reduct key) -> [(ok, witness), ...]
 
-    # the pattern tables: each propositional schema, then the modus ponens
-    # premise, then per variable the two quantifier introductions'
-    # conclusions.  Each maps a tuple of component vector ids to the index
-    # in the assignment space of the instance's first failure, or None.
+    # the pattern tables: each propositional schema and, per variable, the
+    # selected ones of Ax13-Ax16, then the modus ponens premise, then per
+    # variable the two quantifier introductions' conclusions.  Each maps a
+    # tuple of component vector ids to the index in the assignment space of
+    # the instance's first failure, or None.
     a, b = FVar("a"), FVar("b")
-    patterns = [PROP_AXIOMS[name] for name in prop_ids] + [Imp(a, b)]
-    mp = len(prop_ids)
+    patterns = [PROP_AXIOMS[name] for name in prop_ids]
+    consistency = {}  # (schema, variable) -> index of its table
+    for x in variables:
+        for name, pattern in _consistency_axioms(x, a):
+            if name in quant_ids:
+                consistency[name, x] = len(patterns)
+                patterns.append(pattern)
+    mp = len(patterns)
+    patterns.append(Imp(a, b))
     conclusion = {}  # (rule, variable) -> index of its conclusion's table
     for x in variables:
         conclusion["forall-in", x] = len(patterns)
         conclusion["exists-in", x] = len(patterns) + 1
         patterns += [Imp(a, Forall(x, b)), Imp(Exists(x, a), b)]
-    tables = [(p, schema_metavariables(p), {}) for p in patterns]
-    vector_ids: dict = {}  # value vector -> small int, for the whole run
+    tables = [(p, schema_metavariables(p), {}, {}) for p in patterns]
+    vector_ids: dict = {}  # (width, plus, minus) -> small int, for the whole run
+
+    # the fixed instances in order, as (schema, instance, table, pool
+    # index): Ax13-Ax16 are decided by their tables, the others (table
+    # None) by is_valid_in
+    fixed = []
+    for i, phi in enumerate(pool):
+        for x in variables:
+            for name, inst in _quantifier_axioms(phi, x, terms):
+                if name in quant_ids:
+                    fixed.append((name, inst, consistency.get((name, x)), i))
+    if eq_ids:
+        fixed += [
+            (name, f, None, None)
+            for name, f in _equality_axiom_instances(pool, variables, extra_var)
+            if name in eq_ids
+        ]
+    # the instances decided by is_valid_in, grouped by the symbols they
+    # mention; slot[k] is (group, position in group) of the k-th of them.
+    # Only a group that leaves out a symbol of the signature can meet its
+    # reduct again.
+    groups, slot = _group_by_symbols(f for _, f, t, _ in fixed if t is None)
+    everything = _signature_symbols(sig)
+    reusable = [_leaves_out_a_symbol(symbols, everything) for symbols, _ in groups]
+    fixed_verdicts: dict = {}  # (group, domain, reduct key) -> [(ok, witness), ...]
 
     # quantifier rule instances over the full pool, as (i, j, table of the
     # conclusion) for each introduction from pool[i] -> pool[j] whose side
@@ -608,49 +648,63 @@ def soundness_harness(
     ]
 
     frame = tuple(sorted(variables))
+    program = MaskProgram()
+    pool_at = [program.add(f, frame) for f in pool]
     report = HarnessReport()
 
     for n in range(1, max_size + 1):
+        width = n ** len(frame)
         for A in enumerate_structures(sig, n):
             report.structures_checked += 1
-            memo: dict = {}
             space = list(assignments_over(A, frame))
 
+            def atom(f, _):
+                # every atom of the pool is at the frame: the pool
+                # quantifies frame variables only
+                return MaskProgram.leaf_masks(
+                    eval_formula(f, A, s, None, matrix) for s in space
+                )
+
+            values = program.run(n, atom, matrix)
+
             # the run-wide vector id of every pool formula; per id, the
-            # first pool formula with that vector (its representative) and
-            # the index of the vector's first failure, or None
+            # first pool formula with that vector (its representative), its
+            # masks by the representative's id, and the index of the
+            # vector's first failure, or None
             ids = []
             rep_of: dict = {}
+            masks_of: dict = {}
             fails: dict = {}
-            for f in pool:
-                v = tuple(eval_formula(f, A, s, memo, matrix) for s in space)
-                i = vector_ids.setdefault(v, len(vector_ids))
+            for f, at in zip(pool, pool_at):
+                plus, minus = values[at]
+                i = vector_ids.setdefault((width, plus, minus), len(vector_ids))
                 if i not in rep_of:
                     rep_of[i] = f
-                    fails[i] = v.index(ZERO) if ZERO in v else None
+                    masks_of[id(f)] = plus, minus
+                    fails[i] = _lowest_bit(minus)
                 ids.append(i)
             rep_ids = list(rep_of)
-
-            # the memo is keyed by object identity, so every formula built
-            # while it is live must be kept alive alongside it
-            alive = []
 
             def failure(t, key):
                 """Table t's entry for the vector ids ``key``, filled on a miss
                 from the instance over their representatives."""
-                pattern, mvars, table = tables[t]
+                pattern, mvars, table, compiled = tables[t]
                 if key not in table:
-                    inst = instantiate(pattern, dict(zip(mvars, map(rep_of.get, key))))
-                    alive.append(inst)
-                    table[key] = next(
-                        (k for k, s in enumerate(space)
-                         if eval_formula(inst, A, s, memo, matrix) == ZERO),
-                        None,
-                    )
+                    reps = [rep_of[i] for i in key]
+                    leaves = tuple(map(id, reps))
+                    if leaves not in compiled:
+                        # the instance over these representatives, compiled
+                        # once per run with them as leaves
+                        inst = instantiate(pattern, dict(zip(mvars, reps)))
+                        scratch = MaskProgram()
+                        compiled[leaves] = scratch, scratch.add(inst, frame, leaves)
+                    scratch, top = compiled[leaves]
+                    got = scratch.run(n, lambda f, _: masks_of[id(f)], matrix)
+                    table[key] = _lowest_bit(got[top][1])
                 return table[key]
 
             for t, name in enumerate(prop_ids):
-                pattern, mvars, _ = tables[t]
+                pattern, mvars, _, _ = tables[t]
                 report.axiom_checks += len(rep_ids) ** len(mvars)
                 for key in itertools.product(rep_ids, repeat=len(mvars)):
                     k = failure(t, key)
@@ -671,9 +725,18 @@ def soundness_harness(
                     if key is not None:
                         fixed_verdicts[key] = got
                 verdicts.append(got)
-            report.axiom_checks += len(fixed_instances)
-            for (name, inst), (g, k) in zip(fixed_instances, slot):
-                ok, witness = verdicts[g][k]
+            report.axiom_checks += len(fixed)
+            slots = iter(slot)
+            for name, inst, t, i in fixed:
+                if t is None:
+                    g, k = next(slots)
+                    ok, witness = verdicts[g][k]
+                elif failure(t, (ids[i],)) is None:
+                    continue
+                else:
+                    ok, witness = is_valid_in(inst, A, matrix)
+                    if ok:
+                        raise RuntimeError("%s: mask and pointwise verdicts differ" % name)
                 if not ok:
                     report.violations.append(Violation("axiom", name, inst, A, witness))
 
@@ -698,6 +761,6 @@ def soundness_harness(
                             report.violations.append(
                                 Violation("rule", rule, concl, A, space[k])
                             )
-    # every evaluation of a propositional instance left one table entry
-    report.axiom_evaluations += sum(len(table) for _, _, table in tables[:mp])
+    # every evaluation of an axiom instance on masks left one table entry
+    report.axiom_evaluations += sum(len(table) for _, _, table, _ in tables[:mp])
     return report

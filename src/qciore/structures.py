@@ -36,6 +36,7 @@ from .syntax import (
     Var,
     free_vars,
 )
+from . import triples
 from .triples import CarrierIndex, Triple, make_triple, triple_from_map, triple_op
 
 POS, NEG, BOTH = "POS", "NEG", "BOTH"
@@ -388,19 +389,42 @@ def _frame_index(domain: tuple, k: int) -> CarrierIndex:
 
 
 @functools.lru_cache(maxsize=256)
-def _variant_masks(n: int, k: int, pos: int, projected: bool) -> tuple[int, ...]:
-    """For each index of a k-variable frame over n elements, the mask of its
-    variants along the quantified variable in the body's frame: the variable
-    at ``pos`` of the same frame, or appended last when ``projected``."""
-    if projected:
-        line = (1 << n) - 1
-        return tuple(line << (o * n) for o in range(n**k))
+def _fibre(n: int, k: int, pos: int, projected: bool) -> tuple[int, int, int]:
+    """How a quantifier steps along its variable's fibres over n elements,
+    where the variable is at ``pos`` of the body's k-variable frame: the
+    variable's stride in ``itertools.product`` order, the mask of the points
+    where it takes the first element, and the factor that copies such a
+    point over its whole fibre.  A variable the result's frame lacks is
+    first in the body's (``projected``); its first-element points are then
+    the result's points, and the factor is 1."""
     stride = n ** (k - 1 - pos)
-    out = []
-    for o in range(n**k):
-        base = o - (o // stride) % n * stride
-        out.append(sum(1 << (base + d * stride) for d in range(n)))
-    return tuple(out)
+    period = stride * n
+    base = sum(((1 << stride) - 1) << j for j in range(0, n**k, period))
+    spread = 1 if projected else sum(1 << d for d in range(0, period, stride))
+    return stride, base, spread
+
+
+def _fibre_step(
+    forall: bool, plus: int, minus: int, n: int, stride: int, base: int, spread: int
+) -> tuple[int, int]:
+    """A quantifier's (plus, minus) masks from its body's: ``tilde_forall``
+    or ``tilde_exists`` on every fibre at once, each fibre's points shifted
+    onto its first-element point (see ``_fibre`` for the other arguments)."""
+    some_p = plus
+    some_m = every_m = minus
+    for d in range(stride, n * stride, stride):
+        some_p |= plus >> d
+        some_m |= minus >> d
+        every_m &= minus >> d
+    if forall:
+        # 0 if some variant is 0, else 1 if some variant is 1, else 1/2
+        minus = some_m & base
+        plus = some_p & base & ~minus
+    else:
+        # 0 if every variant is 0, 1/2 if every variant is 1/2, else 1
+        minus = every_m & base
+        plus = (some_p | some_m) & base & ~minus
+    return plus * spread, minus * spread
 
 
 def _triple(f: Formula, A: Structure, frame: tuple[str, ...], memo: dict) -> Triple:
@@ -424,38 +448,122 @@ def _triple(f: Formula, A: Structure, frame: tuple[str, ...], memo: dict) -> Tri
             _triple(f.right, A, frame, memo),
         )
     elif isinstance(f, (Forall, Exists)):
-        # tilde_forall / tilde_exists on the set of variant values, per index
-        k = len(frame)
+        # the body's frame is the same one if it has the variable, else the
+        # variable followed by the frame
         projected = f.var not in frame
-        aux_frame = frame + (f.var,) if projected else frame
-        sub = _triple(f.body, A, aux_frame, memo)
-        sp, sm = sub.masks(_frame_index(A.domain, len(aux_frame)))
-        variants = _variant_masks(
-            len(A.domain), k, k if projected else frame.index(f.var), projected
+        body_frame = (f.var,) + frame if projected else frame
+        n, k = len(A.domain), len(body_frame)
+        sub = _triple(f.body, A, body_frame, memo)
+        plus, minus = _fibre_step(
+            isinstance(f, Forall),
+            *sub.masks(_frame_index(A.domain, k)),
+            n,
+            *_fibre(n, k, body_frame.index(f.var), projected),
         )
-        plus = minus = 0
-        if isinstance(f, Forall):
-            # 0 if some variant is 0, else 1 if some variant is 1, else 1/2
-            for o, v in enumerate(variants):
-                if sm & v:
-                    minus |= 1 << o
-                elif sp & v:
-                    plus |= 1 << o
-        else:
-            # 0 if every variant is 0, 1/2 if every variant is 1/2, else 1
-            sd = ~(sp | sm)
-            for o, v in enumerate(variants):
-                if sm & v == v:
-                    minus |= 1 << o
-                elif sd & v != v:
-                    plus |= 1 << o
-        out = Triple.from_masks(_frame_index(A.domain, k), plus, minus)
+        out = Triple.from_masks(_frame_index(A.domain, len(frame)), plus, minus)
     elif isinstance(f, FVar):
         raise ValueError("metavariable %s in a concrete formula" % f.name)
     else:
         raise TypeError("not a formula: %r" % (f,))
     memo[key] = out
     return out
+
+
+class MaskProgram:
+    """Formulas compiled once into a flat list of mask operations.
+
+    An entry is a formula at a frame of k variables.  Over a domain of n
+    elements its value at each of the n**k assignments of the frame is kept
+    in two ints: bit i of ``plus`` is set where the value is 1, of ``minus``
+    where it is 0, and every other bit below n**k is 1/2.  Bit i stands for
+    the i-th tuple of ``itertools.product(domain, repeat=k)``, the first
+    frame variable most significant, as ``assignments_over`` orders them.
+
+    ``add`` compiles a formula and its subformulas after the entries the
+    program has, sharing every entry whose node and frame it has already
+    compiled: entries are keyed by (id(node), frame), and the program holds
+    each node it compiled, so that the ids stay valid.  ``run`` evaluates
+    every entry on one domain size, children first.  A connective lifts the
+    matrix's table over the masks (``triples._lift`` and ``_apply``, as
+    ``triple_op`` does).  A quantifier makes one fibre step along its variable
+    (``_fibre_step``), on its body at the same frame when the frame has the
+    variable, else at the variable followed by the frame.  Atoms, and the
+    nodes given to ``add`` as leaves, are leaves: the caller of ``run``
+    supplies their masks.
+    """
+
+    __slots__ = ("code", "_position", "_nodes")
+
+    def __init__(self):
+        # (opcode, operands, k), children first: ("leaf", node, frame),
+        # (connective, child positions, frame length) and ("forall" or
+        # "exists", body position, (body frame length, place of the
+        # variable in it, whether the entry's frame lacks it))
+        self.code: list[tuple] = []
+        self._position: dict = {}
+        self._nodes: list = []
+
+    def add(self, f: Formula, frame: tuple[str, ...], leaves=frozenset()) -> int:
+        """The position of ``f``'s entry at ``frame``, compiled if new.
+
+        ``leaves`` holds the ids of nodes, besides atoms, to compile as
+        leaves; a node compiled before keeps its entry."""
+        key = (id(f), frame)
+        at = self._position.get(key)
+        if at is not None:
+            return at
+        kind = type(f)
+        if kind in (Pred, Eq) or id(f) in leaves:
+            entry = ("leaf", f, frame)
+        elif kind in UNARY_OPS:
+            entry = (UNARY_OPS[kind], (self.add(f.sub, frame, leaves),), len(frame))
+        elif kind in BINARY_OPS:
+            children = (self.add(f.left, frame, leaves), self.add(f.right, frame, leaves))
+            entry = (BINARY_OPS[kind], children, len(frame))
+        elif kind is Forall or kind is Exists:
+            projected = f.var not in frame
+            body_frame = (f.var,) + frame if projected else frame
+            body = self.add(f.body, body_frame, leaves)
+            layout = (len(body_frame), body_frame.index(f.var), projected)
+            entry = ("forall" if kind is Forall else "exists", body, layout)
+        elif kind is FVar:
+            raise ValueError("metavariable %s in a concrete formula" % f.name)
+        else:
+            raise TypeError("not a formula: %r" % (f,))
+        self._position[key] = len(self.code)
+        self.code.append(entry)
+        self._nodes.append(f)
+        return len(self.code) - 1
+
+    def run(self, n: int, leaf, matrix: Matrix = CIORE) -> list[tuple[int, int]]:
+        """The (plus, minus) masks of every entry over a domain of ``n``
+        elements, by position; ``leaf(node, frame)`` gives a leaf's."""
+        values = []
+        lifts: dict = {}  # connective -> its _lift under the matrix
+        for op, operands, k in self.code:
+            if op == "leaf":
+                values.append(leaf(operands, k))
+            elif op == "forall" or op == "exists":
+                plus, minus = values[operands]
+                values.append(_fibre_step(op == "forall", plus, minus, n, *_fibre(n, *k)))
+            else:
+                # a connective, lifted as in triple_op
+                lift = lifts.get(op) or lifts.setdefault(op, triples._lift(matrix, op))
+                u = values[operands[1]] if len(operands) == 2 else None
+                full = (1 << n**k) - 1
+                values.append(triples._apply(lift, full, values[operands[0]], u))
+        return values
+
+    @staticmethod
+    def leaf_masks(values) -> tuple[int, int]:
+        """(plus, minus) of truth values listed in bit order."""
+        plus = minus = 0
+        for i, v in enumerate(values):
+            if v == ONE:
+                plus |= 1 << i
+            elif v == ZERO:
+                minus |= 1 << i
+        return plus, minus
 
 
 def sentence_trichotomy(f: Formula, A: Structure) -> str:

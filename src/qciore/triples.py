@@ -15,8 +15,9 @@ A triple is kept in one of two forms; no caller can tell them apart.
 
 Operations lift a 3-valued matrix's table over whole masks: a class of the
 result is the union, over the value pairs the table sends to it, of the
-intersections of the operands' classes.  The closed set formulas from the
-literature serve as cross-check oracles in the tests.
+intersections of the operands' classes (``_lift`` and ``_apply``, shared by
+``triple_op`` and ``structures.MaskProgram``).  The closed set formulas from
+the literature serve as cross-check oracles in the tests.
 """
 
 from __future__ import annotations
@@ -213,6 +214,29 @@ def _lift(m: Matrix, op: str) -> tuple[tuple, tuple]:
     return tuple(ones), tuple(zeros)
 
 
+def _apply(lift: tuple[tuple, tuple], full: int, r, u=None) -> tuple[int, int]:
+    """The (plus, minus) masks of a connective whose ``_lift`` is ``lift``,
+    applied to the (plus, minus) masks ``r`` (and ``u`` for a binary one)
+    over the bits of ``full``."""
+    ones, zeros = lift
+    rp, rm = r
+    R = (rp, full & ~(rp | rm), rm)  # the classes in VALUES order
+    plus = minus = 0
+    if u is None:
+        for (i,) in ones:
+            plus |= R[i]
+        for (i,) in zeros:
+            minus |= R[i]
+    else:
+        up, um = u
+        U = (up, full & ~(up | um), um)
+        for i, j in ones:
+            plus |= R[i] & U[j]
+        for i, j in zeros:
+            minus |= R[i] & U[j]
+    return plus, minus
+
+
 def triple_op(op: str, r: Triple, u: Triple | None = None, m: Matrix = CIORE) -> Triple:
     """Apply a connective to triples by lifting the matrix table over masks.
 
@@ -227,28 +251,14 @@ def triple_op(op: str, r: Triple, u: Triple | None = None, m: Matrix = CIORE) ->
             raise ValueError("binary connective %r takes two triples" % op)
     else:
         raise ValueError("unknown connective %r" % op)
-    ones, zeros = _lift(m, op)
     index = r.index
     if index is None:
         index = CarrierIndex.of(tuple(r.carrier))
-        rp, rm = r.masks(index)
+        r_masks = r.masks(index)
     else:
-        rp, rm = r._masks
-    R = (rp, index.full & ~(rp | rm), rm)  # the classes in VALUES order
-    plus = minus = 0
-    if u is None:
-        for (i,) in ones:
-            plus |= R[i]
-        for (i,) in zeros:
-            minus |= R[i]
-    else:
-        up, um = u._masks if u.index is index else u.masks(index)
-        U = (up, index.full & ~(up | um), um)
-        for i, j in ones:
-            plus |= R[i] & U[j]
-        for i, j in zeros:
-            minus |= R[i] & U[j]
-    return Triple.from_masks(index, plus, minus)
+        r_masks = r._masks
+    u_masks = None if u is None else u._masks if u.index is index else u.masks(index)
+    return Triple.from_masks(index, *_apply(_lift(m, op), index.full, r_masks, u_masks))
 
 
 def all_triples(carrier) -> list[Triple]:

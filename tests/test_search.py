@@ -627,8 +627,14 @@ def mutated_consistency(cell, value):
 
 @pytest.mark.parametrize(
     "matrix",
-    [CIORE, mutated_implication((HALF, ONE), ZERO), mutated_consistency(ZERO, ZERO)],
-    ids=["ciore", "h-1:0", "@0:0"],
+    [
+        CIORE,
+        mutated_implication((HALF, ONE), ZERO),
+        # vectors of sizes 1 and 2 with equal masks must stay apart here
+        mutated_implication((ONE, HALF), ZERO),
+        mutated_consistency(ZERO, ZERO),
+    ],
+    ids=["ciore", "h-1:0", "1-h:0", "@0:0"],
 )
 def test_axiom_phase_matches_per_structure_reference(matrix):
     found = set()

@@ -1,8 +1,8 @@
 """The mask-based set route against the pointwise oracle.
 
-``formula_triple`` is compared with ``eval_formula`` at every assignment of
-the frame, and ``triple_op`` with the pointwise matrix tables, on random
-inputs.  The searches are derandomized, so a run is repeatable.
+``formula_triple`` and ``MaskProgram`` are compared with ``eval_formula``
+at every assignment of the frame, and ``triple_op`` with the pointwise
+matrix tables, on random inputs.  The searches are derandomized, so a run is repeatable.
 """
 
 import itertools
@@ -10,8 +10,15 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qciore.matrix3 import CIORE, HALF, LFI1, ONE, P1, VALUES, ZERO
-from qciore.structures import Assignment, eval_formula, formula_triple, make_structure
+from qciore.matrix3 import CIORE, HALF, LFI1, ONE, P1, VALUES, ZERO, Matrix
+from qciore.structures import (
+    Assignment,
+    MaskProgram,
+    assignments_over,
+    eval_formula,
+    formula_triple,
+    make_structure,
+)
 from qciore.syntax import (
     And,
     App,
@@ -92,15 +99,47 @@ def frames(draw, f):
     return tuple(draw(st.permutations(names)))
 
 
-def assert_routes_agree(f, A, frame, memo=None):
+def program_masks(f, A, frame, matrix=CIORE):
+    """``f``'s (plus, minus) masks at ``frame`` from a ``MaskProgram``, its
+    atoms read with ``eval_formula``."""
+    program = MaskProgram()
+    top = program.add(f, frame)
+
+    def leaf(atom, at):
+        return MaskProgram.leaf_masks(
+            eval_formula(atom, A, s, None, matrix) for s in assignments_over(A, at)
+        )
+
+    return program.run(len(A.domain), leaf, matrix)[top]
+
+
+def assert_routes_agree(f, A, frame, memo=None, matrix=CIORE):
+    """``formula_triple`` (under CIORE) and a ``MaskProgram`` run under
+    ``matrix`` both agree with ``eval_formula`` at every tuple of ``frame``."""
     t = formula_triple(f, A, frame, memo)
-    assert t.carrier == frozenset(itertools.product(A.domain, repeat=len(frame)))
-    for tup in itertools.product(A.domain, repeat=len(frame)):
-        v = eval_formula(f, A, Assignment(A.domain[0], tuple(sorted(zip(frame, tup)))))
+    plus, minus = program_masks(f, A, frame, matrix)
+    space = list(itertools.product(A.domain, repeat=len(frame)))
+    assert t.carrier == frozenset(space)
+    assert (plus | minus) >> len(space) == 0 and not plus & minus
+    for i, tup in enumerate(space):
+        s = Assignment(A.domain[0], tuple(sorted(zip(frame, tup))))
+        v = eval_formula(f, A, s)
         assert t.value_at(tup) == v, (str(f), frame, tup)
         assert ((tup in t.plus), (tup in t.minus), (tup in t.dot)) == (
             v == ONE, v == ZERO, v == HALF
         )
+        if matrix is not CIORE:
+            v = eval_formula(f, A, s, None, matrix)
+        assert (plus >> i & 1, minus >> i & 1) == (v == ONE, v == ZERO), (
+            str(f), frame, tup, matrix.name
+        )
+
+
+MUTATED = Matrix(
+    "mutated-implication",
+    dict(CIORE.unary),
+    {**CIORE.binary, "->": {**CIORE.binary["->"], (ONE, HALF): ZERO}},
+)
 
 
 @SEARCH
@@ -108,7 +147,8 @@ def assert_routes_agree(f, A, frame, memo=None):
 def test_set_route_matches_pointwise_evaluation(data):
     f = data.draw(formulas)
     A = data.draw(structures())
-    assert_routes_agree(f, A, data.draw(frames(f)))
+    frame = data.draw(frames(f))
+    assert_routes_agree(f, A, frame, matrix=data.draw(st.sampled_from([CIORE, MUTATED])))
 
 
 @pytest.mark.parametrize(

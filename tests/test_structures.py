@@ -8,6 +8,7 @@ from helpers import remark_structure, singleton
 from qciore.matrix3 import CIORE, DESIGNATED, HALF, ONE, ZERO, eval_prop
 from qciore.structures import (
     Assignment,
+    assignments_over,
     BOTH,
     NEG,
     POS,
@@ -118,6 +119,20 @@ def test_validity_witness_is_least():
     ok, w = is_valid_in(parse_formula("@P(x)", A.sig), A)
     assert not ok
     assert w == Assignment("a", (("x", "b"),))
+
+
+def test_assignments_over_unsorted_frame_keeps_frame_order():
+    # the first frame variable is the most significant; pairs sorted by name
+    A = remark_structure()
+    got = [(s.default, s.pairs) for s in assignments_over(A, ("y", "x"))]
+    assert got[:4] == [
+        ("a", (("x", "a"), ("y", "a"))),
+        ("a", (("x", "b"), ("y", "a"))),
+        ("a", (("x", "c"), ("y", "a"))),
+        ("a", (("x", "a"), ("y", "b"))),
+    ]
+    assert len(got) == 9 and got[-1] == ("a", (("x", "c"), ("y", "c")))
+    assert [s.pairs for s in assignments_over(A, ())] == [()]
 
 
 def test_prop_6_7_value_vs_compounds():
