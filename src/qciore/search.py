@@ -49,6 +49,7 @@ from .syntax import (
     free_vars,
     substitute,
 )
+from . import triples
 from .triples import all_triples, make_triple
 
 # ---------------------------------------------------------------------------
@@ -208,20 +209,6 @@ def _group_by_symbols(formulas) -> tuple[list, list]:
         slot.append((g, len(groups[g][1])))
         groups[g][1].append(f)
     return groups, slot
-
-
-def _reduct_key(A: Structure, symbols: tuple) -> tuple:
-    """How ``A`` interprets ``symbols`` (as ``_symbols`` gives them): the
-    predicate triples (equality's under ``EQ``), then the function tables as
-    frozensets of items, then the constants' elements, in one flat tuple
-    (the symbols fix each position).  With the domain it fixes the value of
-    every formula over those symbols."""
-    preds, funs, consts = symbols
-    return (
-        *[A.preds[p] for p in preds],
-        *[frozenset(A.funs[h].items()) for h in funs],
-        *[A.consts[c] for c in consts],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -551,11 +538,14 @@ def soundness_harness(
     ``is_valid_in``.  Ax11, Ax12 and the equality instances are decided by
     ``is_valid_in``.  Their value depends only on the domain and on the
     interpretations of the symbols they mention (their reduct), so their
-    verdicts are decided once per run for each such domain and
-    interpretation; those that mention every symbol of the signature share
-    no reduct between structures, so they are evaluated in each structure
-    and their verdicts are not stored.  ``axiom_checks`` counts the
-    instances decided, structure by structure;
+    verdicts are decided once per run for each domain size and reduct.  As
+    in ``find_countermodel``, a structure is named by its indices into the
+    factors of ``_factors``, and a reduct by the mixed-radix index that
+    ``_reduct_walk``'s strides sum those to; the verdicts are keyed by
+    (group, domain size, reduct index).  Instances that mention every symbol
+    of the signature share no reduct between structures, so they are
+    evaluated in each structure and their verdicts are not stored.
+    ``axiom_checks`` counts the instances decided, structure by structure;
     ``axiom_evaluations`` counts those actually evaluated.
     """
     if len(set(variables)) != len(variables):
@@ -631,7 +621,7 @@ def soundness_harness(
     groups, slot = _group_by_symbols(f for _, f, t, _ in fixed if t is None)
     everything = _signature_symbols(sig)
     reusable = [_leaves_out_a_symbol(symbols, everything) for symbols, _ in groups]
-    fixed_verdicts: dict = {}  # (group, domain, reduct key) -> [(ok, witness), ...]
+    fixed_verdicts: dict = {}  # (group, size, reduct index) -> [(ok, witness), ...]
 
     # quantifier rule instances over the full pool, as (i, j, table of the
     # conclusion) for each introduction from pool[i] -> pool[j] whose side
@@ -654,16 +644,22 @@ def soundness_harness(
 
     for n in range(1, max_size + 1):
         width = n ** len(frame)
-        for A in enumerate_structures(sig, n):
+        # each structure's indices into the factors it is enumerated from,
+        # and per reusable group the strides that sum them to its reduct's
+        _, factors = _factors(sig, n, True)
+        strides = [
+            _reduct_walk(sig, symbols, factors)[0] if reuse else None
+            for (symbols, _), reuse in zip(groups, reusable)
+        ]
+        points = itertools.product(*(range(len(v)) for _, _, v in factors))
+        for A, indices in zip(enumerate_structures(sig, n), points):
             report.structures_checked += 1
             space = list(assignments_over(A, frame))
 
             def atom(f, _):
                 # every atom of the pool is at the frame: the pool
                 # quantifies frame variables only
-                return MaskProgram.leaf_masks(
-                    eval_formula(f, A, s, None, matrix) for s in space
-                )
+                return triples._masks(eval_formula(f, A, s, None, matrix) for s in space)
 
             values = program.run(n, atom, matrix)
 
@@ -716,8 +712,10 @@ def soundness_harness(
                         )
 
             verdicts = []
-            for g, (symbols, members) in enumerate(groups):
-                key = (g, A.domain, _reduct_key(A, symbols)) if reusable[g] else None
+            for g, (_, members) in enumerate(groups):
+                key = None if strides[g] is None else (
+                    g, n, sum(indices[position] * stride for position, stride in strides[g])
+                )
                 got = fixed_verdicts.get(key)  # nothing is stored under None
                 if got is None:
                     got = [is_valid_in(f, A, matrix) for f in members]

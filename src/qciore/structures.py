@@ -388,45 +388,6 @@ def _frame_index(domain: tuple, k: int) -> CarrierIndex:
     return CarrierIndex.of(tuple(itertools.product(domain, repeat=k)))
 
 
-@functools.lru_cache(maxsize=256)
-def _fibre(n: int, k: int, pos: int, projected: bool) -> tuple[int, int, int]:
-    """How a quantifier steps along its variable's fibres over n elements,
-    where the variable is at ``pos`` of the body's k-variable frame: the
-    variable's stride in ``itertools.product`` order, the mask of the points
-    where it takes the first element, and the factor that copies such a
-    point over its whole fibre.  A variable the result's frame lacks is
-    first in the body's (``projected``); its first-element points are then
-    the result's points, and the factor is 1."""
-    stride = n ** (k - 1 - pos)
-    period = stride * n
-    base = sum(((1 << stride) - 1) << j for j in range(0, n**k, period))
-    spread = 1 if projected else sum(1 << d for d in range(0, period, stride))
-    return stride, base, spread
-
-
-def _fibre_step(
-    forall: bool, plus: int, minus: int, n: int, stride: int, base: int, spread: int
-) -> tuple[int, int]:
-    """A quantifier's (plus, minus) masks from its body's: ``tilde_forall``
-    or ``tilde_exists`` on every fibre at once, each fibre's points shifted
-    onto its first-element point (see ``_fibre`` for the other arguments)."""
-    some_p = plus
-    some_m = every_m = minus
-    for d in range(stride, n * stride, stride):
-        some_p |= plus >> d
-        some_m |= minus >> d
-        every_m &= minus >> d
-    if forall:
-        # 0 if some variant is 0, else 1 if some variant is 1, else 1/2
-        minus = some_m & base
-        plus = some_p & base & ~minus
-    else:
-        # 0 if every variant is 0, 1/2 if every variant is 1/2, else 1
-        minus = every_m & base
-        plus = (some_p | some_m) & base & ~minus
-    return plus * spread, minus * spread
-
-
 def _triple(f: Formula, A: Structure, frame: tuple[str, ...], memo: dict) -> Triple:
     key = (id(f), frame)
     hit = memo.get(key)
@@ -454,11 +415,11 @@ def _triple(f: Formula, A: Structure, frame: tuple[str, ...], memo: dict) -> Tri
         body_frame = (f.var,) + frame if projected else frame
         n, k = len(A.domain), len(body_frame)
         sub = _triple(f.body, A, body_frame, memo)
-        plus, minus = _fibre_step(
+        plus, minus = triples._fibre_step(
             isinstance(f, Forall),
             *sub.masks(_frame_index(A.domain, k)),
             n,
-            *_fibre(n, k, body_frame.index(f.var), projected),
+            *triples._fibre(n, k, body_frame.index(f.var), projected),
         )
         out = Triple.from_masks(_frame_index(A.domain, len(frame)), plus, minus)
     elif isinstance(f, FVar):
@@ -474,10 +435,10 @@ class MaskProgram:
 
     An entry is a formula at a frame of k variables.  Over a domain of n
     elements its value at each of the n**k assignments of the frame is kept
-    in two ints: bit i of ``plus`` is set where the value is 1, of ``minus``
-    where it is 0, and every other bit below n**k is 1/2.  Bit i stands for
-    the i-th tuple of ``itertools.product(domain, repeat=k)``, the first
-    frame variable most significant, as ``assignments_over`` orders them.
+    in two ints, ``plus`` and ``minus``, in ``triples``' mask layout: bit i
+    stands for the i-th tuple of ``itertools.product(domain, repeat=k)``,
+    the first frame variable most significant, as ``assignments_over``
+    orders them.
 
     ``add`` compiles a formula and its subformulas after the entries the
     program has, sharing every entry whose node and frame it has already
@@ -486,10 +447,10 @@ class MaskProgram:
     every entry on one domain size, children first.  A connective lifts the
     matrix's table over the masks (``triples._lift`` and ``_apply``, as
     ``triple_op`` does).  A quantifier makes one fibre step along its variable
-    (``_fibre_step``), on its body at the same frame when the frame has the
-    variable, else at the variable followed by the frame.  Atoms, and the
-    nodes given to ``add`` as leaves, are leaves: the caller of ``run``
-    supplies their masks.
+    (``triples._fibre_step``), on its body at the same frame when the frame
+    has the variable, else at the variable followed by the frame.  Atoms, and
+    the nodes given to ``add`` as leaves, are leaves: the caller of ``run``
+    supplies their masks (``triples._masks`` reads them off a list of values).
     """
 
     __slots__ = ("code", "_position", "_nodes")
@@ -545,7 +506,9 @@ class MaskProgram:
                 values.append(leaf(operands, k))
             elif op == "forall" or op == "exists":
                 plus, minus = values[operands]
-                values.append(_fibre_step(op == "forall", plus, minus, n, *_fibre(n, *k)))
+                values.append(
+                    triples._fibre_step(op == "forall", plus, minus, n, *triples._fibre(n, *k))
+                )
             else:
                 # a connective, lifted as in triple_op
                 lift = lifts.get(op) or lifts.setdefault(op, triples._lift(matrix, op))
@@ -553,17 +516,6 @@ class MaskProgram:
                 full = (1 << n**k) - 1
                 values.append(triples._apply(lift, full, values[operands[0]], u))
         return values
-
-    @staticmethod
-    def leaf_masks(values) -> tuple[int, int]:
-        """(plus, minus) of truth values listed in bit order."""
-        plus = minus = 0
-        for i, v in enumerate(values):
-            if v == ONE:
-                plus |= 1 << i
-            elif v == ZERO:
-                minus |= 1 << i
-        return plus, minus
 
 
 def sentence_trichotomy(f: Formula, A: Structure) -> str:

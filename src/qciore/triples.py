@@ -13,11 +13,17 @@ A triple is kept in one of two forms; no caller can tell them apart.
   bit.  It carries the frozensets too, decoded once per (index, masks) and
   shared by every triple with those masks.
 
-Operations lift a 3-valued matrix's table over whole masks: a class of the
-result is the union, over the value pairs the table sends to it, of the
-intersections of the operands' classes (``_lift`` and ``_apply``, shared by
-``triple_op`` and ``structures.MaskProgram``).  The closed set formulas from
-the literature serve as cross-check oracles in the tests.
+This module owns the mask layout that every set-valued route shares:
+``structures.formula_triple``, ``structures.MaskProgram`` and the lifted
+quantifiers of ``twist``.  ``_masks`` reads (plus, minus) off truth values
+listed in bit order.  Operations lift a 3-valued matrix's table over whole
+masks: a class of the result is the union, over the value pairs the table
+sends to it, of the intersections of the operands' classes (``_lift`` and
+``_apply``).  Over the assignments of a frame, numbered in
+``itertools.product`` order, a quantifier is one fibre step (``_fibre`` and
+``_fibre_step``): the value-set rule applied along the quantified variable's
+stride to every fibre at once.  The closed set formulas from the literature
+serve as cross-check oracles in the tests.
 """
 
 from __future__ import annotations
@@ -169,22 +175,26 @@ def make_triple(plus, minus, dot) -> Triple:
     return Triple(plus, minus, dot)
 
 
+def _masks(values) -> tuple[int, int]:
+    """(plus, minus) of truth values listed in bit order; any other value
+    raises ``ValueError``."""
+    plus = minus = 0
+    for i, v in enumerate(values):
+        if v == ONE:
+            plus |= 1 << i
+        elif v == ZERO:
+            minus |= 1 << i
+        elif v != HALF:
+            raise ValueError("value %r at bit %d is not a truth value" % (v, i))
+    return plus, minus
+
+
 def triple_from_map(f: dict) -> Triple:
     """The triple of a map from carrier elements to truth values.
 
     The masks are over the shared index of the map's keys, in their order.
     """
-    plus = minus = 0
-    bit = 1
-    for x, v in f.items():
-        if v == ONE:
-            plus |= bit
-        elif v == ZERO:
-            minus |= bit
-        elif v != HALF:
-            raise ValueError("map value %r at %r is not a truth value" % (v, x))
-        bit <<= 1
-    return Triple.from_masks(CarrierIndex.of(tuple(f)), plus, minus)
+    return Triple.from_masks(CarrierIndex.of(tuple(f)), *_masks(f.values()))
 
 
 @functools.lru_cache(maxsize=64)
@@ -235,6 +245,46 @@ def _apply(lift: tuple[tuple, tuple], full: int, r, u=None) -> tuple[int, int]:
         for i, j in zeros:
             minus |= R[i] & U[j]
     return plus, minus
+
+
+@functools.lru_cache(maxsize=256)
+def _fibre(n: int, k: int, pos: int, projected: bool) -> tuple[int, int, int]:
+    """How a quantifier steps along its variable's fibres over n elements,
+    where the variable is at ``pos`` of the body's k-variable frame: the
+    variable's stride in ``itertools.product`` order, the mask of the points
+    where it takes the first element, and the factor that copies such a
+    point over its whole fibre.  A variable the result's frame lacks is
+    first in the body's (``projected``); its first-element points are then
+    the result's points, and the factor is 1."""
+    stride = n ** (k - 1 - pos)
+    period = stride * n
+    base = sum(((1 << stride) - 1) << j for j in range(0, n**k, period))
+    spread = 1 if projected else sum(1 << d for d in range(0, period, stride))
+    return stride, base, spread
+
+
+def _fibre_step(
+    forall: bool, plus: int, minus: int, n: int, stride: int, base: int, spread: int
+) -> tuple[int, int]:
+    """A quantifier's (plus, minus) masks from its body's: the value-set
+    rule of ``structures.tilde_forall`` or ``tilde_exists`` on every fibre
+    at once, each fibre's points shifted onto its first-element point (see
+    ``_fibre`` for the other arguments)."""
+    some_p = plus
+    some_m = every_m = minus
+    for d in range(stride, n * stride, stride):
+        some_p |= plus >> d
+        some_m |= minus >> d
+        every_m &= minus >> d
+    if forall:
+        # 0 if some variant is 0, else 1 if some variant is 1, else 1/2
+        minus = some_m & base
+        plus = some_p & base & ~minus
+    else:
+        # 0 if every variant is 0, 1/2 if every variant is 1/2, else 1
+        minus = every_m & base
+        plus = (some_p | some_m) & base & ~minus
+    return plus * spread, minus * spread
 
 
 def triple_op(op: str, r: Triple, u: Triple | None = None, m: Matrix = CIORE) -> Triple:

@@ -2,9 +2,12 @@
 
 Pairs (a, b) with a join b = 1 carry the connectives through Boolean
 operations; triples (a, b, c) partition the base set.  The maps dagger and
-ddagger translate between the two and are exact inverses.  Lifted
-quantifier operators act on triples/pairs over the powerset algebra of an
-assignment space.  Components are held as int bit masks over ``alg.index``.
+ddagger translate between the two and are exact inverses.  Components are
+held as int bit masks over ``alg.index``.  Lifted quantifier operators act
+on triples/pairs over the powerset algebra of an assignment space, whose
+masks are in ``triples``' layout: a quantifier's fibres are those of
+``triples._fibre``, and the triple form and the hat operators are its
+``triples._fibre_step``.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from . import triples
 from .triples import CarrierIndex
 
 _new = tuple.__new__
@@ -242,6 +246,8 @@ class AssignmentSpace:
             raise ValueError("frame repeats a variable")
         if not self.domain:
             raise ValueError("domain must be nonempty")
+        if len(set(self.domain)) != len(self.domain):
+            raise ValueError("domain repeats an element")
 
     @cached_property
     def algebra(self) -> PowersetAlgebra:
@@ -252,37 +258,34 @@ class AssignmentSpace:
     def assignments(self) -> frozenset:
         return self.algebra.base
 
-    @cached_property
-    def _fibres(self) -> dict[str, list[int]]:
-        # per variable x, the masks of its fibres: the r assignments that differ
-        # only at x lie x's mixed-radix stride t apart in product order
-        r, n = len(self.domain), len(self.frame)
-        out = {}
-        for j, x in enumerate(self.frame):
-            t = r ** (n - 1 - j)
-            fibre = sum(1 << (k * t) for k in range(r))
-            out[x] = [fibre << i for i in range(r**n) if i // t % r == 0]
-        return out
+    def _layout(self, x: str) -> tuple[int, int, int, int]:
+        """The arguments of ``triples._fibre_step`` after the masks for a
+        quantifier over ``x``; a variable outside the frame is refused."""
+        if x not in self.frame:
+            raise ValueError("variable %r is not in the frame %s" % (x, self.frame))
+        n = len(self.domain)
+        return (n, *triples._fibre(n, len(self.frame), self.frame.index(x), False))
 
     def hat_exists(self, x: str, Y: int) -> int:
         """Assignments (a mask over the algebra) with some x-variant inside Y."""
-        return sum(f for f in self._fibres[x] if Y & f)
+        return triples._fibre_step(False, Y, 0, *self._layout(x))[0]
 
     def hat_forall(self, x: str, Y: int) -> int:
         """Assignments (a mask over the algebra) with every x-variant inside Y."""
-        return sum(f for f in self._fibres[x] if Y & f == f)
+        return triples._fibre_step(False, 0, Y, *self._layout(x))[1]
 
 
 def lifted_quantifier(kind: str, representation: str, x: str, space: AssignmentSpace, z):
     """Apply the lifted quantifier to a triple or pair over ``space``.
 
     ``kind`` is "forall" or "exists"; ``representation`` "T" (triples) or
-    "P" (pairs).  With Â = ``hat_forall`` and Ê = ``hat_exists``, the pair
-    forms are ∀x(a, b) = (Â a, Ê(b∖a) ∪ Â(a∩b)) and ∃x(a, b) = (Ê a,
-    Â(b∖a) ∪ Â(a∩b)): the triple forms conjugated by dagger/ddagger.
+    "P" (pairs).  The triple form is the value-set rule on every x-fibre,
+    one ``triples._fibre_step``.  With Â = ``hat_forall`` and Ê =
+    ``hat_exists``, the pair forms are ∀x(a, b) = (Â a, Ê(b∖a) ∪ Â(a∩b))
+    and ∃x(a, b) = (Ê a, Â(b∖a) ∪ Â(a∩b)): the triple forms conjugated by
+    dagger/ddagger.
     """
-    if x not in space.frame:
-        raise ValueError("variable %r is not in the frame %s" % (x, space.frame))
+    layout = space._layout(x)
     if kind not in ("forall", "exists"):
         raise ValueError("kind must be 'forall' or 'exists', not %r" % kind)
     alg, E, A = space.algebra, space.hat_exists, space.hat_forall
@@ -298,10 +301,5 @@ def lifted_quantifier(kind: str, representation: str, x: str, space: AssignmentS
         if kind == "forall":
             return _new(TwistPair, (alg, A(x, a), E(x, b & ~a) | all_dot))
         return _new(TwistPair, (alg, E(x, a), A(x, b & ~a) | all_dot))
-    a, b, c = z[1:]
-    all_dot = A(x, c)
-    if kind == "forall":
-        some_minus = E(x, b)
-        return _new(TwistTriple, (alg, E(x, a) & ~some_minus, some_minus, all_dot))
-    all_minus = A(x, b)
-    return _new(TwistTriple, (alg, alg.index.full & ~(all_minus | all_dot), all_minus, all_dot))
+    plus, minus = triples._fibre_step(kind == "forall", z[1], z[2], *layout)
+    return _new(TwistTriple, (alg, plus, minus, alg.index.full & ~(plus | minus)))

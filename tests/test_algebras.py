@@ -7,18 +7,33 @@ small carriers.
 """
 
 import itertools
+import random
 
 import pytest
 
+from qciore.matrix3 import HALF, ONE, ZERO
 from qciore.search import enumerate_structures
-from qciore.structures import formula_triple
-from qciore.syntax import BINARY_OPS, UNARY_OPS, Exists, Forall, enumerate_formulas
+from qciore.structures import Assignment, eval_formula, formula_triple, make_structure
+from qciore.syntax import (
+    BINARY_OPS,
+    UNARY_OPS,
+    Exists,
+    Forall,
+    Pred,
+    Signature,
+    Var,
+    enumerate_formulas,
+)
 from qciore.triples import Triple, all_triples, triple_op
 from qciore.twist import (
     AssignmentSpace,
     PowersetAlgebra,
     TwistTriple,
+    all_twist_triples,
+    dagger,
+    ddagger,
     lifted_quantifier,
+    twist_triple,
     twist_triple_op,
 )
 
@@ -68,3 +83,46 @@ def test_formula_triple_quantifiers_are_the_lifted_quantifiers():
                 ), (f, A)
                 checks += 1
     assert checks == 4056
+
+
+def space_triples(space, draws, seed):
+    """Every triple over the space when there are at most ``draws``, else
+    ``draws`` seeded ones, each point's class drawn uniformly."""
+    points = space.algebra.order
+    if 3 ** len(points) <= draws:
+        return all_twist_triples(space.algebra)
+    rng = random.Random(seed)
+    out = []
+    for _ in range(draws):
+        parts = [set(), set(), set()]
+        for s in points:
+            parts[rng.randrange(3)].add(s)
+        out.append(twist_triple(space.algebra, *parts))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("frame", [("x",), ("x", "y"), ("x", "y", "z")])
+def test_lifted_quantifiers_are_eval_formula(frame, n):
+    # R over the frame takes z's value at each assignment; quantifying R
+    # over any frame variable in eval_formula is then the lifted quantifier
+    # of z, in both forms.  Spaces of up to 81 triples are covered whole.
+    space = AssignmentSpace(frame, ("a", "b", "c")[:n])
+    sig = Signature(predicates={"R": len(frame)})
+    atom = Pred("R", tuple(map(Var, frame)))
+    points = [
+        (s, Assignment(space.domain[0], tuple(sorted(zip(frame, s)))))
+        for s in space.algebra.order
+    ]
+    for z in space_triples(space, 81, seed=len(frame) * 10 + n):
+        A = make_structure(sig, space.domain, {"R": Triple(z.a, z.b, z.c)})
+        for kind, quantifier in (("forall", Forall), ("exists", Exists)):
+            for x in frame:
+                f = quantifier(x, atom)
+                via_t = lifted_quantifier(kind, "T", x, space, z)
+                via_p = ddagger(lifted_quantifier(kind, "P", x, space, dagger(z)))
+                for s, assignment in points:
+                    v = eval_formula(f, A, assignment)
+                    where = (v == ONE, v == ZERO, v == HALF)
+                    assert (s in via_t.a, s in via_t.b, s in via_t.c) == where, (kind, x, z, s)
+                    assert (s in via_p.a, s in via_p.b, s in via_p.c) == where, (kind, x, z, s)

@@ -412,18 +412,17 @@ def test_twist_verify_labels_each_size_by_its_own_problems(capsys, monkeypatch):
 
 
 def test_twist_verify_checks_the_quantifiers_against_eval_formula(capsys, monkeypatch):
-    # each variable's fibres taken for the other's: both forms of
+    # the fibre step handed the other variable's place: both forms of
     # lifted_quantifier share the fault and still agree with each other,
     # so only the pointwise oracle can report it
-    from qciore.twist import AssignmentSpace
+    from qciore import triples
 
-    fibres = AssignmentSpace._fibres.func
+    fibre = triples._fibre
 
-    def swapped(space):
-        real = fibres(space)
-        return dict(zip(space.frame, [real[x] for x in reversed(space.frame)]))
+    def swapped(n, k, pos, projected):
+        return fibre(n, k, k - 1 - pos, projected)
 
-    monkeypatch.setattr(AssignmentSpace, "_fibres", property(swapped))
+    monkeypatch.setattr(triples, "_fibre", swapped)
     code = main(["twist-verify", "--sizes", "1"])
     out = capsys.readouterr().out
     assert code == 1

@@ -25,8 +25,6 @@ from qciore.search import (
     SearchSpec,
     _equality_axiom_instances,
     _quantifier_axiom_instances,
-    _reduct_key,
-    _signature_symbols,
     check_consequence_bounded,
     enumerate_structures,
     find_countermodel,
@@ -34,7 +32,6 @@ from qciore.search import (
     structure_count,
 )
 from qciore.structures import (
-    EQ,
     assignments_over,
     eval_formula,
     is_valid_in,
@@ -50,7 +47,6 @@ from qciore.syntax import (
     enumerate_formulas,
     parse_formula,
 )
-from qciore.triples import make_triple
 
 SIG_P = Signature(predicates={"P": 1}, functions={}, constants=set())
 SIG_PR = Signature(predicates={"P": 1, "R": 2}, functions={}, constants=set())
@@ -416,34 +412,6 @@ def test_search_evaluates_whole_signature_formulas_everywhere():
     assert res.structures_evaluated == res.structures_checked == 3 + 9 + 27
 
 
-def test_reduct_key_tells_apart_functions_constants_and_equality():
-    sig = Signature(
-        predicates={"P": 1}, functions={"f": 1}, constants={"c"}, has_equality=True
-    )
-    everything = _signature_symbols(sig)
-    assert everything == (("=", "P"), ("f",), ("c",))
-    dom = ("a", "b")
-    P = make_triple({("a",)}, {("b",)}, set())
-    eq = make_triple({("a", "a"), ("b", "b")}, {("a", "b"), ("b", "a")}, set())
-    eq_dubious = make_triple({("a", "a")}, {("a", "b"), ("b", "a")}, {("b", "b")})
-    f = {("a",): "a", ("b",): "b"}
-    f_swap = {("a",): "b", ("b",): "a"}
-
-    def key(preds=None, funs=None, consts=None):
-        A = make_structure(
-            sig, dom, preds or {"P": P, EQ: eq}, funs or {"f": f}, consts or {"c": "a"}
-        )
-        return _reduct_key(A, everything)
-
-    base = key()
-    assert key() == base
-    assert key(funs={"f": f_swap}) != base
-    assert key(consts={"c": "b"}) != base
-    assert key(preds={"P": P, EQ: eq_dubious}) != base
-    # a structure built from equal tables has an equal key
-    assert key(funs={"f": dict(f)}) == base
-
-
 # ---------------------------------------------------------------------------
 # Soundness harness
 
@@ -616,6 +584,26 @@ def reference_axiom_violations(sig, depth, max_size, matrix):
                 if not ok:
                     out.append(("axiom", name, inst, A, witness))
     return out, checks, structures
+
+
+def test_harness_keeps_reduct_verdicts_apart_by_size_and_factor():
+    # P/1, f/1, c and =: a reduct index names a reduct only within one
+    # domain size, and only with a stride for every factor of the reduct
+    sig = Signature(
+        predicates={"P": 1}, functions={"f": 1}, constants={"c"}, has_equality=True
+    )
+    matrix = mutated_implication((HALF, ONE), ZERO)
+    report = soundness_harness(sig, instance_depth=0, max_size=2, matrix=matrix)
+    got = [
+        (v.kind, v.name, v.formula, v.structure, v.assignment)
+        for v in report.violations
+        if v.kind == "axiom"
+    ]
+    expected, checks, structures = reference_axiom_violations(sig, 0, 2, matrix)
+    assert report.structures_checked == structures == 294
+    assert got == expected
+    assert report.axiom_checks == checks
+    assert report.axiom_evaluations < checks  # verdicts were read back
 
 
 def mutated_consistency(cell, value):

@@ -36,6 +36,7 @@ from qciore.syntax import (
     free_vars,
     parse_formula,
 )
+from qciore import triples
 from qciore.triples import make_triple, triple_from_map, triple_op
 
 VARS = ("x", "y", "z")
@@ -106,7 +107,7 @@ def program_masks(f, A, frame, matrix=CIORE):
     top = program.add(f, frame)
 
     def leaf(atom, at):
-        return MaskProgram.leaf_masks(
+        return triples._masks(
             eval_formula(atom, A, s, None, matrix) for s in assignments_over(A, at)
         )
 

@@ -5,7 +5,6 @@ import pytest
 
 from qciore.cli import format_structure
 from qciore.matrix3 import HALF, LFI1, ONE, P1, ZERO
-from qciore.search import _reduct_key
 from qciore.structures import EQ, make_structure
 from qciore.syntax import Signature
 from qciore.triples import (
@@ -214,10 +213,6 @@ def test_structures_do_not_see_the_representation():
         sig, ("a", "b"), {"R": built, EQ: make_triple(eq.plus, eq.minus, eq.dot)}
     )
     assert format_structure(a) == format_structure(b)
-    symbols = (("R", EQ), (), ())
-    assert _reduct_key(a, symbols) == _reduct_key(b, symbols)
-    seen = {_reduct_key(a, symbols): "verdict"}
-    assert seen[_reduct_key(b, symbols)] == "verdict"
 
 
 def test_triple_op_checks_carriers_in_both_forms():

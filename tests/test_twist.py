@@ -207,3 +207,19 @@ def test_lifted_quantifier_errors():
     other = TwistTriple(ALG2, ALG2.top, frozenset(), frozenset())
     with pytest.raises(ValueError):
         lifted_quantifier("forall", "T", "x", sp, other)
+
+
+def test_hat_operators_refuse_a_variable_outside_the_frame():
+    # the same refusal as lifted_quantifier's, not a KeyError
+    sp = _space()
+    for hat in (sp.hat_exists, sp.hat_forall):
+        with pytest.raises(ValueError, match="'w' is not in the frame"):
+            hat("w", sp.algebra.index.full)
+    z = TwistTriple(sp.algebra, sp.assignments, frozenset(), frozenset())
+    with pytest.raises(ValueError, match="'w' is not in the frame"):
+        lifted_quantifier("exists", "P", "w", sp, dagger(z))
+
+
+def test_assignment_space_refuses_a_repeated_domain_element():
+    with pytest.raises(ValueError, match="domain repeats an element"):
+        AssignmentSpace(("x",), (0, 1, 0))
