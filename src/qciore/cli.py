@@ -29,6 +29,7 @@ import json
 import re
 import sys
 
+from . import syntax
 from .hilbert import (
     AxiomRef,
     ExistsIn,
@@ -59,18 +60,11 @@ from .structures import (
     sentence_trichotomy,
 )
 from .syntax import (
-    And,
     App,
     BINARY_OPS,
-    Cons,
     Eq,
-    Exists,
-    Forall,
     Formula,
     FVar,
-    Imp,
-    Neg,
-    Or,
     ParseError,
     Pred,
     Signature,
@@ -309,29 +303,16 @@ _LEMMA_NAME = re.compile(r"^[A-Za-z0-9_-]+$")
 
 def _schematize(f: Formula, names) -> Formula:
     """Turn nullary atoms into metavariables (all of them when names is None)."""
-    if isinstance(f, Pred):
-        if not f.args and (names is None or f.name in names):
-            return FVar(f.name)
-        if names is not None and f.name in names and f.args:
-            raise FileFormatError("schema atom %s used with arguments" % f.name)
-        return f
-    if isinstance(f, (Eq, FVar)):
-        return f
-    if isinstance(f, Neg):
-        return Neg(_schematize(f.sub, names))
-    if isinstance(f, Cons):
-        return Cons(_schematize(f.sub, names))
-    if isinstance(f, And):
-        return And(_schematize(f.left, names), _schematize(f.right, names))
-    if isinstance(f, Or):
-        return Or(_schematize(f.left, names), _schematize(f.right, names))
-    if isinstance(f, Imp):
-        return Imp(_schematize(f.left, names), _schematize(f.right, names))
-    if isinstance(f, Forall):
-        return Forall(f.var, _schematize(f.body, names))
-    if isinstance(f, Exists):
-        return Exists(f.var, _schematize(f.body, names))
-    raise TypeError("not a formula: %r" % (f,))
+
+    def atom(g: Formula) -> Formula:
+        if isinstance(g, Pred) and (names is None or g.name in names):
+            if not g.args:
+                return FVar(g.name)
+            if names is not None:
+                raise FileFormatError("schema atom %s used with arguments" % g.name)
+        return g
+
+    return syntax.map_atoms(f, atom)
 
 
 def _parse_justification(text: str):
@@ -448,26 +429,17 @@ def infer_signature(formulas) -> Signature:
             for u in t.args:
                 term(u)
 
-    def walk(f: Formula) -> None:
-        nonlocal has_eq
-        if isinstance(f, Pred):
-            record(preds, "predicate", f.name, len(f.args))
-            for t in f.args:
-                term(t)
-        elif isinstance(f, Eq):
+    for g in itertools.chain.from_iterable(map(syntax.subformulas, formulas)):
+        if isinstance(g, Pred):
+            record(preds, "predicate", g.name, len(g.args))
+            args = g.args
+        elif isinstance(g, Eq):
             has_eq = True
-            term(f.left)
-            term(f.right)
-        elif isinstance(f, (Neg, Cons)):
-            walk(f.sub)
-        elif isinstance(f, (And, Or, Imp)):
-            walk(f.left)
-            walk(f.right)
-        elif isinstance(f, (Forall, Exists)):
-            walk(f.body)
-
-    for f in formulas:
-        walk(f)
+            args = g.left, g.right
+        else:
+            continue
+        for t in args:
+            term(t)
     return Signature(
         predicates=preds, functions=funs, constants=set(), has_equality=has_eq
     )
@@ -553,23 +525,23 @@ def cmd_check_proof(args) -> int:
     for path in args.files:
         try:
             proof = parse_proof(_read(path))
-        except (OSError, UnicodeDecodeError, FileFormatError, ParseError) as e:
+            verdicts, checked = check_proof_sequence([proof], PERMISSIVE_SIG, store)
+            verdict = verdicts[0]
+            if verdict.accepted:
+                line = "ACCEPTED %s (%d steps): %s" % (
+                    proof.name, len(proof.steps), formula_to_str(proof.conclusion)
+                )
+            else:
+                line = "REJECTED %s at step %d: %s" % (
+                    proof.name, verdict.failed_step, verdict.reason
+                )
+        except (OSError, UnicodeDecodeError, FileFormatError, ParseError, RecursionError) as e:
             unreadable = True
-            print("ERROR %s: %s" % (path, e))
+            print("ERROR %s: %s" % (path, _describe(e)))
             continue
-        verdicts, store = check_proof_sequence([proof], PERMISSIVE_SIG, store)
-        verdict = verdicts[0]
-        if verdict.accepted:
-            print(
-                "ACCEPTED %s (%d steps): %s"
-                % (proof.name, len(proof.steps), formula_to_str(proof.conclusion))
-            )
-        else:
-            failed = True
-            print(
-                "REJECTED %s at step %d: %s"
-                % (proof.name, verdict.failed_step, verdict.reason)
-            )
+        store = checked
+        failed |= not verdict.accepted
+        print(line)
     return 2 if unreadable else 1 if failed else 0
 
 
@@ -862,9 +834,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (FileFormatError, ParseError, ValueError, OSError) as e:
-        print("error: %s" % e, file=sys.stderr)
+    except (FileFormatError, ParseError, ValueError, OSError, RecursionError) as e:
+        print("error: %s" % _describe(e), file=sys.stderr)
         return 2
+
+
+def _describe(e: Exception) -> str:
+    """The message for an input a command cannot take."""
+    if isinstance(e, RecursionError):
+        return "formula nested too deeply (%s)" % e
+    return str(e)
 
 
 if __name__ == "__main__":

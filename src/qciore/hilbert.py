@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import syntax
 from .matrix3 import PROP_AXIOMS, is_tautology3
 from .syntax import (
     And,
@@ -163,38 +164,14 @@ def possibly_free(x: str, f: Formula) -> bool:
 
 def instantiate(pattern: Formula, env: dict) -> Formula:
     """Replace metavariables by formulas; unmapped ones are left alone."""
-    if isinstance(pattern, FVar):
-        return env.get(pattern.name, pattern)
-    if isinstance(pattern, (Pred, Eq)):
-        return pattern
-    if isinstance(pattern, (Neg, Cons)):
-        return type(pattern)(instantiate(pattern.sub, env))
-    if isinstance(pattern, (And, Or, Imp)):
-        return type(pattern)(
-            instantiate(pattern.left, env), instantiate(pattern.right, env)
-        )
-    if isinstance(pattern, (Forall, Exists)):
-        return type(pattern)(pattern.var, instantiate(pattern.body, env))
-    raise TypeError("not a formula: %r" % (pattern,))
+    return syntax.map_atoms(
+        pattern, lambda g: env.get(g.name, g) if isinstance(g, FVar) else g
+    )
 
 
 def schema_metavariables(pattern: Formula) -> tuple[str, ...]:
     """The metavariable names of a pattern, sorted."""
-    out: set[str] = set()
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, FVar):
-            out.add(f.name)
-        elif isinstance(f, (Neg, Cons)):
-            walk(f.sub)
-        elif isinstance(f, (And, Or, Imp)):
-            walk(f.left)
-            walk(f.right)
-        elif isinstance(f, (Forall, Exists)):
-            walk(f.body)
-
-    walk(pattern)
-    return tuple(sorted(out))
+    return tuple(sorted({g.name for g in syntax.subformulas(pattern) if isinstance(g, FVar)}))
 
 
 def match_pattern(pattern: Formula, target: Formula, env: dict | None = None):
@@ -238,8 +215,8 @@ def _infer_term(body: Formula, x: str, instance: Formula) -> Term | None:
     """
     found: list[Term] = []
 
-    def terms(a: Term, b: Term, shadowed: bool) -> bool:
-        if isinstance(a, Var) and a.name == x and not shadowed:
+    def terms(a: Term, b: Term, bound: frozenset) -> bool:
+        if isinstance(a, Var) and a.name == x and x not in bound:
             found.append(b)
             return True
         if type(a) is not type(b):
@@ -249,33 +226,10 @@ def _infer_term(body: Formula, x: str, instance: Formula) -> Term | None:
         return (
             a.fun == b.fun
             and len(a.args) == len(b.args)
-            and all(terms(p, q, shadowed) for p, q in zip(a.args, b.args))
+            and all(terms(p, q, bound) for p, q in zip(a.args, b.args))
         )
 
-    def walk(a: Formula, b: Formula, shadowed: bool) -> bool:
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, Pred):
-            return (
-                a.name == b.name
-                and len(a.args) == len(b.args)
-                and all(terms(p, q, shadowed) for p, q in zip(a.args, b.args))
-            )
-        if isinstance(a, Eq):
-            return terms(a.left, b.left, shadowed) and terms(a.right, b.right, shadowed)
-        if isinstance(a, FVar):
-            return a == b
-        if isinstance(a, (Neg, Cons)):
-            return walk(a.sub, b.sub, shadowed)
-        if isinstance(a, (And, Or, Imp)):
-            return walk(a.left, b.left, shadowed) and walk(a.right, b.right, shadowed)
-        if isinstance(a, (Forall, Exists)):
-            if a.var != b.var:
-                return False
-            return walk(a.body, b.body, shadowed or a.var == x)
-        raise TypeError("not a formula: %r" % (a,))
-
-    if not walk(body, instance, False):
+    if not syntax.align(body, instance, terms):
         return None
     if not found:
         return Var(x)
@@ -285,31 +239,42 @@ def _infer_term(body: Formula, x: str, instance: Formula) -> Term | None:
     return t
 
 
-def _match_term_instance(f: Formula, quantifier, inst_on_left: bool):
-    """Shared matcher for the two term-instantiation axioms.
+# ---------------------------------------------------------------------------
+# The quantifier and equality axioms, written once: the proof checker and the
+# soundness harness both build them here
 
-    Shape: instance -> exists x. body (inst_on_left) or
-    forall x. body -> instance.  Verifies the instance by substitution,
-    which also enforces that the term is free for x.
-    """
-    if not isinstance(f, Imp):
-        return None
-    if inst_on_left:
-        inst, quant = f.left, f.right
-    else:
-        quant, inst = f.left, f.right
-    if not isinstance(quant, quantifier):
-        return None
-    x, body = quant.var, quant.body
-    t = _infer_term(body, x, inst)
-    if t is None:
-        return None
-    try:
-        if substitute(body, x, t) != inst:
-            return None
-    except CaptureError:
-        return None
-    return {"x": x, "body": body, "t": t}
+#: Ax13-Ax16, each on a variable x and a formula a
+_CONSISTENCY = {
+    "Ax13": lambda x, a: Imp(Cons(Exists(x, a)), Exists(x, Cons(a))),
+    "Ax14": lambda x, a: Imp(Cons(Forall(x, a)), Exists(x, Cons(a))),
+    "Ax15": lambda x, a: Imp(Exists(x, Cons(a)), Cons(Exists(x, a))),
+    "Ax16": lambda x, a: Imp(Exists(x, Cons(a)), Cons(Forall(x, a))),
+}
+
+
+def consistency_axioms(x: str, a: Formula) -> tuple:
+    """Ax13-Ax16 on the variable x for the formula ``a``, as (name, formula)
+    pairs: with a metavariable for ``a``, their patterns."""
+    return tuple((name, build(x, a)) for name, build in _CONSISTENCY.items())
+
+
+def term_axioms(x: str, body: Formula, t: Term) -> dict:
+    """Ax11, body(t/x) -> exists x. body, and Ax12, forall x. body ->
+    body(t/x), by name.  Raises CaptureError as ``substitute`` does."""
+    inst = substitute(body, x, t)
+    return {"Ax11": Imp(inst, Exists(x, body)), "Ax12": Imp(Forall(x, body), inst)}
+
+
+def eq1_axiom(x: str) -> Formula:
+    """Eq1: forall x. x = x."""
+    return Forall(x, Eq(Var(x), Var(x)))
+
+
+def eq2_axiom(x: str, y: str, phi: Formula, replaced: Formula) -> Formula:
+    """Eq2: forall x. forall y. (x = y -> (phi -> replaced)).  It is an
+    axiom when ``replaced`` turns some free x of ``phi`` into y, and y is
+    free for x in ``phi``."""
+    return Forall(x, Forall(y, Imp(Eq(Var(x), Var(y)), Imp(phi, replaced))))
 
 
 @dataclass(frozen=True)
@@ -318,83 +283,74 @@ class AxiomSchema:
     pattern: Formula | None = None  # None: matched by name in match_schema
 
 
-AXIOMS: dict[str, AxiomSchema] = {
-    name: AxiomSchema(name, f) for name, f in PROP_AXIOMS.items()
-}
-AXIOMS.update(
-    (name, AxiomSchema(name))
-    for name in ("Ax11", "Ax12", "Ax13", "Ax14", "Ax15", "Ax16", "Eq1", "Eq2")
-)
+AXIOMS: dict[str, AxiomSchema] = {name: AxiomSchema(name, f) for name, f in PROP_AXIOMS.items()}
+AXIOMS.update((name, AxiomSchema(name)) for name in ("Ax11", "Ax12", *_CONSISTENCY, "Eq1", "Eq2"))
 
 
 def match_schema(f: Formula, schema: AxiomSchema):
-    """Match ``f`` as an instance of the axiom schema; None on failure."""
+    """Match ``f`` as an instance of the axiom schema; None on failure.
+
+    A propositional schema is matched by its pattern.  The others are
+    matched by building the expected formula with the builder above that
+    the soundness harness also uses, so the checker accepts exactly the
+    shapes the harness checks.  The env maps "x" (and "y") to the
+    variables, and "body" and "t", or "phi" and "phi2", to the parts.
+    """
     name = schema.name
     if schema.pattern is not None:
         return match_pattern(schema.pattern, f)
-    if name == "Ax11":  # body(t/x) -> exists x. body
-        return _match_term_instance(f, Exists, inst_on_left=True)
-    if name == "Ax12":  # forall x. body -> body(t/x)
-        return _match_term_instance(f, Forall, inst_on_left=False)
-    if name in ("Ax13", "Ax14", "Ax15", "Ax16"):
+    if name in ("Ax11", "Ax12"):
+        return _match_term_instance(f, name)
+    if name in _CONSISTENCY:
         return _match_cons_quant(f, name)
-    if name == "Eq1":  # forall x. x = x
-        if (
-            isinstance(f, Forall)
-            and isinstance(f.body, Eq)
-            and f.body.left == Var(f.var)
-            and f.body.right == Var(f.var)
-        ):
-            return {"x": f.var}
-        return None
+    if name == "Eq1":
+        return {"x": f.var} if isinstance(f, Forall) and f == eq1_axiom(f.var) else None
     if name == "Eq2":
         return _match_eq_subst(f)
     raise ValueError("unknown axiom %r" % name)
 
 
-def _match_cons_quant(f: Formula, name: str):
-    """The four axioms moving the consistency sign through quantifiers."""
+def _match_term_instance(f: Formula, name: str):
+    """Ax11 or Ax12: the axiom rebuilt from the term ``_infer_term`` reads
+    off the instance must be ``f``; so the term is free for x."""
     if not isinstance(f, Imp):
         return None
-    shapes = {
-        # lhs shape, rhs shape: ("cons", Q) is @(Q x. body), (Q, "cons") is Q x. @body
-        "Ax13": (("cons", Exists), (Exists, "cons")),  # @(exists) -> exists @
-        "Ax14": (("cons", Forall), (Exists, "cons")),  # @(forall) -> exists @
-        "Ax15": ((Exists, "cons"), ("cons", Exists)),  # exists @ -> @(exists)
-        "Ax16": ((Exists, "cons"), ("cons", Forall)),  # exists @ -> @(forall)
-    }
-
-    def decompose(g: Formula, shape):
-        if shape[0] == "cons":
-            if isinstance(g, Cons) and isinstance(g.sub, shape[1]):
-                return g.sub.var, g.sub.body
-        else:
-            if isinstance(g, shape[0]) and isinstance(g.body, Cons):
-                return g.var, g.body.sub
+    quant, inst = (f.right, f.left) if name == "Ax11" else (f.left, f.right)
+    if not isinstance(quant, (Forall, Exists)):
         return None
-
-    left = decompose(f.left, shapes[name][0])
-    right = decompose(f.right, shapes[name][1])
-    if left is None or right is None or left != right:
+    x, body = quant.var, quant.body
+    t = _infer_term(body, x, inst)
+    if t is None:
         return None
-    return {"x": left[0], "body": left[1]}
+    try:
+        if term_axioms(x, body, t)[name] != f:
+            return None
+    except CaptureError:
+        return None
+    return {"x": x, "body": body, "t": t}
+
+
+def _match_cons_quant(f: Formula, name: str):
+    """Ax13-Ax16: the named pattern on the antecedent quantifier's variable."""
+    if not isinstance(f, Imp):
+        return None
+    quant = f.left.sub if isinstance(f.left, Cons) else f.left
+    if not isinstance(quant, (Forall, Exists)):
+        return None
+    env = match_pattern(_CONSISTENCY[name](quant.var, FVar("a")), f)
+    return None if env is None else {"x": quant.var, "body": env["a"]}
 
 
 def _match_eq_subst(f: Formula):
-    """forall x. forall y. (x = y -> (phi -> phi')), phi' replacing some
-    free x by y, with y free for x in phi."""
+    """Eq2, with y free for x in phi and phi2 replacing some free x by y."""
     if not (isinstance(f, Forall) and isinstance(f.body, Forall)):
         return None
     x, y = f.var, f.body.var
-    inner = f.body.body
-    if not (isinstance(inner, Imp) and inner.left == Eq(Var(x), Var(y))):
+    env = match_pattern(eq2_axiom(x, y, FVar("a"), FVar("b")), f)
+    if env is None:
         return None
-    if not isinstance(inner.right, Imp):
-        return None
-    phi, phi2 = inner.right.left, inner.right.right
-    if not is_free_for(Var(y), x, phi):
-        return None
-    if not replace_some_matches(phi, x, y, phi2):
+    phi, phi2 = env["a"], env["b"]
+    if not is_free_for(Var(y), x, phi) or not replace_some_matches(phi, x, y, phi2):
         return None
     return {"x": x, "y": y, "phi": phi, "phi2": phi2}
 

@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import syntax
 from .syntax import (
     And,
     BINARY_OPS,
@@ -179,24 +180,18 @@ LFI1 = Matrix(
 )
 
 
+_ATOMS = frozenset((Pred, Eq, FVar))
+_QUANTIFIERS = frozenset((Forall, Exists))
+
+
 def atoms_of(f: Formula) -> list[Formula]:
     """The distinct atomic leaves of ``f`` (predicates, equalities,
     metavariables), sorted by their printed form."""
-    seen: set[Formula] = set()
-
-    def rec(g: Formula) -> None:
-        if isinstance(g, (Pred, Eq, FVar)):
-            seen.add(g)
-        elif isinstance(g, (Neg, Cons)):
-            rec(g.sub)
-        elif isinstance(g, (And, Or, Imp)):
-            rec(g.left)
-            rec(g.right)
-        else:
-            raise ValueError("quantifier in propositional formula: %s" % g)
-
-    rec(f)
-    return sorted(seen, key=str)
+    nodes = syntax.subformulas(f)
+    if not _QUANTIFIERS.isdisjoint(map(type, nodes)):
+        quantified = next(g for g in nodes if type(g) in _QUANTIFIERS)
+        raise ValueError("quantifier in propositional formula: %s" % quantified)
+    return sorted({g for g in nodes if type(g) in _ATOMS}, key=str)
 
 
 def eval_prop(f: Formula, v: dict[Formula, Fraction], m: Matrix = CIORE) -> Fraction:
@@ -240,27 +235,15 @@ def is_tautology3(
 
 
 def _schema(text: str) -> Formula:
-    """Parse a schema: bare atoms become formula metavariables."""
+    """Parse a propositional schema: bare atoms become formula metavariables."""
     f = parse_formula(text, None)
 
-    def rec(g: Formula) -> Formula:
-        if isinstance(g, Pred):
-            if g.args:
-                raise ValueError("schema atom with arguments: %s" % g)
-            return FVar(g.name)
-        if isinstance(g, Neg):
-            return Neg(rec(g.sub))
-        if isinstance(g, Cons):
-            return Cons(rec(g.sub))
-        if isinstance(g, And):
-            return And(rec(g.left), rec(g.right))
-        if isinstance(g, Or):
-            return Or(rec(g.left), rec(g.right))
-        if isinstance(g, Imp):
-            return Imp(rec(g.left), rec(g.right))
-        raise ValueError("unexpected node in propositional schema: %s" % g)
+    def meta(g: Formula) -> Formula:
+        if not isinstance(g, Pred) or g.args:
+            raise ValueError("schema atom that is not a bare name: %s" % g)
+        return FVar(g.name)
 
-    return rec(f)
+    return syntax.map_atoms(f, meta)
 
 
 #: the twenty propositional axiom schemas, keyed by their usual names
@@ -317,11 +300,3 @@ DERIVED_SCHEMAS: dict[str, Formula] = {
 
 NAMED_SCHEMAS: dict[str, Formula] = {**PROP_AXIOMS, **DERIVED_SCHEMAS}
 
-
-def check_named_schemas(
-    m: Matrix = CIORE, schemas: dict[str, Formula] | None = None
-) -> dict[str, bool]:
-    """Evaluate every named schema as a candidate tautology of ``m``."""
-    if schemas is None:
-        schemas = NAMED_SCHEMAS
-    return {name: is_tautology3(f, m)[0] for name, f in schemas.items()}

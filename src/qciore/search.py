@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import hilbert, syntax, triples
 from .hilbert import instantiate, possibly_free, schema_metavariables
 from .matrix3 import CIORE, DESIGNATED, Matrix, PROP_AXIOMS
 from .structures import (
@@ -29,10 +30,8 @@ from .structures import (
     make_structure,
 )
 from .syntax import (
-    And,
     App,
     CaptureError,
-    Cons,
     Const,
     Eq,
     Exists,
@@ -40,8 +39,6 @@ from .syntax import (
     Formula,
     FVar,
     Imp,
-    Neg,
-    Or,
     Pred,
     Signature,
     Var,
@@ -49,7 +46,6 @@ from .syntax import (
     free_vars,
     substitute,
 )
-from . import triples
 from .triples import all_triples, make_triple
 
 # ---------------------------------------------------------------------------
@@ -157,24 +153,17 @@ def _symbols(f: Formula) -> tuple:
             for a in t.args:
                 term(a)
 
-    def walk(f):
-        if isinstance(f, Pred):
-            preds.add(f.name)
-            for a in f.args:
-                term(a)
-        elif isinstance(f, Eq):
+    for g in syntax.subformulas(f):
+        if isinstance(g, Pred):
+            preds.add(g.name)
+            args = g.args
+        elif isinstance(g, Eq):
             preds.add(EQ)
-            term(f.left)
-            term(f.right)
-        elif isinstance(f, (Neg, Cons)):
-            walk(f.sub)
-        elif isinstance(f, (And, Or, Imp)):
-            walk(f.left)
-            walk(f.right)
-        elif isinstance(f, (Forall, Exists)):
-            walk(f.body)
-
-    walk(f)
+            args = g.left, g.right
+        else:
+            continue
+        for a in args:
+            term(a)
     out = tuple(sorted(preds)), tuple(sorted(funs)), tuple(sorted(consts))
     object.__setattr__(f, "_symbols", out)
     return out
@@ -443,29 +432,16 @@ class HarnessReport:
         return not self.violations
 
 
-def _consistency_axioms(x: str, a: Formula) -> tuple:
-    """Ax13-Ax16 on the variable x for the formula ``a``: with a
-    metavariable for ``a``, their patterns."""
-    return (
-        ("Ax13", Imp(Cons(Exists(x, a)), Exists(x, Cons(a)))),
-        ("Ax14", Imp(Cons(Forall(x, a)), Exists(x, Cons(a)))),
-        ("Ax15", Imp(Exists(x, Cons(a)), Cons(Exists(x, a)))),
-        ("Ax16", Imp(Exists(x, Cons(a)), Cons(Forall(x, a)))),
-    )
-
-
 def _quantifier_axioms(phi: Formula, x: str, terms) -> list:
     """The six quantifier axioms' instances on one pool formula and
     variable: Ax11 and Ax12 per term free for x, then Ax13-Ax16."""
     out = []
     for t in terms:
         try:
-            inst = substitute(phi, x, t)
+            out += hilbert.term_axioms(x, phi, t).items()
         except CaptureError:
             continue
-        out.append(("Ax11", Imp(inst, Exists(x, phi))))
-        out.append(("Ax12", Imp(Forall(x, phi), inst)))
-    return out + list(_consistency_axioms(x, phi))
+    return out + list(hilbert.consistency_axioms(x, phi))
 
 
 def _quantifier_axiom_instances(pool, variables, terms):
@@ -474,22 +450,19 @@ def _quantifier_axiom_instances(pool, variables, terms):
 
 
 def _equality_axiom_instances(pool, variables, extra_var):
-    out = []
-    for x in variables:
-        out.append(("Eq1", Forall(x, Eq(Var(x), Var(x)))))
+    out = [("Eq1", hilbert.eq1_axiom(x)) for x in variables]
     for phi in pool:
         for x in variables:
             y = extra_var if extra_var != x else variables[0]
             if y == x:
                 continue
-            header = Eq(Var(x), Var(y))
             # replacing no occurrence, and replacing every free occurrence
-            out.append(("Eq2", Forall(x, Forall(y, Imp(header, Imp(phi, phi))))))
+            out.append(("Eq2", hilbert.eq2_axiom(x, y, phi, phi)))
             try:
                 replaced = substitute(phi, x, Var(y))
             except CaptureError:
                 continue
-            out.append(("Eq2", Forall(x, Forall(y, Imp(header, Imp(phi, replaced))))))
+            out.append(("Eq2", hilbert.eq2_axiom(x, y, phi, replaced)))
     return out
 
 
@@ -514,7 +487,8 @@ def soundness_harness(
     ``max_size``.  Rule preservation (modus ponens and the two quantifier
     introductions) is checked for every pair of pool formulas in every
     structure, and counted per pair.  A violation names the pool formulas
-    themselves.
+    themselves.  Ax11-Ax16, Eq1 and Eq2 are built by ``hilbert``'s axiom
+    builders, the ones ``match_schema`` checks proof steps against.
 
     The pool is compiled once into a ``MaskProgram`` over the frame of the
     sorted variables.  In each structure it gives every pool formula's value
@@ -585,7 +559,7 @@ def soundness_harness(
     patterns = [PROP_AXIOMS[name] for name in prop_ids]
     consistency = {}  # (schema, variable) -> index of its table
     for x in variables:
-        for name, pattern in _consistency_axioms(x, a):
+        for name, pattern in hilbert.consistency_axioms(x, a):
             if name in quant_ids:
                 consistency[name, x] = len(patterns)
                 patterns.append(pattern)

@@ -9,6 +9,7 @@ biconditional ``<->`` are parsed as abbreviations (``~a & @a`` and
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -546,26 +547,7 @@ def replace_some_matches(f: Formula, x: str, y: str, candidate: Formula) -> bool
             )
         return False
 
-    def rec(g: Formula, c: Formula, bound: frozenset[str]) -> bool:
-        if type(g) is not type(c):
-            return False
-        if isinstance(g, Pred):
-            return (
-                g.name == c.name
-                and len(g.args) == len(c.args)
-                and all(rec_t(a, b, bound) for a, b in zip(g.args, c.args))
-            )
-        if isinstance(g, Eq):
-            return rec_t(g.left, c.left, bound) and rec_t(g.right, c.right, bound)
-        if isinstance(g, FVar):
-            return g == c
-        if isinstance(g, (Neg, Cons)):
-            return rec(g.sub, c.sub, bound)
-        if isinstance(g, (And, Or, Imp)):
-            return rec(g.left, c.left, bound) and rec(g.right, c.right, bound)
-        return g.var == c.var and rec(g.body, c.body, bound | {g.var})
-
-    return rec(f, candidate, frozenset())
+    return align(f, candidate, rec_t)
 
 
 def universal_closure(f: Formula) -> Formula:
@@ -574,6 +556,86 @@ def universal_closure(f: Formula) -> Formula:
     for v in sorted(free_vars(f), reverse=True):
         f = Forall(v, f)
     return f
+
+
+# ---------------------------------------------------------------------------
+# Traversals: the walks that need no scoping beyond the bound variables
+
+
+#: each node type's children, right to left (a preorder stack pushes them so)
+_CHILDREN = {
+    **dict.fromkeys((Pred, Eq, FVar), lambda g: ()),
+    **dict.fromkeys((Neg, Cons), lambda g: (g.sub,)),
+    **dict.fromkeys((And, Or, Imp), operator.attrgetter("right", "left")),
+    **dict.fromkeys((Forall, Exists), lambda g: (g.body,)),
+}
+
+
+def subformulas(f: Formula) -> list[Formula]:
+    """Every subformula of ``f`` in preorder, ``f`` first and left before
+    right; atoms and metavariables are the leaves."""
+    out = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        children = _CHILDREN.get(type(g))
+        if children is None:
+            raise TypeError("not a formula: %r" % (g,))
+        out.append(g)
+        stack += children(g)
+    return out
+
+
+def map_atoms(f: Formula, fn) -> Formula:
+    """``f`` rebuilt with each atom and metavariable ``g`` replaced by
+    ``fn(g)``."""
+    if isinstance(f, (Pred, Eq, FVar)):
+        return fn(f)
+    if isinstance(f, (Neg, Cons)):
+        return type(f)(map_atoms(f.sub, fn))
+    if isinstance(f, (And, Or, Imp)):
+        return type(f)(map_atoms(f.left, fn), map_atoms(f.right, fn))
+    if isinstance(f, (Forall, Exists)):
+        return type(f)(f.var, map_atoms(f.body, fn))
+    raise TypeError("not a formula: %r" % (f,))
+
+
+def align(f: Formula, g: Formula, on_terms) -> bool:
+    """Walk ``f`` and ``g`` in parallel: True when they have the same shape
+    and ``on_terms(a, b, bound)`` holds for each pair of atom arguments.
+
+    The same shape means the same connectives, quantifiers on the same
+    variables, predicates of the same name and arity, and equal
+    metavariables.  ``bound`` is the frozenset of the variables quantified
+    above the pair.
+    """
+    stack = [(f, g, frozenset())]
+    while stack:
+        a, b, bound = stack.pop()
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, Pred):
+            if a.name != b.name or len(a.args) != len(b.args):
+                return False
+            if not all(on_terms(s, t, bound) for s, t in zip(a.args, b.args)):
+                return False
+        elif isinstance(a, Eq):
+            if not (on_terms(a.left, b.left, bound) and on_terms(a.right, b.right, bound)):
+                return False
+        elif isinstance(a, FVar):
+            if a != b:
+                return False
+        elif isinstance(a, (Neg, Cons)):
+            stack.append((a.sub, b.sub, bound))
+        elif isinstance(a, (And, Or, Imp)):
+            stack += ((a.right, b.right, bound), (a.left, b.left, bound))
+        elif isinstance(a, (Forall, Exists)):
+            if a.var != b.var:
+                return False
+            stack.append((a.body, b.body, bound | {a.var}))
+        else:
+            raise TypeError("not a formula: %r" % (a,))
+    return True
 
 
 # ---------------------------------------------------------------------------

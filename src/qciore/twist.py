@@ -130,14 +130,6 @@ def twist_triple(alg: PowersetAlgebra, a, b, c) -> TwistTriple:
     return TwistTriple(alg, a, b, c)
 
 
-def bot_pair(alg: PowersetAlgebra) -> TwistPair:
-    return _new(TwistPair, (alg, 0, alg.index.full))
-
-
-def bot_triple(alg: PowersetAlgebra) -> TwistTriple:
-    return _new(TwistTriple, (alg, 0, alg.index.full, 0))
-
-
 def pair_op(op: str, z: TwistPair, w: TwistPair | None = None) -> TwistPair:
     """Connectives on twist pairs.
 

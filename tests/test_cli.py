@@ -299,6 +299,35 @@ def test_check_proof_unreadable_file_adds_no_lemmas(tmp_path, capsys):
     assert lines[1] == "REJECTED y at step 1: no lemma named 't' in the store"
 
 
+@pytest.mark.parametrize(
+    "step",
+    [
+        # parses, and fails while it is checked
+        "%sA -> (B -> %sA) ; ax Ax1" % ("~" * 450, "~" * 450),
+        # fails while it is parsed
+        "%sA ; ax Ax1" % ("~" * 3000),
+    ],
+    ids=["checking", "parsing"],
+)
+def test_check_proof_reports_a_formula_nested_too_deeply_and_goes_on(step, tmp_path, capsys):
+    deep = tmp_path / "deep.proof"
+    deep.write_text("name: deep\nschema-atom: A B\n1. %s\n" % step)
+    code = main(["check-proof", str(deep), "tests/fixtures/imp_refl.proof"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert len(lines) == 2
+    assert lines[0].startswith("ERROR %s: formula nested too deeply" % deep)
+    assert lines[1].startswith("ACCEPTED imp-refl")
+
+
+def test_search_reports_a_formula_nested_too_deeply(capsys):
+    code = main(["search", "--refute", "~" * 3000 + "P(c)"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: formula nested too deeply")
+    assert captured.out == ""
+
+
 def test_search_command_finds_and_roundtrips(capsys):
     code = main(
         [

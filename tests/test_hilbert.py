@@ -1,9 +1,12 @@
 """Proof checking: schema matching, rules, lemma citation, fixtures."""
 
+import itertools
 import pathlib
+import random
 
 import pytest
 
+from qciore import search
 from qciore.cli import FileFormatError, parse_proof
 from qciore.hilbert import (
     AXIOMS,
@@ -18,23 +21,39 @@ from qciore.hilbert import (
     Step,
     check_proof,
     check_proof_sequence,
+    consistency_axioms,
+    eq1_axiom,
+    eq2_axiom,
+    instantiate,
     match_pattern,
     match_schema,
     possibly_free,
+    schema_metavariables,
+    term_axioms,
     wdmt_side_condition,
 )
+from qciore.matrix3 import PROP_AXIOMS
+from qciore.structures import is_valid_in
 from qciore.syntax import (
+    And,
+    CaptureError,
+    Cons,
     Const,
     Eq,
     Exists,
     Forall,
     FVar,
     Imp,
+    Neg,
+    Or,
     Pred,
     Signature,
     Var,
+    enumerate_formulas,
+    map_atoms,
     parse_formula,
     substitute,
+    substitute_term,
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -486,3 +505,136 @@ def test_substitution_in_ax12_respects_shadowing():
     f = Imp(Forall("x", body), inst)
     env = match_schema(f, AXIOMS["Ax12"])
     assert env["t"] == Var("y")
+
+
+# ---------------------------------------------------------------------------
+# The checker and the soundness harness: the same axioms, and only valid ones
+
+QUANT_EQ = search.QUANT_AXIOM_IDS + search.EQ_AXIOM_IDS
+SIG_PC_EQ = Signature(predicates={"P": 1}, constants={"c"}, has_equality=True)
+SIG_PRFC_EQ = Signature(
+    predicates={"P": 1, "R": 2}, functions={"f": 1}, constants={"c"}, has_equality=True
+)
+
+
+@pytest.mark.parametrize("variables", [("x",), ("x", "y")], ids=["x", "xy"])
+@pytest.mark.parametrize("sig", [SIG_PC_EQ, SIG_PRFC_EQ], ids=["P+c+=", "P+R+f+c+="])
+def test_checker_accepts_every_instance_the_harness_checks(sig, variables):
+    pool = list(enumerate_formulas(sig, variables, 1))
+    # the harness's terms: the frame, its first spare variable, the constants
+    spare = next(v for v in ("y", "z") if v not in variables)
+    terms = [Var(v) for v in (*variables, spare)] + [Const(c) for c in sorted(sig.constants)]
+    instances = search._quantifier_axiom_instances(pool, variables, terms)
+    instances += search._equality_axiom_instances(pool, variables, spare)
+    assert {name for name, _ in instances} == set(QUANT_EQ)
+    rng = random.Random(13)
+    for name, pattern in PROP_AXIOMS.items():
+        mvars = schema_metavariables(pattern)
+        for _ in range(50):
+            instances.append((name, instantiate(pattern, {m: rng.choice(pool) for m in mvars})))
+    missed = [(name, str(f)) for name, f in instances if match_schema(f, AXIOMS[name]) is None]
+    assert not missed, (len(missed), missed[:5])
+
+
+def _replace_everywhere(f, x, t):
+    """``f`` with every x in its atoms replaced by ``t``, bound or free,
+    captured or not: the substitution done wrong."""
+
+    def atom(g):
+        if isinstance(g, Pred):
+            return Pred(g.name, tuple(substitute_term(a, x, t) for a in g.args))
+        if isinstance(g, Eq):
+            return Eq(substitute_term(g.left, x, t), substitute_term(g.right, x, t))
+        return g
+
+    return map_atoms(f, atom)
+
+
+def _one_edit(f):
+    """``f`` with one quantifier turned into the other one, or the two sides
+    of one implication swapped, for each place where that can be done."""
+    if isinstance(f, (Forall, Exists)):
+        yield (Exists if isinstance(f, Forall) else Forall)(f.var, f.body)
+        yield from (type(f)(f.var, g) for g in _one_edit(f.body))
+    elif isinstance(f, (Neg, Cons)):
+        yield from (type(f)(g) for g in _one_edit(f.sub))
+    elif isinstance(f, (And, Or, Imp)):
+        if isinstance(f, Imp):
+            yield Imp(f.right, f.left)
+        yield from (type(f)(g, f.right) for g in _one_edit(f.left))
+        yield from (type(f)(f.left, g) for g in _one_edit(f.right))
+
+
+def _near_misses(bodies, variables, terms):
+    """The builders' outputs and near misses of them: a quantifier swapped,
+    the sides of an implication swapped, a term replaced wrongly or a
+    variable replaced by another."""
+    built = []
+    for x in variables:
+        other = next(v for v in variables if v != x)
+        built += [eq1_axiom(x), Forall(x, Eq(Var(x), Var(other))), Forall(other, Eq(Var(x), Var(x)))]
+        for body in bodies:
+            for t in terms:
+                wrong = _replace_everywhere(body, x, t)
+                built += [Imp(wrong, Exists(x, body)), Imp(Forall(x, body), wrong)]
+                try:
+                    built += term_axioms(x, body, t).values()
+                except CaptureError:
+                    continue
+                inst = substitute(body, x, t)
+                built += [Imp(inst, Exists(other, body)), Imp(Forall(other, body), inst)]
+            for name, f in consistency_axioms(x, body):
+                built += [f, Imp(f.left, dict(consistency_axioms(other, body))[name].right)]
+            replaced = [body, _replace_everywhere(body, x, Var(other))]
+            try:
+                replaced.append(substitute(body, x, Var(other)))
+            except CaptureError:
+                pass
+            for phi2 in replaced:
+                built += [eq2_axiom(x, other, body, phi2), eq2_axiom(other, x, body, phi2)]
+    return set(built) | {g for f in built for g in _one_edit(f)}
+
+
+def _structures_pc_eq():
+    return [A for n in (1, 2) for A in search.enumerate_structures(SIG_PC_EQ, n)]
+
+
+def test_what_the_checker_accepts_is_valid():
+    # bodies: the atoms over x, y and c, and each quantified on x or y
+    atoms = list(enumerate_formulas(SIG_PC_EQ, ("x", "y"), 0))
+    bodies = atoms + [q(v, a) for q in (Forall, Exists) for v in ("x", "y") for a in atoms]
+    candidates = _near_misses(bodies, ("x", "y"), [Var("x"), Var("y"), Const("c")])
+    accepted = {f for f in candidates for name in QUANT_EQ if match_schema(f, AXIOMS[name])}
+    structures = _structures_pc_eq()
+    assert len(structures) == 78
+    invalid = [
+        str(f) for f in sorted(accepted, key=str)
+        if not all(is_valid_in(f, A)[0] for A in structures)
+    ]
+    assert not invalid, invalid[:5]
+    # among the near misses are invalid ones that capture y: Ax11 and Eq2
+    for text in (
+        "(forall y. y = y) -> exists x. forall y. x = y",
+        "forall x. forall y. (x = y -> ((forall y. P(x)) -> forall y. P(y)))",
+    ):
+        capture = parse_formula(text, SIG_PC_EQ)
+        assert capture in candidates and capture not in accepted
+        assert not all(is_valid_in(capture, A)[0] for A in structures)
+
+
+def test_accepted_fixture_proofs_have_valid_conclusions():
+    verdicts, _ = check_proof_sequence([load(name) for name, _ in GOOD_FIXTURES], SIG)
+    assert all(verdicts)
+    atoms = list(enumerate_formulas(SIG_PC_EQ, ("x",), 0))
+    structures = _structures_pc_eq()
+    checked = 0
+    for name, _ in GOOD_FIXTURES:
+        proof = load(name)
+        if proof.hypotheses:
+            continue
+        mvars = schema_metavariables(proof.conclusion)
+        for combo in itertools.product(atoms, repeat=len(mvars)):
+            f = instantiate(proof.conclusion, dict(zip(mvars, combo)))
+            assert all(is_valid_in(f, A)[0] for A in structures), (proof.name, str(f))
+            checked += 1
+    assert checked == 6 + 6**3 + 6 + 6 + 6

@@ -11,6 +11,7 @@ from qciore.syntax import (
     Const,
     Eq,
     Exists,
+    FVar,
     Forall,
     Imp,
     Neg,
@@ -19,13 +20,16 @@ from qciore.syntax import (
     Pred,
     Signature,
     Var,
+    align,
     enumerate_formulas,
     formula_to_str,
     free_vars,
     is_free_for,
+    map_atoms,
     parse_formula,
     replace_some_matches,
     substitute,
+    subformulas,
     universal_closure,
 )
 
@@ -138,6 +142,51 @@ def test_replace_some_matches():
     g = parse_formula("P(x) & forall x. Q(x)")
     assert replace_some_matches(g, "x", "y", parse_formula("P(y) & forall x. Q(x)"))
     assert not replace_some_matches(g, "x", "y", parse_formula("P(y) & forall x. Q(y)"))
+
+
+def test_subformulas_in_preorder():
+    f = parse_formula("(P(x) -> ~Q) & forall y. @(x = y)")
+    assert [formula_to_str(g) for g in subformulas(f)] == [
+        "(P(x) -> ~Q) & (forall y. @x = y)",
+        "P(x) -> ~Q", "P(x)", "~Q", "Q",
+        "forall y. @x = y", "@x = y", "x = y",
+    ]
+    assert subformulas(FVar("a")) == [FVar("a")]
+    with pytest.raises(TypeError):
+        subformulas(Neg(Var("x")))
+
+
+def test_map_atoms_rebuilds_around_the_atoms():
+    f = parse_formula("~(P(x) & forall y. (x = y | Q))")
+    got = map_atoms(f, lambda g: FVar(g.name) if isinstance(g, Pred) else g)
+    assert got == Neg(And(FVar("P"), Forall("y", Or(Eq(Var("x"), Var("y")), FVar("Q")))))
+    assert map_atoms(f, lambda g: g) == f
+
+
+def test_align_needs_the_same_shape_and_passes_the_bound_variables():
+    seen = []
+
+    def record(a, b, bound):
+        seen.append((str(a), str(b), sorted(bound)))
+        return True
+
+    f = parse_formula("P(x) & forall y. exists z. R(x, y)")
+    g = parse_formula("P(c) & forall y. exists z. R(x, c)")
+    assert align(f, g, record)
+    assert seen == [("x", "c", []), ("x", "x", ["y", "z"]), ("y", "c", ["y", "z"])]
+    for other in ("P(c) | forall y. exists z. R(x, c)", "P(c) & forall z. exists z. R(x, c)",
+                  "P(c) & forall y. exists z. R(x)", "P(c) & forall y. exists z. Q(x, c)"):
+        assert not align(f, parse_formula(other), record)
+    assert not align(f, g, lambda a, b, bound: a == b)
+
+
+def test_the_traversals_need_no_recursion():
+    # far past the interpreter's recursion limit
+    f = g = Pred("P", (Var("x"),))
+    for _ in range(5000):
+        f, g = Neg(f), Neg(g)
+    assert len(subformulas(f)) == 5001
+    assert align(f, g, lambda a, b, bound: a == b)
 
 
 def test_universal_closure_lexicographic():

@@ -9,8 +9,6 @@ from qciore.twist import (
     TwistTriple,
     all_twist_pairs,
     all_twist_triples,
-    bot_pair,
-    bot_triple,
     dagger,
     ddagger,
     lifted_quantifier,
@@ -66,24 +64,24 @@ def test_negation_and_consistency_on_pairs():
 def test_bottom_is_canonical_on_pairs():
     for z in all_twist_pairs(ALG2):
         contradiction = pair_op("&", z, pair_op("~", z))
-        assert pair_op("&", contradiction, pair_op("@", z)) == bot_pair(ALG2)
+        assert pair_op("&", contradiction, pair_op("@", z)) == TwistPair(ALG2, frozenset(), ALG2.top)
 
 
 def test_bottom_is_canonical_on_triples():
     for z in all_twist_triples(ALG2):
         contradiction = twist_triple_op("&", z, twist_triple_op("~", z))
-        assert twist_triple_op("&", contradiction, twist_triple_op("@", z)) == bot_triple(ALG2)
+        assert twist_triple_op("&", contradiction, twist_triple_op("@", z)) == TwistTriple(ALG2, frozenset(), ALG2.top, frozenset())
 
 
 def test_consistency_is_contradiction_implies_bottom():
     for z in all_twist_pairs(ALG2):
         lhs = pair_op("@", z)
-        rhs = pair_op("->", pair_op("&", z, pair_op("~", z)), bot_pair(ALG2))
+        rhs = pair_op("->", pair_op("&", z, pair_op("~", z)), TwistPair(ALG2, frozenset(), ALG2.top))
         assert lhs == rhs
     for z in all_twist_triples(ALG2):
         lhs = twist_triple_op("@", z)
         rhs = twist_triple_op(
-            "->", twist_triple_op("&", z, twist_triple_op("~", z)), bot_triple(ALG2)
+            "->", twist_triple_op("&", z, twist_triple_op("~", z)), TwistTriple(ALG2, frozenset(), ALG2.top, frozenset())
         )
         assert lhs == rhs
 
