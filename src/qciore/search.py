@@ -11,12 +11,13 @@ that the three inference rules preserve validity structure by structure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import hilbert, syntax, triples
+from . import hilbert, matrix3, syntax, triples
 from .hilbert import instantiate, possibly_free, schema_metavariables
 from .matrix3 import CIORE, DESIGNATED, Matrix, PROP_AXIOMS
 from .structures import (
@@ -423,7 +424,11 @@ class Violation:
 class HarnessReport:
     structures_checked: int = 0
     axiom_checks: int = 0  # instances decided
-    axiom_evaluations: int = 0  # instances evaluated; the rest reuse a verdict
+    # instances evaluated, the rest reuse a verdict: one per entry of a
+    # propositional or Ax13-Ax16 table (a schema the matrix makes a tautology
+    # fills none), and each distinct Ax11, Ax12 and equality instance once per
+    # domain size and reduct to its symbols
+    axiom_evaluations: int = 0
     rule_checks: int = 0
     violations: list = field(default_factory=list)
 
@@ -466,6 +471,16 @@ def _equality_axiom_instances(pool, variables, extra_var):
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def _tautology(pattern: Formula, matrix: Matrix) -> bool:
+    """Whether ``matrix`` designates the propositional ``pattern`` under every
+    valuation of its metavariables.  An instance's value at an assignment is
+    the pattern's under its components' values there, so then every instance
+    is valid in every structure.  Cached per (pattern, matrix), as
+    ``triples._lift`` is."""
+    return matrix3.is_tautology3(pattern, matrix)[0]
+
+
 def _lowest_bit(mask: int) -> int | None:
     """The index of the lowest set bit of ``mask``, or None when it is 0."""
     return (mask & -mask).bit_length() - 1 if mask else None
@@ -481,14 +496,16 @@ def soundness_harness(
 ) -> HarnessReport:
     """Validity of axiom instances, and validity preservation of the rules.
 
-    Every schema in ``axiom_pool`` (default: all of them) is instantiated
-    with formulas of depth ≤ ``instance_depth`` over ``variables`` (distinct
-    names) and checked for validity in every structure of size ≤
-    ``max_size``.  Rule preservation (modus ponens and the two quantifier
-    introductions) is checked for every pair of pool formulas in every
-    structure, and counted per pair.  A violation names the pool formulas
-    themselves.  Ax11-Ax16, Eq1 and Eq2 are built by ``hilbert``'s axiom
-    builders, the ones ``match_schema`` checks proof steps against.
+    Every schema in ``axiom_pool`` (default: all of them; no name twice) is
+    instantiated with formulas of depth ≤ ``instance_depth`` over
+    ``variables`` (distinct names) and checked for validity in every
+    structure of size ≤ ``max_size``.  Rule preservation (modus ponens and
+    the two quantifier introductions) is checked for every pair of pool
+    formulas in every structure, and counted per pair.  A violation names the
+    pool formulas themselves.  Ax11-Ax16, Eq1 and Eq2 are built by
+    ``hilbert``'s axiom builders, the ones ``match_schema`` checks proof
+    steps against.  Each check is decided at the coarsest level that fixes
+    its answer.
 
     The pool is compiled once into a ``MaskProgram`` over the frame of the
     sorted variables.  In each structure it gives every pool formula's value
@@ -505,28 +522,40 @@ def soundness_harness(
     representatives, and evaluated on their masks.  The patterns are the
     propositional schemas, Ax13-Ax16 per variable, the modus ponens premise
     ``a -> b`` and, per variable x, the conclusions ``a -> forall x. b`` and
-    ``(exists x. a) -> b``: each such axiom instance and rule check is
-    decided once per run per tuple of vector classes (and variable).  An
-    instance is built again from the pool formulas only where it is a
-    violation to report; a failing Ax13-Ax16 instance takes its witness from
-    ``is_valid_in``.  Ax11, Ax12 and the equality instances are decided by
-    ``is_valid_in``.  Their value depends only on the domain and on the
-    interpretations of the symbols they mention (their reduct), so their
-    verdicts are decided once per run for each domain size and reduct.  As
-    in ``find_countermodel``, a structure is named by its indices into the
-    factors of ``_factors``, and a reduct by the mixed-radix index that
-    ``_reduct_walk``'s strides sum those to; the verdicts are keyed by
-    (group, domain size, reduct index).  Instances that mention every symbol
-    of the signature share no reduct between structures, so they are
-    evaluated in each structure and their verdicts are not stored.
-    ``axiom_checks`` counts the instances decided, structure by structure;
-    ``axiom_evaluations`` counts those actually evaluated.
+    ``(exists x. a) -> b``.  A propositional schema that is a tautology of
+    the matrix (``_tautology``) has no failing instance, so its table is
+    never filled.  Per structure, modus ponens fails on the pairs (valid
+    class, failing class) whose premise holds, and an introduction on the
+    pairs of a class with a pool formula closed in x on the premise side
+    (``a`` under ∀-in, ``b`` under ∃-in) and any class, whose premise holds
+    and whose conclusion fails; pool pairs are scanned only to report such
+    pairs in pool order.  An instance is built again from the pool formulas
+    only where it is a violation to report; a failing Ax13-Ax16 instance
+    takes its witness from ``is_valid_in``.
+
+    Ax11, Ax12 and the equality instances are decided by ``is_valid_in``,
+    each distinct instance once (Ax11 and Ax12 repeat for every term when x
+    is not free in the pool formula).  Their value depends only on the
+    domain and on the interpretations of the symbols they mention (their
+    reduct), so their verdicts are decided once per run for each domain size
+    and reduct.  As in ``find_countermodel``, a structure is named by its
+    indices into the factors of ``_factors``, and a reduct by the
+    mixed-radix index that ``_reduct_walk``'s strides sum those to; the
+    verdicts are keyed by (group, domain size, reduct index).  Instances
+    that mention every symbol of the signature share no reduct between
+    structures, so they are evaluated in each structure and their verdicts
+    are not stored.  ``axiom_checks`` counts the instances decided,
+    structure by structure; ``axiom_evaluations`` those actually evaluated
+    (see ``HarnessReport``).
     """
     if len(set(variables)) != len(variables):
         raise ValueError("variables repeat a name: %s" % (variables,))
     if max_size < 1:
         raise ValueError("max_size must be at least 1, not %d" % max_size)
     pool = list(enumerate_formulas(sig, variables, instance_depth))
+    if not pool:  # the report would be ok after no check at all
+        raise ValueError("the formula pool is empty: no atom over the variables "
+                         "%s and the signature's constants" % (tuple(variables),))
     if axiom_pool is None:
         axiom_pool = (
             list(PROP_AXIOMS)
@@ -539,6 +568,9 @@ def soundness_harness(
     unknown = [a for a in axiom_pool if a not in set(prop_ids + quant_ids + eq_ids)]
     if unknown:
         raise ValueError("unknown axiom schemas: %s" % ", ".join(unknown))
+    if len(set(axiom_pool)) != len(axiom_pool):
+        raise ValueError("axiom schemas repeat a name: %s" % (tuple(axiom_pool),))
+    tautologies = {name for name in prop_ids if _tautology(PROP_AXIOMS[name], matrix)}
 
     spares = itertools.chain(
         ("y", "z", "w", "u"), ("x%d" % i for i in itertools.count())
@@ -573,9 +605,10 @@ def soundness_harness(
     tables = [(p, schema_metavariables(p), {}, {}) for p in patterns]
     vector_ids: dict = {}  # (width, plus, minus) -> small int, for the whole run
 
-    # the fixed instances in order, as (schema, instance, table, pool
-    # index): Ax13-Ax16 are decided by their tables, the others (table
-    # None) by is_valid_in
+    # the fixed instances in order, as (schema, instance, table, where):
+    # Ax13-Ax16 are decided by their tables on the class of the pool formula
+    # at index ``where``; the others (table None) by is_valid_in, ``where``
+    # being the (group, position in group) of their distinct instance
     fixed = []
     for i, phi in enumerate(pool):
         for x in variables:
@@ -588,14 +621,17 @@ def soundness_harness(
             for name, f in _equality_axiom_instances(pool, variables, extra_var)
             if name in eq_ids
         ]
-    # the instances decided by is_valid_in, grouped by the symbols they
-    # mention; slot[k] is (group, position in group) of the k-th of them.
-    # Only a group that leaves out a symbol of the signature can meet its
-    # reduct again.
-    groups, slot = _group_by_symbols(f for _, f, t, _ in fixed if t is None)
+    # the distinct instances decided by is_valid_in, grouped by the symbols
+    # they mention.  Only a group that leaves out a symbol of the signature
+    # can meet its reduct again.
+    distinct = list(dict.fromkeys(f for _, f, t, _ in fixed if t is None))
+    groups, slot = _group_by_symbols(distinct)
+    slot_of = dict(zip(distinct, slot))
+    fixed = [(name, f, t, slot_of[f] if t is None else i) for name, f, t, i in fixed]
     everything = _signature_symbols(sig)
     reusable = [_leaves_out_a_symbol(symbols, everything) for symbols, _ in groups]
-    fixed_verdicts: dict = {}  # (group, size, reduct index) -> [(ok, witness), ...]
+    # (group, size, reduct index) -> (whether all hold, [(ok, witness), ...])
+    fixed_verdicts: dict = {}
 
     # quantifier rule instances over the full pool, as (i, j, table of the
     # conclusion) for each introduction from pool[i] -> pool[j] whose side
@@ -676,6 +712,8 @@ def soundness_harness(
             for t, name in enumerate(prop_ids):
                 pattern, mvars, _, _ = tables[t]
                 report.axiom_checks += len(rep_ids) ** len(mvars)
+                if name in tautologies:
+                    continue
                 for key in itertools.product(rep_ids, repeat=len(mvars)):
                     k = failure(t, key)
                     if k is not None:
@@ -685,25 +723,33 @@ def soundness_harness(
                             Violation("axiom", name, inst, A, space[k])
                         )
 
+            holds = True  # whether every fixed instance holds in A
             verdicts = []
             for g, (_, members) in enumerate(groups):
                 key = None if strides[g] is None else (
                     g, n, sum(indices[position] * stride for position, stride in strides[g])
                 )
-                got = fixed_verdicts.get(key)  # nothing is stored under None
-                if got is None:
+                entry = fixed_verdicts.get(key)  # nothing is stored under None
+                if entry is None:
                     got = [is_valid_in(f, A, matrix) for f in members]
                     report.axiom_evaluations += len(members)
+                    entry = all(ok for ok, _ in got), got
                     if key is not None:
-                        fixed_verdicts[key] = got
-                verdicts.append(got)
+                        fixed_verdicts[key] = entry
+                holds &= entry[0]
+                verdicts.append(entry[1])
+            # per Ax13-Ax16 table, the vector classes whose instance fails
+            failing = {
+                t: {c for c in rep_ids if failure(t, (c,)) is not None}
+                for t in consistency.values()
+            }
+            holds = holds and not any(failing.values())
             report.axiom_checks += len(fixed)
-            slots = iter(slot)
-            for name, inst, t, i in fixed:
+            for name, inst, t, where in () if holds else fixed:
                 if t is None:
-                    g, k = next(slots)
+                    g, k = where
                     ok, witness = verdicts[g][k]
-                elif failure(t, (ids[i],)) is None:
+                elif ids[where] not in failing[t]:
                     continue
                 else:
                     ok, witness = is_valid_in(inst, A, matrix)
@@ -712,27 +758,37 @@ def soundness_harness(
                 if not ok:
                     report.violations.append(Violation("axiom", name, inst, A, witness))
 
+            # modus ponens: the failing (valid class, failing class) pairs
             report.rule_checks += len(pool) ** 2
-            for ia in ids:
-                if fails[ia] is not None:
-                    continue
+            valid = [c for c in rep_ids if fails[c] is None]
+            refuted = [c for c in rep_ids if fails[c] is not None]
+            broken = {(c, d) for c in valid for d in refuted if failure(mp, (c, d)) is None}
+            for ia in ids if broken else ():
                 for f, ib in zip(pool, ids):
-                    if fails[ib] is not None and failure(mp, (ia, ib)) is None:
+                    if (ia, ib) in broken:
                         report.violations.append(
                             Violation("rule", "MP", f, A, space[fails[ib]])
                         )
+            # the introductions: per variable, the failing pairs of a closed
+            # class on the premise side and any class, with the index of
+            # the conclusion's first failure
             for rule, instances in (("forall-in", forall_in), ("exists-in", exists_in)):
                 report.rule_checks += len(instances)
-                for i, j, t in instances:
-                    key = (ids[i], ids[j])
-                    if failure(mp, key) is None:
-                        k = failure(t, key)
-                        if k is not None:
-                            env = {"a": pool[i], "b": pool[j]}
-                            concl = instantiate(tables[t][0], env)
-                            report.violations.append(
-                                Violation("rule", rule, concl, A, space[k])
-                            )
+                broken = {}  # (table, pair of class ids) -> first failure
+                for x in variables:
+                    t = conclusion[rule, x]
+                    for c in {c for c, side in zip(ids, closed[x]) if side}:
+                        for d in rep_ids:
+                            key = (c, d) if rule == "forall-in" else (d, c)
+                            if failure(mp, key) is None:
+                                k = failure(t, key)
+                                if k is not None:
+                                    broken[t, key] = k
+                for i, j, t in instances if broken else ():
+                    k = broken.get((t, (ids[i], ids[j])))
+                    if k is not None:
+                        concl = instantiate(tables[t][0], {"a": pool[i], "b": pool[j]})
+                        report.violations.append(Violation("rule", rule, concl, A, space[k]))
     # every evaluation of an axiom instance on masks left one table entry
     report.axiom_evaluations += sum(len(table) for _, _, table, _ in tables[:mp])
     return report

@@ -650,3 +650,88 @@ def test_axiom_phase_matches_per_structure_reference(matrix):
         assert found & set(QUANT_AXIOM_IDS)
         has_eq = bool(found & set(EQ_AXIOM_IDS))
         assert has_eq == (matrix.name == "mutated-implication")
+
+
+@pytest.mark.parametrize(
+    "matrix,broken",
+    [
+        (CIORE, set()),
+        (mutated_implication((HALF, ZERO), HALF), {"Ax2", "co3", "MP", "exists-in"}),
+        (mutated_implication((ONE, HALF), ZERO), {"Ax1", "ci", "Ax12", "exists-in"}),
+    ],
+    ids=["ciore", "h-0:h", "1-h:0"],
+)
+def test_harness_report_matches_both_references(matrix, broken):
+    # the truth-table check, the class-level rule checks and the fixed
+    # instances decided once each, in one call, against the references that
+    # decide every instance and every pool pair structure by structure
+    tautologies = {name for name, p in PROP_AXIOMS.items() if search._tautology(p, matrix)}
+    found = set()
+    for sig, depth in ((SIG_PC, 1), (SIG_P, 1)):
+        report = soundness_harness(sig, instance_depth=depth, max_size=2, matrix=matrix)
+        got = [(v.kind, v.name, v.formula, v.structure, v.assignment) for v in report.violations]
+        axioms, axiom_checks, structures = reference_axiom_violations(sig, depth, 2, matrix)
+        rules, rule_checks = pointwise_rule_violations(sig, ("x",), depth, 2, matrix)
+        assert [v for v in got if v[0] == "axiom"] == axioms
+        assert [v for v in got if v[0] == "rule"] == rules
+        assert report.structures_checked == structures
+        assert (report.axiom_checks, report.rule_checks) == (axiom_checks, rule_checks)
+        found |= {v[1] for v in got}
+    assert broken <= found
+    if matrix is CIORE:
+        assert tautologies == set(PROP_AXIOMS) and not found
+    else:
+        # both the truth-table path and the table path ran
+        assert tautologies and tautologies != set(PROP_AXIOMS)
+        assert found & set(PROP_AXIOMS) <= set(PROP_AXIOMS) - tautologies
+
+
+def test_harness_counts_table_entries_and_distinct_fixed_instances():
+    # under CIORE every propositional schema is a tautology: no table entry
+    report = soundness_harness(SIG_P, axiom_pool=list(PROP_AXIOMS), max_size=2)
+    assert report.axiom_checks > 0 and report.axiom_evaluations == 0
+    # each distinct Ax11/Ax12 instance once per domain size and reduct to the
+    # symbols it mentions; (forall x. P(c)) -> P(c) repeats for every term
+    variables = ("x", "y")
+    pool = list(enumerate_formulas(SIG_PC, variables, 0))
+    terms = [Var("x"), Var("y"), Var("z"), Const("c")]
+    instances = [
+        f for name, f in _quantifier_axiom_instances(pool, variables, terms)
+        if name in ("Ax11", "Ax12")
+    ]
+    distinct = set(instances)
+    assert len(distinct) < len(instances)
+    expected = 0
+    for f in distinct:
+        preds, _, consts = search._symbols(f)
+        reduct = Signature(predicates={p: 1 for p in preds}, constants=set(consts))
+        expected += structure_count(reduct, 1) + structure_count(reduct, 2)
+    report = soundness_harness(
+        SIG_PC, axiom_pool=["Ax11", "Ax12"], instance_depth=0, max_size=2,
+        variables=variables,
+    )
+    assert report.ok
+    assert report.axiom_evaluations == expected
+    assert report.axiom_checks == len(instances) * report.structures_checked
+
+
+@pytest.mark.parametrize("axioms", [["Ax1", "Ax1"], ["Ax11", "Ax11"], ["Eq1", "Ax2", "Eq1"]])
+def test_harness_rejects_a_repeated_schema(axioms):
+    # a repeated propositional schema would be checked twice, a repeated
+    # fixed one once: neither count says what was asked
+    with pytest.raises(ValueError, match="repeat"):
+        soundness_harness(SIG_PEQ, axiom_pool=axioms, instance_depth=0, max_size=1)
+
+
+def test_harness_rejects_an_empty_pool():
+    # P/1 has no constant: with no variable there is no atom, and the report
+    # would be ok after no check at all
+    with pytest.raises(ValueError, match="pool is empty"):
+        soundness_harness(SIG_P, instance_depth=0, max_size=1, variables=())
+
+
+def test_harness_checks_a_constants_only_pool():
+    report = soundness_harness(SIG_PC, instance_depth=1, max_size=2, variables=())
+    assert report.ok
+    assert report.structures_checked == 3 + 9 * 2
+    assert report.axiom_checks > 0 and report.rule_checks > 0
