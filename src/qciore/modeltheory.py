@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from . import structures, triples
 from .matrix3 import HALF, ONE, ZERO
 from .structures import (
     Assignment,
@@ -155,8 +156,10 @@ def tarski_conditions(
 ) -> list[TarskiViolation]:
     """Check the four quantifier witness conditions for A inside B.
 
-    For every formula phi in the pool, bound variable x, and assignment
-    into the small structure:
+    For every formula phi in the pool, bound variable x (``variables``,
+    distinct names; by default the pool's free variables, or x), and
+    assignment into the small structure over the frame of the sorted
+    ``variables`` and the pool's free variables:
 
       TC1  if (exists x. phi) has value 1 in B, some a in A keeps phi off
            value 0 and some b in A keeps it off value 1/2;
@@ -165,68 +168,101 @@ def tarski_conditions(
       TC3  if (forall x. phi) has value 1 in B, some a in A gives phi 1;
       TC4  if (forall x. phi) has value 0 in B, some a in A gives phi 0.
 
-    Returns the violations found (empty list = all conditions hold).
+    The pool is compiled once into a ``structures.MaskProgram`` at the frame
+    and run on B, from atom masks read pointwise by ``eval_formula``.  Both
+    quantifiers over phi, and the witnesses in A, are fibre steps along x
+    (``triples._fibre_step``) on phi's masks: the witnesses on phi's classes
+    masked to the points whose x lies in A.  Each condition's violations are
+    then one mask, read at the points of A's assignments.
+
+    Returns the violations found (empty list = all conditions hold), by
+    assignment in ``assignments_over`` order, then by formula, variable and
+    condition.
     """
     ok, why = is_substructure(A, B)
     if not ok:
         raise ValueError("not a substructure: %s" % why)
     formulas = list(formulas)
+    used = set().union(*map(free_vars, formulas))
     if variables is None:
-        used = set()
-        for f in formulas:
-            used |= free_vars(f)
         variables = tuple(sorted(used)) or ("x",)
-    frame = tuple(sorted(variables))
-    # build every composite up front and keep it alive: the evaluation memo
-    # is keyed by object identity
-    quantified = [
-        (phi, x, Exists(x, phi), Forall(x, phi))
-        for phi in formulas
-        for x in variables
-    ]
-    memo: dict = {}
+    elif len(set(variables)) != len(variables):
+        raise ValueError("variables repeat a name: %s" % (tuple(variables),))
+    frame = tuple(sorted(used.union(variables)))
+    program = structures.MaskProgram()
+    at = [program.add(phi, frame) for phi in formulas]
+
+    def leaf(f, leaf_frame):
+        return triples._masks(eval_formula(f, B, s) for s in assignments_over(B, leaf_frame))
+
+    n, k = len(B.domain), len(frame)
+    values = program.run(n, leaf)
+    full = (1 << n**k) - 1
+    # per frame variable, its fibre layout and the points where it lies in A;
+    # the points of A's assignments are where every variable does
+    position = {e: i for i, e in enumerate(B.domain)}
+    layout, inside = {}, {}
+    points = full
+    for p, v in enumerate(frame):
+        stride, base, _ = layout[v] = triples._fibre(n, k, p, False)
+        inside[v] = sum(base << position[a] * stride for a in A.domain)
+        points &= inside[v]
+    step = triples._fibre_step
+    found = []  # (phi, x, its masks, exists' plus mask, TC1-TC4 masks)
+    for phi, i in zip(formulas, at):
+        plus, minus = values[i]
+        half = full & ~(plus | minus)
+        for x in variables:
+            fibre = (n, *layout[x])
+            within, outside = inside[x], full & ~inside[x]
+            ex_plus, ex_minus = step(False, plus, minus, *fibre)
+            fa_plus, fa_minus = step(True, plus, minus, *fibre)
+            # each condition's points lacking witnesses in A, where it applies:
+            # every witness 1/2 or 0 (TC1, TC2), none 1 (TC3), none 0 (TC4)
+            tcs = [0, 0, 0, 0]
+            if ex_plus | ex_minus:
+                every_half = step(False, 0, half | outside, *fibre)[1]
+                tcs[1] = (ex_plus | ex_minus) & every_half
+                if ex_plus:
+                    every_zero = step(False, 0, minus | outside, *fibre)[1]
+                    tcs[0] = ex_plus & (every_zero | every_half)
+            if fa_plus:
+                tcs[2] = fa_plus & ~step(False, plus & within, 0, *fibre)[0]
+            if fa_minus:
+                tcs[3] = fa_minus & ~step(False, minus & within, 0, *fibre)[0]
+            tcs = [m & points for m in tcs]
+            if any(tcs):
+                found.append((phi, x, (plus, minus), ex_plus, tcs))
     violations = []
-    for s in assignments_over(A, frame):
-        for phi, x, ex, fa in quantified:
-            body = {
-                a: eval_formula(phi, B, s.set(x, a), memo) for a in A.domain
-            }
-            v = eval_formula(ex, B, s, memo)
-            if v == ONE:
-                if not any(u != ZERO for u in body.values()) or not any(
-                    u != HALF for u in body.values()
-                ):
-                    violations.append(
-                        TarskiViolation(
-                            "TC1", x, ex, s,
-                            "value 1 but witnesses off 0 and off 1/2 "
-                            "are missing: %s" % _show(body),
-                        )
-                    )
-            if v != HALF:
-                if not any(u != HALF for u in body.values()):
-                    violations.append(
-                        TarskiViolation(
-                            "TC2", x, ex, s,
-                            "value %s but every witness is 1/2" % v,
-                        )
-                    )
-            w = eval_formula(fa, B, s, memo)
-            if w == ONE and ONE not in body.values():
+    for s in assignments_over(A, frame) if found else ():
+        # s's bit in B's layout: A's domain order need not be B's
+        bit = sum(position[e] * layout[v][0] for v, e in s.pairs)
+        for phi, x, masks, ex_plus, tcs in found:
+            hits = [c for c, m in enumerate(tcs) if m >> bit & 1]
+            if not hits:
+                continue
+            # phi's values at s's x-variants, on x's fibre through s
+            stride = layout[x][0]
+            first = bit - position[s.get(x)] * stride
+            shown = _show({a: _value(masks, first + position[a] * stride) for a in A.domain})
+            details = (
+                "value 1 but witnesses off 0 and off 1/2 are missing: %s" % shown,
+                "value %s but every witness is 1/2" % (ONE if ex_plus >> bit & 1 else ZERO),
+                "value 1 but no witness has value 1: %s" % shown,
+                "value 0 but no witness has value 0: %s" % shown,
+            )
+            for c in hits:
+                quantified = Forall(x, phi) if c >= 2 else Exists(x, phi)
                 violations.append(
-                    TarskiViolation(
-                        "TC3", x, fa, s,
-                        "value 1 but no witness has value 1: %s" % _show(body),
-                    )
-                )
-            if w == ZERO and ZERO not in body.values():
-                violations.append(
-                    TarskiViolation(
-                        "TC4", x, fa, s,
-                        "value 0 but no witness has value 0: %s" % _show(body),
-                    )
+                    TarskiViolation("TC%d" % (c + 1), x, quantified, s, details[c])
                 )
     return violations
+
+
+def _value(masks: tuple[int, int], bit: int):
+    """The truth value at ``bit`` of (plus, minus) masks."""
+    plus, minus = masks
+    return ONE if plus >> bit & 1 else ZERO if minus >> bit & 1 else HALF
 
 
 def _show(body: dict) -> str:

@@ -15,12 +15,19 @@ from qciore.modeltheory import (
     union_of_chain,
 )
 from qciore.search import enumerate_structures
-from qciore.structures import eval_formula, make_structure, sentence_trichotomy
+from qciore.matrix3 import HALF
+from qciore.structures import (
+    assignments_over,
+    eval_formula,
+    make_structure,
+    sentence_trichotomy,
+)
 from qciore.syntax import (
     Exists,
     Forall,
     Signature,
     enumerate_formulas,
+    free_vars,
     parse_formula,
 )
 from qciore.triples import make_triple
@@ -192,6 +199,102 @@ def test_variables_default_to_free_variables_of_pool():
     explicit = tarski_conditions(a, b, [parse_formula("~P(x)")], variables=("x",))
     derived = tarski_conditions(a, b, [parse_formula("~P(x)")])
     assert [v.condition for v in explicit] == [v.condition for v in derived]
+
+
+def test_tarski_rejects_repeated_variables():
+    # ("x", "x") would report every violation twice
+    b = remark_structure()
+    a = induced_substructure(b, {"a"})
+    with pytest.raises(ValueError, match="repeat"):
+        tarski_conditions(a, b, [parse_formula("P(x)")], ("x", "x"))
+
+
+def test_tarski_tries_every_value_of_a_free_variable_outside_variables():
+    b = p_structure(("e1", "e2", "e3"), plus="e1", minus=("e2", "e3"))
+    a = induced_substructure(b, {"e2", "e3"})
+    violations = tarski_conditions(a, b, [parse_formula("P(y) | P(x)")], ("x",))
+    assert [v.condition for v in violations] == ["TC1"] * 4
+    assert [v.variable for v in violations] == ["x"] * 4
+    assert [(v.assignment.get("x"), v.assignment.get("y")) for v in violations] == [
+        ("e2", "e2"), ("e2", "e3"), ("e3", "e2"), ("e3", "e3"),
+    ]
+
+
+def reference_tarski_conditions(A, B, formulas, variables):
+    """The witness conditions assignment by assignment: every value of phi,
+    of exists x. phi and of forall x. phi evaluated pointwise."""
+    used = set().union(*map(free_vars, formulas))
+    frame = tuple(sorted(used.union(variables)))
+    out = []
+    for s in assignments_over(A, frame):
+        for phi in formulas:
+            for x in variables:
+                body = {a: eval_formula(phi, B, s.set(x, a)) for a in A.domain}
+                shown = ", ".join("%s:%s" % (a, v) for a, v in sorted(body.items()))
+                ex, fa = Exists(x, phi), Forall(x, phi)
+                v = eval_formula(ex, B, s)
+                if v == 1 and (
+                    all(u == 0 for u in body.values())
+                    or all(u == HALF for u in body.values())
+                ):
+                    out.append(("TC1", x, ex, s, "value 1 but witnesses off 0 and "
+                                "off 1/2 are missing: %s" % shown))
+                if v != HALF and all(u == HALF for u in body.values()):
+                    out.append(("TC2", x, ex, s, "value %s but every witness is 1/2" % v))
+                w = eval_formula(fa, B, s)
+                if w == 1 and 1 not in body.values():
+                    out.append(("TC3", x, fa, s, "value 1 but no witness has value 1: "
+                                "%s" % shown))
+                if w == 0 and 0 not in body.values():
+                    out.append(("TC4", x, fa, s, "value 0 but no witness has value 0: "
+                                "%s" % shown))
+    return out
+
+
+SIG_PC = Signature(predicates={"P": 1}, constants={"c"})
+SIG_R2 = Signature(predicates={"R": 2})
+SIG_PF = Signature(predicates={"P": 1}, functions={"f": 1})
+
+
+def reordered(a):
+    """A copy of ``a`` with its domain listed in reverse."""
+    return make_structure(a.sig, a.domain[::-1], a.preds, a.funs, a.consts)
+
+
+@pytest.mark.parametrize(
+    "sig,max_size,variables,depth,extra",
+    [
+        (SIG_P1, 3, ("x",), 1, "exists z. P(z) & ~P(x)"),
+        (SIG_P1, 2, ("x", "y"), 1, "forall z. P(z) -> P(y)"),
+        (SIG_PC, 2, ("x",), 1, "exists z. @P(z) & P(c)"),
+        (SIG_R2, 2, ("x",), 1, "forall z. R(x, z) | ~R(z, x)"),
+        (SIG_R2, 2, ("x", "y"), 0, "exists z. R(x, z) & ~R(z, y)"),
+        (SIG_PF, 2, ("x", "y"), 1, "forall z. P(f(z)) -> ~P(y)"),
+    ],
+    ids=["P-x", "P-xy", "Pc-x", "R-x", "R-xy", "Pf-xy"],
+)
+def test_tarski_matches_pointwise_reference(sig, max_size, variables, depth, extra):
+    # the extra formula quantifies a variable outside the frame
+    pool = list(enumerate_formulas(sig, variables, depth)) + [parse_formula(extra)]
+    checked = found = 0
+    for n in range(1, max_size + 1):
+        for b in enumerate_structures(sig, n):
+            for k in range(1, n + 1):
+                for subdomain in itertools.combinations(b.domain, k):
+                    try:
+                        a = induced_substructure(b, subdomain)
+                    except ValueError:  # misses a constant or is not closed
+                        continue
+                    # B's order, and from two elements on the reverse of it
+                    for small in (a, reordered(a))[: min(k, 2)]:
+                        got = [
+                            (v.condition, v.variable, v.formula, v.assignment, v.detail)
+                            for v in tarski_conditions(small, b, pool, variables)
+                        ]
+                        assert got == reference_tarski_conditions(small, b, pool, variables)
+                        checked += 1
+                        found += len(got)
+    assert checked and found
 
 
 # ---------------------------------------------------------------------------

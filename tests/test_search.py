@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from qciore import search
+from qciore import search, structures, triples
 from qciore.cli import format_structure
 from qciore.hilbert import instantiate, possibly_free, schema_metavariables
 from qciore.matrix3 import (
@@ -519,6 +519,36 @@ def test_rule_phase_matches_pointwise_reference(cell, value, broken, sig, variab
     assert {v.name for v in report.violations} == broken
     assert got == expected
     assert report.rule_checks == checks
+
+
+def test_forall_in_violations_match_pointwise_reference(monkeypatch):
+    # under CIORE no table makes a -> forall x. b fail where a -> b holds
+    # (a closed in x), so the forall-in emission path is reached only under
+    # a changed quantifier rule: forall is 1 when every variant is 1, else
+    # 0, in the mask kernel and in the pointwise oracle alike
+    step = triples._fibre_step
+
+    def classical_step(forall, plus, minus, n, stride, base, spread):
+        if not forall:
+            return step(forall, plus, minus, n, stride, base, spread)
+        every = plus
+        for d in range(stride, n * stride, stride):
+            every &= plus >> d
+        return (every & base) * spread, (base & ~every) * spread
+
+    monkeypatch.setattr(triples, "_fibre_step", classical_step)
+    monkeypatch.setitem(
+        structures._HANDLERS,
+        Forall,
+        structures._quantifier_handler(lambda values: ONE if values == {ONE} else ZERO),
+    )
+    for sig, found in ((SIG_P, 24), (SIG_PC, 836)):
+        report = soundness_harness(sig, axiom_pool=[], instance_depth=1, max_size=2)
+        got = [(v.kind, v.name, v.formula, v.structure, v.assignment) for v in report.violations]
+        expected, checks = pointwise_rule_violations(sig, ("x",), 1, 2, CIORE)
+        assert got == expected
+        assert report.rule_checks == checks
+        assert sum(v.name == "forall-in" for v in report.violations) == found
 
 
 def test_harness_rejects_repeated_variables():
