@@ -28,6 +28,7 @@ import itertools
 import json
 import re
 import sys
+from types import SimpleNamespace
 
 from . import syntax
 from .hilbert import (
@@ -634,15 +635,52 @@ def cmd_search(args) -> int:
     return 0
 
 
+def _packed_pairs(duals: list, k: int) -> tuple:
+    """((Z, W), (P, Q)): every pair of ``duals`` (triple, pair) over a k-element
+    base as left and right operands, triples and pairs, byte lane i holding pair
+    ``divmod(i, len(duals))`` in ``itertools.product`` order.  Their algebra is a
+    stand-in whose ``index.full``, all ``pair_op`` reads of it, fills every lane."""
+    n = len(duals)
+    full = int.from_bytes(bytes(((1 << k) - 1,)) * (n * n), "little")
+    lanes = SimpleNamespace(index=SimpleNamespace(full=full))
+
+    def pack(elements):
+        comps = list(zip(*elements))[1:]
+        left = [int.from_bytes(b"".join(bytes((m,)) * n for m in c), "little") for c in comps]
+        right = [int.from_bytes(bytes(c) * n, "little") for c in comps]
+        cls = type(elements[0])
+        return tuple.__new__(cls, (lanes, *left)), tuple.__new__(cls, (lanes, *right))
+
+    return pack([z for z, _ in duals]), pack([p for _, p in duals])
+
+
+def _connective_problems(k: int, duals: list) -> list[str]:
+    """Check dagger against each connective on all (pairs of) triples at once."""
+    (Z, W), (P, Q) = _packed_pairs(duals, k)
+    problems = []
+    for op in (*UNARY_OPS.values(), *BINARY_OPS.values()):
+        arity = 1 if op in UNARY_OPS.values() else 2
+        got, want = dagger(twist_triple_op(op, *(Z, W)[:arity])), pair_op(op, *(P, Q)[:arity])
+        if got != want:
+            problems.append("size %d: %s not preserved" % (k, op))
+            diff = (got[1] ^ want[1]) | (got[2] ^ want[2])
+            if diff:  # the lowest differing lane is the first failing pair
+                z, w = divmod(((diff & -diff).bit_length() - 1) // 8, len(duals))
+                at = zip("zw", (duals[z][0], duals[w][0])[:arity])
+                problems[-1] += " at " + ", ".join("%s=%s" % pair for pair in at)
+    return problems
+
+
 def cmd_twist_verify(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     if not sizes or any(k < 1 for k in sizes):
         raise FileFormatError("sizes must be positive integers")
-    # the check is exhaustive over 9**k triple pairs per binary connective,
-    # so each size costs about nine times the one before: size 6 takes
-    # ~5 s on a 2-core Intel Xeon, so size 7 would take ~45 s (an estimate)
-    if any(k > 6 for k in sizes):
-        raise FileFormatError("sizes above 6 are not feasible to verify exhaustively")
+    # the connectives are checked on ints of 9**k bytes, about twenty live at
+    # once, so each size needs nine times the memory of the one before: size
+    # 7 takes ~0.2 s and ~100 MB on a 2-core Intel Xeon
+    if any(k > 7 for k in sizes):
+        raise FileFormatError("sizes above 7 are not feasible to verify exhaustively: "
+                              "size 8 would hold about twenty 43 MB ints (~0.9 GB)")
     problems = []
     for k in sizes:
         before = len(problems)
@@ -657,16 +695,7 @@ def cmd_twist_verify(args) -> int:
             if ddagger(p) != z:
                 problems.append("size %d: round trip broken at %s" % (k, z))
                 break
-        for op in UNARY_OPS.values():
-            for z, p in duals:
-                if dagger(twist_triple_op(op, z)) != pair_op(op, p):
-                    problems.append("size %d: %s not preserved" % (k, op))
-                    break
-        for op in BINARY_OPS.values():
-            for (z, p), (w, q) in itertools.product(duals, repeat=2):
-                if dagger(twist_triple_op(op, z, w)) != pair_op(op, p, q):
-                    problems.append("size %d: %s not preserved" % (k, op))
-                    break
+        problems += _connective_problems(k, duals)
         print(
             "size %d: %d triples, %d pairs, connectives %s"
             % (k, len(triples), len(pairs), "ok" if len(problems) == before else "BROKEN")

@@ -3,7 +3,9 @@
 Pairs (a, b) with a join b = 1 carry the connectives through Boolean
 operations; triples (a, b, c) partition the base set.  The maps dagger and
 ddagger translate between the two and are exact inverses.  Components are
-held as int bit masks over ``alg.index``.  Lifted quantifier operators act
+held as int bit masks over ``alg.index``.  The connectives and dagger are
+bitwise, with ``alg.index.full`` their one constant, so they also act
+lane-wise on packed elements (many elements side by side in one int).  Lifted quantifier operators act
 on triples/pairs over the powerset algebra of an assignment space, whose
 masks are in ``triples``' layout: a quantifier's fibres are those of
 ``triples._fibre``, and the triple form and the hat operators are its

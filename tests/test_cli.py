@@ -1,5 +1,6 @@
 """Tests for the file formats and the command-line entry points."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -21,6 +22,15 @@ from qciore.matrix3 import DESIGNATED
 from qciore.structures import eval_formula, make_structure
 from qciore.syntax import Signature, parse_formula
 from qciore.triples import make_triple
+from qciore.twist import (
+    PowersetAlgebra,
+    TwistPair,
+    TwistTriple,
+    all_twist_triples,
+    dagger,
+    pair_op,
+    twist_triple_op,
+)
 
 from helpers import remark_structure
 
@@ -467,12 +477,93 @@ def test_twist_verify_rejects_infeasible_sizes(capsys):
     assert "not feasible" in err
 
 
-def test_twist_verify_caps_the_size_at_6(capsys):
-    code = main(["twist-verify", "--sizes", "1,7"])
+def test_twist_verify_caps_the_size_at_7(capsys):
+    code = main(["twist-verify", "--sizes", "1,8"])
     out, err = capsys.readouterr()
     assert code == 2
-    assert "not feasible" in err
+    assert "not feasible" in err and "GB" in err
     assert out == ""  # refused before any size was checked
+
+
+def test_twist_verify_checks_size_7(capsys):
+    code = main(["twist-verify", "--sizes", "7"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "size 7: 2187 triples, 2187 pairs, connectives ok" in out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_twist_verify_packs_every_pair_once_in_product_order(k):
+    from qciore.cli import _packed_pairs
+
+    alg = PowersetAlgebra(frozenset(range(1, k + 1)))
+    duals = [(z, dagger(z)) for z in all_twist_triples(alg)]
+    lanes = len(duals) ** 2
+    packed = _packed_pairs(duals, k)
+    for j, (left, right) in enumerate(packed):
+        assert left[0] is right[0] is packed[0][0][0]
+        assert left[0].index.full == int.from_bytes(bytes(((1 << k) - 1,)) * lanes, "little")
+        assert all(m.bit_length() <= 8 * lanes for m in left[1:] + right[1:])
+
+        def lane(x, i):
+            return tuple.__new__(type(x), (alg, *(m >> 8 * i & 0xFF for m in x[1:])))
+
+        got = [(lane(left, i), lane(right, i)) for i in range(lanes)]
+        assert got == list(itertools.product([d[j] for d in duals], repeat=2))
+
+
+def _broken_pair_implication(op, z, w=None):
+    # -> whose second component misses where both operands are two-sided
+    r = pair_op(op, z, w)
+    if op != "->":
+        return r
+    A, first, _ = r
+    return tuple.__new__(TwistPair, (A, first, A.index.full & ~first))
+
+
+def _broken_triple_conjunction(op, z, w=None):
+    # & whose plus misses a true conjunct beside a dubious one
+    r = twist_triple_op(op, z, w)
+    if op != "&":
+        return r
+    return tuple.__new__(TwistTriple, (r[0], z[1] & w[1], *r[2:]))
+
+
+def _broken_triple_consistency(op, z, w=None):
+    # @ whose plus misses the false points
+    r = twist_triple_op(op, z, w)
+    if op != "@":
+        return r
+    return tuple.__new__(TwistTriple, (r[0], z[1], *r[2:]))
+
+
+@pytest.mark.parametrize(
+    "name, broken, op, arity",
+    [
+        ("pair_op", _broken_pair_implication, "->", 2),
+        ("twist_triple_op", _broken_triple_conjunction, "&", 2),
+        ("twist_triple_op", _broken_triple_consistency, "@", 1),
+    ],
+)
+def test_twist_verify_reports_the_first_failing_pair(capsys, monkeypatch, name, broken, op, arity):
+    from qciore import cli
+
+    monkeypatch.setattr(cli, name, broken)
+    code = main(["twist-verify", "--sizes", "1,2,3"])
+    out = capsys.readouterr().out
+    assert code == 1
+    expected = []
+    for k in (1, 2, 3):
+        # the per-pair reference loop, in itertools.product order
+        triples = all_twist_triples(PowersetAlgebra(frozenset(range(1, k + 1))))
+        bad = [
+            zw for zw in itertools.product(triples, repeat=arity)
+            if dagger(cli.twist_triple_op(op, *zw)) != cli.pair_op(op, *map(dagger, zw))
+        ]
+        assert bad
+        at = ", ".join("%s=%s" % pair for pair in zip("zw", bad[0]))
+        expected.append("FAIL size %d: %s not preserved at %s" % (k, op, at))
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == expected
 
 
 def test_mt_commands(tmp_path, capsys):
