@@ -574,65 +574,38 @@ def cmd_search(args) -> int:
         reloaded = parse_structure(text)
         if eval_formula(phi, reloaded, res.assignment) in DESIGNATED:
             raise RuntimeError("printed countermodel no longer refutes")
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "found": True,
-                        "size": res.size,
-                        "structures_checked": res.structures_checked,
-                        "structures_evaluated": res.structures_evaluated,
-                        "structure": text,
-                        "assignment": _assignment_json(res.assignment),
-                        "value": str(res.value),
-                    }
-                )
-            )
-        else:
-            print(
-                "countermodel of size %d (checked %d structures):"
-                % (res.size, res.structures_checked)
-            )
-            print(text.rstrip())
-            print("assignment: %s" % res.assignment)
-            print("value of target: %s" % res.value)
-        return 1
-    if res.limit_hit:
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "found": False,
-                        "limit_hit": res.limit_hit,
-                        "structures_checked": res.structures_checked,
-                        "structures_evaluated": res.structures_evaluated,
-                    }
-                )
-            )
-        else:
-            print(
-                "stopped by %s after %d structures; nothing found so far"
-                % (res.limit_hit, res.structures_checked)
-            )
-        return 3
+        out = {"found": True, "size": res.size}
+    elif res.limit_hit:
+        out = {"found": False, "limit_hit": res.limit_hit}
+    else:
+        out = {"found": False, "exhausted": True, "max_domain_size": args.max}
+    out["structures_checked"] = res.structures_checked
+    out["structures_evaluated"] = res.structures_evaluated
+    if res.found:
+        out["structure"] = text
+        out["assignment"] = _assignment_json(res.assignment)
+        out["value"] = str(res.value)
     if args.json:
+        print(json.dumps(out))
+    elif res.found:
         print(
-            json.dumps(
-                {
-                    "found": False,
-                    "exhausted": True,
-                    "max_domain_size": args.max,
-                    "structures_checked": res.structures_checked,
-                    "structures_evaluated": res.structures_evaluated,
-                }
-            )
+            "countermodel of size %d (checked %d structures):"
+            % (res.size, res.structures_checked)
+        )
+        print(text.rstrip())
+        print("assignment: %s" % res.assignment)
+        print("value of target: %s" % res.value)
+    elif res.limit_hit:
+        print(
+            "stopped by %s after %d structures; nothing found so far"
+            % (res.limit_hit, res.structures_checked)
         )
     else:
         print(
             "no countermodel up to size %d (checked %d structures)"
             % (args.max, res.structures_checked)
         )
-    return 0
+    return 1 if res.found else 3 if res.limit_hit else 0
 
 
 def _packed_pairs(duals: list, k: int) -> tuple:

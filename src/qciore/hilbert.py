@@ -497,24 +497,3 @@ def check_proof_sequence(
         verdicts.append(v)
     return verdicts, store
 
-
-def wdmt_side_condition(p: Proof, phi: Formula) -> bool:
-    """May the deduction step discharge ``phi``?
-
-    True when no quantifier-introduction step generalizes on a variable
-    (possibly) free in ``phi``.  ``phi`` must be one of the hypotheses.
-    """
-    if phi not in p.hypotheses:
-        raise ValueError("%s is not a hypothesis of %s" % (phi, p.name))
-    for step in p.steps:
-        if isinstance(step.just, ForallIn) and isinstance(step.formula, Imp):
-            if isinstance(step.formula.right, Forall) and possibly_free(
-                step.formula.right.var, phi
-            ):
-                return False
-        if isinstance(step.just, ExistsIn) and isinstance(step.formula, Imp):
-            if isinstance(step.formula.left, Exists) and possibly_free(
-                step.formula.left.var, phi
-            ):
-                return False
-    return True

@@ -449,11 +449,6 @@ def _quantifier_axioms(phi: Formula, x: str, terms) -> list:
     return out + list(hilbert.consistency_axioms(x, phi))
 
 
-def _quantifier_axiom_instances(pool, variables, terms):
-    """Concrete instances of the six quantifier axioms over the pool."""
-    return [inst for phi in pool for x in variables for inst in _quantifier_axioms(phi, x, terms)]
-
-
 def _equality_axiom_instances(pool, variables, extra_var):
     out = [("Eq1", hilbert.eq1_axiom(x)) for x in variables]
     for phi in pool:

@@ -543,16 +543,6 @@ def classical_equality(domain) -> Triple:
     return make_triple(diag, off, set())
 
 
-def is_equality_structure(A: Structure) -> bool:
-    """True when the equality triple never affirms off-diagonal pairs and
-    covers the whole diagonal positively or dubiously."""
-    if not A.sig.has_equality:
-        raise ValueError("signature has no equality")
-    eq = A.preds[EQ]
-    diag = frozenset((a, a) for a in A.domain)
-    return eq.plus | eq.dot == diag
-
-
 def expand_with_names(A: Structure, elements) -> Structure:
     """Expand with a fresh constant ``c_<e>`` naming each given element."""
     elements = list(elements)
@@ -577,8 +567,8 @@ def expand_with_names(A: Structure, elements) -> Structure:
 def reduct(A: Structure, sig: Signature) -> Structure:
     """Forget the interpretations outside ``sig``."""
     if not (
-        set(sig.predicates) <= set(A.sig.predicates)
-        and set(sig.functions) <= set(A.sig.functions)
+        sig.predicates.items() <= A.sig.predicates.items()
+        and sig.functions.items() <= A.sig.functions.items()
         and sig.constants <= A.sig.constants
         and sig.has_equality <= A.sig.has_equality
     ):

@@ -58,26 +58,27 @@ Term = Var | Const | App
 # Formulas
 
 
+class _Node:
+    """Base of the formula nodes: each prints as ``formula_to_str`` renders it."""
+
+    def __str__(self) -> str:
+        return formula_to_str(self)
+
+
 @dataclass(frozen=True)
-class Pred:
+class Pred(_Node):
     name: str
     args: tuple[Term, ...] = ()
 
-    def __str__(self) -> str:
-        return formula_to_str(self)
-
 
 @dataclass(frozen=True)
-class Eq:
+class Eq(_Node):
     left: Term
     right: Term
 
-    def __str__(self) -> str:
-        return formula_to_str(self)
-
 
 @dataclass(frozen=True)
-class FVar:
+class FVar(_Node):
     """Formula metavariable, used in axiom schemas and schematic proofs.
 
     The parser never produces one; proof checking substitutes them in
@@ -86,69 +87,45 @@ class FVar:
 
     name: str
 
-    def __str__(self) -> str:
-        return self.name
-
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     sub: "Formula"
 
-    def __str__(self) -> str:
-        return formula_to_str(self)
-
 
 @dataclass(frozen=True)
-class Cons:
+class Cons(_Node):
     sub: "Formula"
 
-    def __str__(self) -> str:
-        return formula_to_str(self)
-
 
 @dataclass(frozen=True)
-class And:
+class And(_Node):
     left: "Formula"
     right: "Formula"
 
-    def __str__(self) -> str:
-        return formula_to_str(self)
-
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Node):
     left: "Formula"
     right: "Formula"
 
-    def __str__(self) -> str:
-        return formula_to_str(self)
-
 
 @dataclass(frozen=True)
-class Imp:
+class Imp(_Node):
     left: "Formula"
     right: "Formula"
 
-    def __str__(self) -> str:
-        return formula_to_str(self)
-
 
 @dataclass(frozen=True)
-class Forall:
+class Forall(_Node):
     var: str
     body: "Formula"
 
-    def __str__(self) -> str:
-        return formula_to_str(self)
-
 
 @dataclass(frozen=True)
-class Exists:
+class Exists(_Node):
     var: str
     body: "Formula"
-
-    def __str__(self) -> str:
-        return formula_to_str(self)
 
 
 Formula = Pred | Eq | FVar | Neg | Cons | And | Or | Imp | Forall | Exists
@@ -508,24 +485,17 @@ def substitute(f: Formula, x: str, t: Term) -> Formula:
             raise CaptureError(
                 "cannot substitute for %s inside metavariable %s" % (x, g.name)
             )
-        if isinstance(g, Neg):
-            return Neg(rec(g.sub))
-        if isinstance(g, Cons):
-            return Cons(rec(g.sub))
-        if isinstance(g, And):
-            return And(rec(g.left), rec(g.right))
-        if isinstance(g, Or):
-            return Or(rec(g.left), rec(g.right))
-        if isinstance(g, Imp):
-            return Imp(rec(g.left), rec(g.right))
+        if type(g) in UNARY_OPS:
+            return type(g)(rec(g.sub))
+        if type(g) in BINARY_OPS:
+            return type(g)(rec(g.left), rec(g.right))
         if g.var == x or x not in free_vars(g):
             return g
         if g.var in tv:
             raise CaptureError(
                 "substituting %s for %s in %s captures %s" % (t, x, g, g.var)
             )
-        body = rec(g.body)
-        return Forall(g.var, body) if isinstance(g, Forall) else Exists(g.var, body)
+        return type(g)(g.var, rec(g.body))
 
     return rec(f)
 
@@ -548,14 +518,6 @@ def replace_some_matches(f: Formula, x: str, y: str, candidate: Formula) -> bool
         return False
 
     return align(f, candidate, rec_t)
-
-
-def universal_closure(f: Formula) -> Formula:
-    """Bind the free variables of ``f`` universally, outermost first in
-    lexicographic order."""
-    for v in sorted(free_vars(f), reverse=True):
-        f = Forall(v, f)
-    return f
 
 
 # ---------------------------------------------------------------------------

@@ -52,22 +52,6 @@ class PowersetAlgebra:
     def top(self) -> frozenset:
         return self.base
 
-    @property
-    def bot(self) -> frozenset:
-        return frozenset()
-
-    def meet(self, a: frozenset, b: frozenset) -> frozenset:
-        return a & b
-
-    def join(self, a: frozenset, b: frozenset) -> frozenset:
-        return a | b
-
-    def compl(self, a: frozenset) -> frozenset:
-        return self.base - a
-
-    def imp(self, a: frozenset, b: frozenset) -> frozenset:
-        return (self.base - a) | b
-
     def check_element(self, a) -> frozenset:
         a = frozenset(a)
         if not a <= self.base:
@@ -118,7 +102,7 @@ class TwistTriple(_Element):
 
 def twist_pair(alg: PowersetAlgebra, a, b) -> TwistPair:
     a, b = alg.check_element(a), alg.check_element(b)
-    if alg.join(a, b) != alg.top:
+    if a | b != alg.top:
         raise ValueError("pair components must join to 1: %s, %s" % (set(a), set(b)))
     return TwistPair(alg, a, b)
 

@@ -1,0 +1,79 @@
+"""No public function, class or method that only the tests reach.
+
+A name-based scan: every public top-level function and class of
+``src/qciore/*.py``, and every public method of those classes, must be
+reached from the program, that is named (as a ``Name``, an ``Attribute`` or
+an import alias) somewhere in ``src/qciore`` or ``bench/*.py`` outside its
+own definition.  Matching is by name only, so a name that some other object
+shares counts as reached; the scan finds API that nothing at all names.
+A name the program does not reach must be on ``KEEP``, with the reason it
+stays.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "qciore").glob("*.py"))
+PROGRAM = SRC + sorted((ROOT / "bench").glob("*.py"))
+
+KEEP = {
+    "search.check_consequence_bounded": "acceptance criterion 5 calls it",
+    "modeltheory.rename_structure": "bounded amalgamation (ROADMAP item 7) uses it",
+    "modeltheory.union_of_chain": "bounded amalgamation (ROADMAP item 7) uses it",
+    "structures.expand_with_names": "bounded amalgamation (ROADMAP item 7) uses it",
+    "twist.twist_pair": "the paper's definition of a twist pair",
+    "twist.twist_triple": "the paper's definition of a twist triple",
+}
+
+
+def named(tree) -> Counter:
+    """How often each name occurs in ``tree`` as a Name, an Attribute or an
+    import alias."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.rpartition(".")[2]] += 1
+            if node.asname:
+                out[node.asname] += 1
+    return out
+
+
+def public_definitions(path: Path):
+    """(qualified name, definition node) for each public top-level function
+    and class of the module at ``path`` and each public method of those
+    classes."""
+    module = path.stem
+    for node in ast.parse(path.read_text()).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield "%s.%s" % (module, node.name), node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield "%s.%s.%s" % (module, node.name, member.name), member
+
+
+def unreached() -> set:
+    everywhere = sum((named(ast.parse(p.read_text())) for p in PROGRAM), Counter())
+    out = set()
+    for path in SRC:
+        for qualified, node in public_definitions(path):
+            # a definition's own body (a recursive call) does not reach it
+            if everywhere[node.name] - named(node)[node.name] <= 0:
+                out.add(qualified)
+    return out
+
+
+def test_every_public_name_is_reached_or_kept():
+    assert unreached() - KEEP.keys() == set()
+
+
+def test_every_kept_name_exists_and_is_unreached():
+    # a kept name that the program now reaches, or that is gone, leaves the list
+    assert KEEP.keys() <= unreached()

@@ -397,6 +397,56 @@ def test_search_command_respects_limits(capsys):
     assert code == 3 and "structure budget" in out
 
 
+_FOUND = ["--refute", "(exists x. ~P(x)) -> ~(forall x. P(x))", "--max", "3"]
+_LIMIT = ["--refute", "(forall x. P(x)) -> P(y)", "--max", "3", "--max-structures", "4"]
+_EXHAUSTED = ["--refute", "(forall x. P(x)) -> P(y)", "--max", "2"]
+_FOUND_STRUCT = "domain = {e1, e2}\npred P/1 { plus={(e1)} minus={} dot={(e2)} }\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (
+            _FOUND,
+            1,
+            "countermodel of size 2 (checked 6 structures):\n"
+            + _FOUND_STRUCT
+            + "assignment: {; default e1}\nvalue of target: 0\n",
+        ),
+        (
+            _FOUND + ["--json"],
+            1,
+            '{"found": true, "size": 2, "structures_checked": 6, '
+            '"structures_evaluated": 6, "structure": '
+            + json.dumps(_FOUND_STRUCT)
+            + ', "assignment": {"default": "e1"}, "value": "0"}\n',
+        ),
+        (
+            _LIMIT,
+            3,
+            "stopped by structure budget after 4 structures; nothing found so far\n",
+        ),
+        (
+            _LIMIT + ["--json"],
+            3,
+            '{"found": false, "limit_hit": "structure budget", '
+            '"structures_checked": 4, "structures_evaluated": 4}\n',
+        ),
+        (_EXHAUSTED, 0, "no countermodel up to size 2 (checked 12 structures)\n"),
+        (
+            _EXHAUSTED + ["--json"],
+            0,
+            '{"found": false, "exhausted": true, "max_domain_size": 2, '
+            '"structures_checked": 12, "structures_evaluated": 12}\n',
+        ),
+    ],
+    ids=["found", "found-json", "limit", "limit-json", "exhausted", "exhausted-json"],
+)
+def test_search_prints_each_outcome_exactly(argv, code, out, capsys):
+    assert main(["search"] + argv) == code
+    assert capsys.readouterr().out == out
+
+
 @pytest.mark.parametrize("flag", ["--max-structures", "--time-budget"])
 def test_search_command_rejects_a_negative_budget(flag, capsys):
     # no budget below 0 can be met: an error, not "stopped after 0 structures"

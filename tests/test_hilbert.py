@@ -30,7 +30,6 @@ from qciore.hilbert import (
     possibly_free,
     schema_metavariables,
     term_axioms,
-    wdmt_side_condition,
 )
 from qciore.matrix3 import PROP_AXIOMS
 from qciore.structures import is_valid_in
@@ -418,38 +417,6 @@ def instantiate_a(f, phi):
 
 
 # ---------------------------------------------------------------------------
-# Deduction side condition
-
-
-def test_wdmt_blocks_generalized_hypothesis():
-    proof = load("generalization.proof")
-    assert wdmt_side_condition(proof, FVar("A")) is False
-
-
-def test_wdmt_allows_untouched_hypothesis():
-    store = checked_store()
-    text = (
-        "name: generalization-on-p\n"
-        "hyp: P(y)\n"
-        "1. P(y) ; hyp 1\n"
-        "2. P(y) -> (((forall x. P(y)) -> (forall x. P(y))) -> P(y)) ; ax Ax1\n"
-        "3. ((forall x. P(y)) -> (forall x. P(y))) -> P(y) ; mp 1 2\n"
-        "4. ((forall x. P(y)) -> (forall x. P(y))) -> (forall x. P(y)) ; forall-in 3\n"
-        "5. (forall x. P(y)) -> (forall x. P(y)) ; lemma imp-refl\n"
-        "6. forall x. P(y) ; mp 5 4\n"
-    )
-    proof = parse_proof(text)
-    assert check_proof(proof, SIG, store).accepted
-    assert wdmt_side_condition(proof, parse_formula("P(y)", SIG)) is True
-
-
-def test_wdmt_requires_a_hypothesis():
-    proof = load("generalization.proof")
-    with pytest.raises(ValueError):
-        wdmt_side_condition(proof, FVar("B"))
-
-
-# ---------------------------------------------------------------------------
 # Proof file parsing
 
 
@@ -524,7 +491,9 @@ def test_checker_accepts_every_instance_the_harness_checks(sig, variables):
     # the harness's terms: the frame, its first spare variable, the constants
     spare = next(v for v in ("y", "z") if v not in variables)
     terms = [Var(v) for v in (*variables, spare)] + [Const(c) for c in sorted(sig.constants)]
-    instances = search._quantifier_axiom_instances(pool, variables, terms)
+    instances = [
+        inst for phi in pool for x in variables for inst in search._quantifier_axioms(phi, x, terms)
+    ]
     instances += search._equality_axiom_instances(pool, variables, spare)
     assert {name for name, _ in instances} == set(QUANT_EQ)
     rng = random.Random(13)

@@ -1,9 +1,11 @@
 """Tests for structure enumeration, countermodel search, and the harness."""
 
+import functools
 import itertools
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qciore import search, structures, triples
 from qciore.cli import format_structure
@@ -24,7 +26,7 @@ from qciore.search import (
     HarnessReport,
     SearchSpec,
     _equality_axiom_instances,
-    _quantifier_axiom_instances,
+    _quantifier_axioms,
     check_consequence_bounded,
     enumerate_structures,
     find_countermodel,
@@ -38,10 +40,15 @@ from qciore.structures import (
     make_structure,
 )
 from qciore.syntax import (
+    And,
+    Cons,
     Const,
     Exists,
     Forall,
     Imp,
+    Neg,
+    Or,
+    Pred,
     Signature,
     Var,
     enumerate_formulas,
@@ -334,6 +341,69 @@ def test_search_matches_per_structure_reference(sig, gamma, phi, size, extra, fo
     assert 0 < res.structures_evaluated <= res.structures_checked
 
 
+# (signature, largest domain size) of the drawn queries
+DRAWN_SIGS = [(SIG_PC, 3), (SIG_PQC, 2), (SIG_PR, 2)]
+
+
+#: what may wrap an atom or a compound of a drawn formula
+WRAPS = [Neg, Cons] + [functools.partial(q, v) for q in (Forall, Exists) for v in "xy"]
+
+
+@st.composite
+def formula_over(draw, sig, part):
+    """A small formula over x, y and the predicates and constants in
+    ``part`` that mentions each of them."""
+    preds = [p for p in part if p in sig.predicates]
+    terms = [Var("x"), Var("y")] + [Const(c) for c in part if c in sig.constants]
+
+    def atom(p):
+        return Pred(p, tuple(draw(st.sampled_from(terms)) for _ in range(sig.predicates[p])))
+
+    def wrap(g):
+        return draw(st.sampled_from(WRAPS))(g) if draw(st.booleans()) else g
+
+    atoms = [atom(p) for p in preds + draw(st.lists(st.sampled_from(preds), max_size=1))]
+    for c in terms[2:]:
+        if not any(c in a.args for a in atoms):
+            p = draw(st.sampled_from(preds))
+            atoms.append(Pred(p, (c,) * sig.predicates[p]))
+    f = None
+    for a in draw(st.permutations(atoms)):
+        f = wrap(a) if f is None else draw(st.sampled_from((And, Or, Imp)))(f, wrap(a))
+    return wrap(f)
+
+
+@st.composite
+def drawn_queries(draw):
+    """A search whose premises and target each mention a drawn part of the
+    signature (at least one predicate), so that premise groups and the
+    target leave out symbols in varying ways."""
+    sig, size = draw(st.sampled_from(DRAWN_SIGS))
+
+    def part():
+        preds = draw(st.lists(st.sampled_from(sorted(sig.predicates)), min_size=1, unique=True))
+        return preds + [c for c in sorted(sig.constants) if draw(st.booleans())]
+
+    gamma = tuple(draw(formula_over(sig, part())) for _ in range(draw(st.integers(0, 4))))
+    return SearchSpec(
+        sig=sig,
+        phi=draw(formula_over(sig, part())),
+        gamma=gamma,
+        max_domain_size=size,
+        max_structures=draw(st.none() | st.integers(0, 120)),
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(drawn_queries())
+def test_search_matches_per_structure_reference_on_drawn_queries(spec):
+    calls = []
+    res = find_countermodel(spec, progress=lambda k, t: calls.append(k), progress_every=7)
+    expected, expected_calls = reference_search(spec, 7)
+    assert summary(res) == expected
+    assert calls == expected_calls
+
+
 def criterion_5_exhaustive(size):
     gamma = tuple(parse_formula(g, SIG_PQC) for g in ("P(c)", "~P(c)", "@P(c)"))
     spec = SearchSpec(
@@ -583,7 +653,7 @@ def reference_axiom_violations(sig, depth, max_size, matrix):
     variables = ("x",)
     pool = list(enumerate_formulas(sig, variables, depth))
     terms = [Var("x"), Var("y")] + [Const(c) for c in sorted(sig.constants)]
-    fixed = _quantifier_axiom_instances(pool, variables, terms)
+    fixed = [inst for phi in pool for x in variables for inst in _quantifier_axioms(phi, x, terms)]
     if sig.has_equality:
         fixed += _equality_axiom_instances(pool, variables, "y")
     out = []
@@ -726,7 +796,10 @@ def test_harness_counts_table_entries_and_distinct_fixed_instances():
     pool = list(enumerate_formulas(SIG_PC, variables, 0))
     terms = [Var("x"), Var("y"), Var("z"), Const("c")]
     instances = [
-        f for name, f in _quantifier_axiom_instances(pool, variables, terms)
+        f
+        for phi in pool
+        for x in variables
+        for name, f in _quantifier_axioms(phi, x, terms)
         if name in ("Ax11", "Ax12")
     ]
     distinct = set(instances)

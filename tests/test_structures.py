@@ -18,7 +18,6 @@ from qciore.structures import (
     expand_with_names,
     formula_triple,
     holds,
-    is_equality_structure,
     is_valid_in,
     make_structure,
     reduct,
@@ -261,7 +260,6 @@ def test_equality_structures():
     dom = ("a", "b")
     P = make_triple({("a",)}, {("b",)}, set())
     classical = make_structure(sig, dom, preds={"P": P, "=": classical_equality(dom)})
-    assert is_equality_structure(classical)
     ok, _ = is_valid_in(parse_formula("x = x", sig), classical)
     assert ok
 
@@ -273,22 +271,8 @@ def test_equality_structures():
             "=": make_triple(set(), {("a", "b"), ("b", "a")}, {("a", "a"), ("b", "b")}),
         },
     )
-    assert is_equality_structure(dubious_diag)
     # a contradictory diagonal lets ~(x = x) hold
     assert holds(parse_formula("~x = x", sig), dubious_diag)
-
-    bad = make_structure(
-        sig,
-        dom,
-        preds={
-            "P": P,
-            "=": make_triple({("a", "b"), ("a", "a"), ("b", "b")}, {("b", "a")}, set()),
-        },
-    )
-    assert not is_equality_structure(bad)
-
-    with pytest.raises(ValueError):
-        is_equality_structure(remark_structure())
 
 
 def test_expand_with_names():
@@ -303,6 +287,27 @@ def test_expand_with_names():
         expand_with_names(B, ["a"])  # c_a already taken
     with pytest.raises(ValueError):
         expand_with_names(A, ["z"])
+
+
+def test_reduct_rejects_a_symbol_of_another_arity():
+    sig = Signature(predicates={"P": 1, "Q": 1}, functions={"f": 1}, constants={"c"})
+    A = make_structure(
+        sig,
+        ("a", "b"),
+        preds={
+            "P": make_triple({("a",)}, {("b",)}, set()),
+            "Q": make_triple(set(), {("a",)}, {("b",)}),
+        },
+        funs={"f": {("a",): "b", ("b",): "a"}},
+        consts={"c": "a"},
+    )
+    with pytest.raises(ValueError, match="not a subsignature"):
+        reduct(A, Signature(predicates={"P": 2}))
+    with pytest.raises(ValueError, match="not a subsignature"):
+        reduct(A, Signature(functions={"f": 2}))
+    small = reduct(A, Signature(predicates={"P": 1}, functions={"f": 1}))
+    assert small.preds == {"P": A.preds["P"]} and small.funs == A.funs
+    assert eval_formula(parse_formula("P(f(x))", small.sig), small, Assignment("b")) == ONE
 
 
 def test_structure_validation_errors():

@@ -30,7 +30,6 @@ from qciore.syntax import (
     replace_some_matches,
     substitute,
     subformulas,
-    universal_closure,
 )
 
 
@@ -105,7 +104,6 @@ def test_free_vars_cached_on_the_node():
     assert grown - {"u"} == fv and free_vars(f) == {"y", "z", "w", "c"}
     assert set() | free_vars(f) == fv and free_vars(f) - {"y"} == {"z", "w", "c"}
     assert sorted(free_vars(f.left)) == ["y", "z"]
-    assert universal_closure(f) == Forall("c", Forall("w", Forall("y", Forall("z", f))))
     # sentences, shadowing and the empty set
     assert free_vars(parse_formula("forall x. exists x. P(x)")) == frozenset()
     assert free_vars(parse_formula("forall x. P(x) & Q(x, y)")) == {"y"}
@@ -187,13 +185,6 @@ def test_the_traversals_need_no_recursion():
         f, g = Neg(f), Neg(g)
     assert len(subformulas(f)) == 5001
     assert align(f, g, lambda a, b, bound: a == b)
-
-
-def test_universal_closure_lexicographic():
-    f = parse_formula("P(b, a)")
-    assert universal_closure(f) == parse_formula("forall a. forall b. P(b, a)")
-    g = parse_formula("forall x. P(x, x)")
-    assert universal_closure(g) == g
 
 
 def test_enumerate_formulas_base():

@@ -40,42 +40,41 @@ def old_pair_op(A, op, z, w=None):
     if op == "~":
         return P(z.b, z.a)
     if op == "@":
-        both = A.meet(z.a, z.b)
-        return P(A.compl(both), both)
+        both = z.a & z.b
+        return P(A.base - both, both)
     if op == "&":
-        first = A.meet(z.a, w.a)
+        first = z.a & w.a
     elif op == "|":
-        first = A.join(z.a, w.a)
+        first = z.a | w.a
     else:
-        first = A.imp(z.a, w.a)
-    both = A.meet(A.meet(z.a, z.b), A.meet(w.a, w.b))
-    return P(first, A.imp(first, both))
+        first = (A.base - z.a) | w.a
+    both = z.a & z.b & w.a & w.b
+    return P(first, (A.base - first) | both)
 
 
 def old_triple_op(A, op, z, w=None):
     if op == "~":
         return T(z.b, z.a, z.c)
     if op == "@":
-        return T(A.join(z.a, z.b), z.c, A.bot)
-    mt, jn = A.meet, A.join
+        return T(z.a | z.b, z.c, frozenset())
     if op == "&":
-        plus = jn(jn(mt(z.a, w.a), mt(z.a, w.c)), mt(z.c, w.a))
-        minus = jn(z.b, w.b)
+        plus = (z.a & w.a) | (z.a & w.c) | (z.c & w.a)
+        minus = z.b | w.b
     elif op == "|":
-        plus = jn(jn(z.a, w.a), jn(mt(z.b, w.c), mt(z.c, w.b)))
-        minus = mt(z.b, w.b)
+        plus = z.a | w.a | (z.b & w.c) | (z.c & w.b)
+        minus = z.b & w.b
     else:
-        plus = jn(jn(z.b, mt(z.a, w.a)), jn(mt(z.a, w.c), mt(z.c, w.a)))
-        minus = mt(jn(z.a, z.c), w.b)
-    return T(plus, minus, mt(z.c, w.c))
+        plus = z.b | (z.a & w.a) | (z.a & w.c) | (z.c & w.a)
+        minus = (z.a | z.c) & w.b
+    return T(plus, minus, z.c & w.c)
 
 
 def old_dagger(A, z):
-    return P(A.join(z.a, z.c), A.join(z.b, z.c))
+    return P(z.a | z.c, z.b | z.c)
 
 
 def old_ddagger(A, p):
-    return T(A.meet(p.a, A.compl(p.b)), A.meet(p.b, A.compl(p.a)), A.meet(p.a, p.b))
+    return T(p.a & (A.base - p.b), p.b & (A.base - p.a), p.a & p.b)
 
 
 def old_hat(space, x, Y, every):
@@ -240,7 +239,7 @@ def test_lifted_quantifier_rejects_an_algebra_of_the_same_size():
 
 def test_built_and_computed_elements_agree():
     A = algebra(2)
-    one = TwistTriple(A, A.top, A.bot, A.bot)
+    one = TwistTriple(A, A.top, frozenset(), frozenset())
     zero = twist_triple_op("~", one)
     built = TwistTriple(A, frozenset(), frozenset({0, 1}), frozenset())
     assert zero == built and hash(zero) == hash(built)
