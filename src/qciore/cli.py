@@ -644,6 +644,12 @@ def _connective_problems(k: int, duals: list) -> list[str]:
     return problems
 
 
+# the lifted quantifiers' space: one for the process, so that every run of
+# twist-verify shares its index and the classes decoded over it (a fresh
+# index per run would leave its decodings in triples' cache)
+_TWIST_SPACE = AssignmentSpace(("x", "y"), (0, 1))
+
+
 def cmd_twist_verify(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     if not sizes or any(k < 1 for k in sizes):
@@ -673,16 +679,16 @@ def cmd_twist_verify(args) -> int:
             "size %d: %d triples, %d pairs, connectives %s"
             % (k, len(triples), len(pairs), "ok" if len(problems) == before else "BROKEN")
         )
-    space = AssignmentSpace(("x", "y"), (0, 1))
+    space = _TWIST_SPACE
     # the pointwise oracle: per triple z, a structure whose R(x, y) takes
     # z's value at each assignment (x, y), in which eval_formula computes
     # the quantified formulas without the hat operators
     sig = Signature(predicates={"R": 2})
+    index = space.algebra.index
     models = [
-        (z, make_structure(sig, space.domain, {"R": make_triple(z.a, z.b, z.c)}))
+        (z, make_structure(sig, space.domain, {"R": Triple.from_masks(index, z[1], z[2])}))
         for z in all_twist_triples(space.algebra)
     ]
-    expected = {}  # each lifted triple as a Triple over the assignments
     quant_ok = True
     for kind in ("forall", "exists"):
         for j, var in enumerate(space.frame):
@@ -691,9 +697,7 @@ def cmd_twist_verify(args) -> int:
             free = [(b, Assignment(0, ((space.frame[1 - j], b),))) for b in space.domain]
             for z, A in models:
                 lifted = lifted_quantifier(kind, "T", var, space, z)
-                t = expected.get(lifted)
-                if t is None:
-                    t = expected[lifted] = make_triple(lifted.a, lifted.b, lifted.c)
+                t = Triple.from_masks(index, lifted[1], lifted[2])
                 got = {b: eval_formula(f, A, s) for b, s in free}
                 if any(got[p[1 - j]] != t.value_at(p) for p in space.assignments):
                     quant_ok = False

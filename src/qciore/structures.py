@@ -367,7 +367,7 @@ def formula_triple(
     Uses the set-valued route on masks: atom triples from the structure,
     connective triples via ``triple_op``'s lift of the tables, quantifier
     triples from the value-set rules along the quantified coordinate.  Every
-    triple is mask-built over the index of domain^k in ``itertools.product``
+    triple's masks are over the index of domain^k in ``itertools.product``
     order, the first frame variable most significant.  ``memo`` holds those
     triples keyed by (id(subformula), frame), so the caller must keep the
     formula objects alive; one memo per structure.

@@ -3,17 +3,13 @@
 A triple splits a carrier X into the elements where a relation holds
 (``plus``), fails (``minus``), and is dubious or contradictory (``dot``).
 
-A triple is kept in one of two forms; no caller can tell them apart.
+Every triple is two int bit masks, ``plus`` and ``minus``, over a
+``CarrierIndex`` that numbers the carrier; ``dot`` is every other bit.  It
+carries the three classes as frozensets too, decoded once per (index, masks)
+and shared by every triple with those masks.  Triples over different indices
+of one carrier are equal when their classes are.
 
-* Set-built (``Triple(plus, minus, dot)``, ``make_triple``, ``all_triples``,
-  the predicate interpretations of a structure): three frozensets.
-* Mask-built (``triple_from_map``, ``triple_op`` and the quantifier step of
-  ``structures.formula_triple``): two int bit masks, ``plus`` and ``minus``,
-  over a ``CarrierIndex`` that numbers the carrier; ``dot`` is every other
-  bit.  It carries the frozensets too, decoded once per (index, masks) and
-  shared by every triple with those masks.
-
-This module owns the mask layout that every set-valued route shares:
+``CarrierIndex`` owns the mask layout that every set-valued route shares:
 ``structures.formula_triple``, ``structures.MaskProgram`` and the lifted
 quantifiers of ``twist``.  ``_masks`` reads (plus, minus) off truth values
 listed in bit order.  Operations lift a 3-valued matrix's table over whole
@@ -60,35 +56,51 @@ class CarrierIndex:
         """The shared index over ``elements``, in that order."""
         return CarrierIndex(elements)
 
+    def encode(self, xs) -> int:
+        """The mask of the elements ``xs``; ``KeyError`` for one outside the carrier."""
+        position = self.position
+        mask = 0
+        for x in xs:
+            mask |= 1 << position[x]
+        return mask
+
+    def decode(self, mask: int) -> frozenset:
+        """The elements whose bits ``mask`` sets."""
+        return frozenset(x for i, x in enumerate(self.elements) if mask >> i & 1)
+
 
 @functools.lru_cache(maxsize=4096)
 def _decode(index: CarrierIndex, plus: int, minus: int) -> tuple[frozenset, ...]:
     """The (plus, minus, dot) frozensets of a pair of masks over ``index``."""
-    elements = index.elements
-    out = ([], [], [])
-    for i, x in enumerate(elements):
-        bit = 1 << i
-        out[0 if plus & bit else 1 if minus & bit else 2].append(x)
-    return tuple(map(frozenset, out))
+    plus, minus = index.decode(plus), index.decode(minus)
+    return plus, minus, index.carrier - plus - minus
+
+
+def _partitions(index: CarrierIndex) -> list[tuple[int, int]]:
+    """(plus, minus) of every split of the carrier into three classes: the
+    elements sorted by ``str``, the first varying slowest, each in plus,
+    then minus, then dot."""
+    out = [(0, 0)]
+    for x in sorted(index.elements, key=str):
+        bit = index.encode((x,))
+        out = [q for p, m in out for q in ((p | bit, m), (p, m | bit), (p, m))]
+    return out
 
 
 class Triple:
     """Three pairwise disjoint classes of a carrier; immutable and hashable.
 
-    ``Triple(plus, minus, dot)`` builds one from frozensets (``index`` is
-    None), ``Triple.from_masks`` from masks over a ``CarrierIndex``.  Both
-    forms carry ``plus``, ``minus`` and ``dot`` as frozensets, so equality,
-    hashing, ``value_at`` and printing mean the same for both; a mask-built
-    triple's frozensets are the ones shared by its (index, masks).
+    ``Triple(plus, minus, dot)`` builds one from its classes over the index
+    of the carrier sorted by ``str``; ``Triple.from_masks`` builds one from
+    masks over a given ``CarrierIndex``.  Equality, hashing, ``value_at``,
+    printing and pickling see only the classes, never the index.
     """
 
-    __slots__ = ("plus", "minus", "dot", "index", "_masks", "_carrier", "_hash")
+    __slots__ = ("plus", "minus", "dot", "index", "_masks")
 
-    def __init__(self, plus: frozenset, minus: frozenset, dot: frozenset):
-        _set(self, "plus", plus)
-        _set(self, "minus", minus)
-        _set(self, "dot", dot)
-        _set(self, "index", None)
+    def __new__(cls, plus: frozenset, minus: frozenset, dot: frozenset):
+        index = CarrierIndex.of(tuple(sorted(plus | minus | dot, key=str)))
+        return Triple.from_masks(index, index.encode(plus), index.encode(minus))
 
     @staticmethod
     def from_masks(index: CarrierIndex, plus: int, minus: int) -> "Triple":
@@ -104,20 +116,10 @@ class Triple:
 
     @property
     def carrier(self) -> frozenset:
-        if self.index is not None:
-            return self.index.carrier
-        try:
-            return self._carrier
-        except AttributeError:
-            _set(self, "_carrier", self.plus | self.minus | self.dot)
-            return self._carrier
+        return self.index.carrier
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            _set(self, "_hash", hash((self.plus, self.minus, self.dot)))
-            return self._hash
+        return hash((self.plus, self.minus, self.dot))
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r of an immutable Triple" % name)
@@ -131,17 +133,13 @@ class Triple:
             return self._masks
         if self.carrier != index.carrier:
             raise ValueError("carrier mismatch: %s vs %s" % (index.carrier, self.carrier))
-        position = index.position
-        return (
-            sum(1 << position[x] for x in self.plus),
-            sum(1 << position[x] for x in self.minus),
-        )
+        return index.encode(self.plus), index.encode(self.minus)
 
     def __eq__(self, other):
-        # mask-built triples with equal masks share their frozensets, so the
-        # tuple comparison settles them by identity
         if type(other) is not Triple:
             return NotImplemented
+        if self.index is other.index:
+            return self._masks == other._masks
         return (self.plus, self.minus, self.dot) == (other.plus, other.minus, other.dot)
 
     def __reduce__(self):
@@ -290,8 +288,7 @@ def _fibre_step(
 def triple_op(op: str, r: Triple, u: Triple | None = None, m: Matrix = CIORE) -> Triple:
     """Apply a connective to triples by lifting the matrix table over masks.
 
-    The result is over ``r``'s index (one built from ``r``'s carrier when
-    ``r`` is set-built); ``u`` must have the same carrier.
+    The result is over ``r``'s index; ``u`` must have the same carrier.
     """
     if op in ("~", "@"):
         if u is not None:
@@ -302,30 +299,11 @@ def triple_op(op: str, r: Triple, u: Triple | None = None, m: Matrix = CIORE) ->
     else:
         raise ValueError("unknown connective %r" % op)
     index = r.index
-    if index is None:
-        index = CarrierIndex.of(tuple(r.carrier))
-        r_masks = r.masks(index)
-    else:
-        r_masks = r._masks
-    u_masks = None if u is None else u._masks if u.index is index else u.masks(index)
-    return Triple.from_masks(index, *_apply(_lift(m, op), index.full, r_masks, u_masks))
+    u_masks = None if u is None else u.masks(index)
+    return Triple.from_masks(index, *_apply(_lift(m, op), index.full, r._masks, u_masks))
 
 
 def all_triples(carrier) -> list[Triple]:
-    """Every triple over the carrier, in a deterministic order."""
-    items = sorted(carrier, key=str)
-    out = []
-
-    def rec(i, plus, minus, dot):
-        if i == len(items):
-            out.append(
-                Triple(frozenset(plus), frozenset(minus), frozenset(dot))
-            )
-            return
-        x = items[i]
-        rec(i + 1, plus + [x], minus, dot)
-        rec(i + 1, plus, minus + [x], dot)
-        rec(i + 1, plus, minus, dot + [x])
-
-    rec(0, [], [], [])
-    return out
+    """Every triple over the carrier, in ``_partitions`` order."""
+    index = CarrierIndex.of(tuple(sorted(carrier, key=str)))
+    return [Triple.from_masks(index, p, m) for p, m in _partitions(index)]

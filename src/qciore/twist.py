@@ -43,10 +43,7 @@ class PowersetAlgebra:
         object.__setattr__(self, "index", index)
 
     def encode(self, a) -> int:
-        return sum(1 << self.index.position[x] for x in self.check_element(a))
-
-    def decode(self, mask: int) -> frozenset:
-        return frozenset(x for i, x in enumerate(self.index.elements) if mask >> i & 1)
+        return self.index.encode(self.check_element(a))
 
     @property
     def top(self) -> frozenset:
@@ -68,7 +65,7 @@ class _Element(tuple):
 
     def __init_subclass__(cls):
         for i, name in enumerate(cls._fields, 1):  # .a, .b, .c decode the masks
-            setattr(cls, name, property(lambda self, i=i: self[0].decode(self[i])))
+            setattr(cls, name, property(lambda self, i=i: self[0].index.decode(self[i])))
 
     def __eq__(self, other):
         return type(other) is type(self) and tuple.__eq__(self, other)
@@ -77,7 +74,7 @@ class _Element(tuple):
         return type(other) is not type(self) or tuple.__ne__(self, other)
 
     def __reduce__(self):
-        return type(self), (self[0], *map(self[0].decode, self[1:]))
+        return type(self), (self[0], *map(self[0].index.decode, self[1:]))
 
     def __repr__(self) -> str:
         fields = "".join(", %s=%r" % (f, getattr(self, f)) for f in self._fields)
@@ -190,14 +187,11 @@ def ddagger(p: TwistPair) -> TwistTriple:
 
 
 def all_twist_triples(alg: PowersetAlgebra) -> list[TwistTriple]:
-    bits = [1 << alg.index.position[x] for x in sorted(alg.base, key=str)]
-    out = []
-    for combo in itertools.product(range(3), repeat=len(bits)):
-        parts = [0, 0, 0]
-        for bit, k in zip(bits, combo):
-            parts[k] |= bit
-        out.append(_new(TwistTriple, (alg, *parts)))
-    return out
+    full = alg.index.full
+    return [
+        _new(TwistTriple, (alg, p, m, full & ~(p | m)))
+        for p, m in triples._partitions(alg.index)
+    ]
 
 
 def all_twist_pairs(alg: PowersetAlgebra) -> list[TwistPair]:

@@ -480,6 +480,18 @@ def test_twist_verify_command(capsys):
     assert "lifted quantifiers" in out
 
 
+def test_twist_verify_runs_leave_no_decodings_behind(capsys):
+    # the quantifier oracle decodes its triples over one space's index; a
+    # fresh index per run would add its decodings to triples' cache each run
+    from qciore import triples
+
+    triples._decode.cache_clear()
+    main(["twist-verify", "--sizes", "1"])
+    held = triples._decode.cache_info().currsize
+    main(["twist-verify", "--sizes", "1"])
+    assert 0 < held == triples._decode.cache_info().currsize
+
+
 def test_twist_verify_labels_each_size_by_its_own_problems(capsys, monkeypatch):
     from qciore import cli
     from qciore.twist import twist_triple_op

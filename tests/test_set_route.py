@@ -204,8 +204,9 @@ def test_triple_op_matches_pointwise_table(m, op, data):
     u = _triple_over(data.draw, CARRIER)
     unary = op in ("~", "@")
     table = (m.unary if unary else m.binary).get(op)
-    # set-built operands, and the same classes mask-built
-    mapped = [triple_from_map({x: t.value_at(x) for x in CARRIER}) for t in (r, u)]
+    # operands over the carrier's str order, and the same classes over the
+    # reversed order
+    mapped = [triple_from_map({x: t.value_at(x) for x in reversed(CARRIER)}) for t in (r, u)]
     for left, right in ((r, u), tuple(mapped), (r, mapped[1]), (mapped[0], u)):
         args = (left,) if unary else (left, right)
         if table is None:

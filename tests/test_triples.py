@@ -7,7 +7,9 @@ from qciore.cli import format_structure
 from qciore.matrix3 import HALF, LFI1, ONE, P1, ZERO
 from qciore.structures import EQ, make_structure
 from qciore.syntax import Signature
+from qciore.twist import PowersetAlgebra
 from qciore.triples import (
+    CarrierIndex,
     Triple,
     all_triples,
     make_triple,
@@ -168,67 +170,119 @@ def test_all_triples_exhaustive():
     assert all_triples(set()) == [Triple(frozenset(), frozenset(), frozenset())]
 
 
-def _same_classes():
-    """One triple over pairs, built from a map (masks) and from its sets."""
-    values = {("a", "a"): ONE, ("a", "b"): HALF, ("b", "a"): ZERO, ("b", "b"): ONE}
-    masked = triple_from_map(values)
-    built = make_triple(
-        {("a", "a"), ("b", "b")}, {("b", "a")}, {("a", "b")}
+PAIRS = tuple(itertools.product("ab", repeat=2))
+PAIR_VALUES = {("a", "a"): ONE, ("a", "b"): HALF, ("b", "a"): ZERO, ("b", "b"): ONE}
+
+
+def _four_ways():
+    """One triple over pairs, built from its classes (str order), from a map
+    in product order and in reversed order, and from masks over an index of
+    its own."""
+    by_classes = Triple(
+        frozenset({("a", "a"), ("b", "b")}), frozenset({("b", "a")}), frozenset({("a", "b")})
     )
-    return masked, built
+    by_map = triple_from_map(PAIR_VALUES)
+    backwards = triple_from_map({x: PAIR_VALUES[x] for x in reversed(PAIRS)})
+    index = CarrierIndex(PAIRS[1:] + PAIRS[:1])
+    by_masks = Triple.from_masks(
+        index, index.encode(by_classes.plus), index.encode(by_classes.minus)
+    )
+    return by_classes, by_map, backwards, by_masks
 
 
-def test_mask_built_and_set_built_are_indistinguishable():
-    masked, built = _same_classes()
-    assert masked.index is not None and built.index is None
-    assert masked == built and built == masked
-    assert hash(masked) == hash(built)
-    assert {built: "x"}[masked] == "x" and {masked: "y"}[built] == "y"
-    assert len({masked, built}) == 1
-    assert str(masked) == str(built) and repr(masked) == repr(built)
-    assert masked.carrier == built.carrier
-    for x in built.carrier:
-        assert masked.value_at(x) == built.value_at(x)
-    for t in (masked, built):
+def test_the_index_does_not_show():
+    ways = _four_ways()
+    assert len({id(t.index) for t in ways}) == 3
+    for s, t in itertools.product(ways, repeat=2):
+        assert s == t and hash(s) == hash(t)
+        assert str(s) == str(t) and repr(s) == repr(t)
+        assert s != triple_op("~", t)
+    keyed = {t: i for i, t in enumerate(ways)}
+    assert list(keyed.values()) == [3] and len(set(ways)) == 1
+    for t in ways:
+        assert t.carrier == frozenset(PAIRS)
+        assert {x: t.value_at(x) for x in PAIRS} == PAIR_VALUES
         with pytest.raises(KeyError):
             t.value_at(("c", "c"))
-    assert masked != triple_op("~", built) and masked != "not a triple"
-    # a pickle carries the classes, not the index
-    again = pickle.loads(pickle.dumps(masked))
-    assert again == masked and hash(again) == hash(masked) and again.index is None
+        assert t != "not a triple"
+        # a pickle carries the classes, not the index
+        again = pickle.loads(pickle.dumps(t))
+        assert again == t and hash(again) == hash(t) and str(again) == str(t)
     # immutable, like the frozen sets it holds
     with pytest.raises(AttributeError):
-        masked.plus = frozenset()
+        ways[0].plus = frozenset()
     with pytest.raises(AttributeError):
-        built.index = masked.index
+        ways[3].index = ways[2].index
 
 
-def test_structures_do_not_see_the_representation():
-    masked, built = _same_classes()
+def test_structures_do_not_see_the_index():
     sig = Signature(predicates={"R": 2}, has_equality=True)
-    pairs = itertools.product("ab", repeat=2)
-    eq = triple_from_map({p: ONE if p[0] == p[1] else ZERO for p in pairs})
-    a = make_structure(sig, ("a", "b"), {"R": masked, EQ: eq})
-    b = make_structure(
-        sig, ("a", "b"), {"R": built, EQ: make_triple(eq.plus, eq.minus, eq.dot)}
-    )
-    assert format_structure(a) == format_structure(b)
+    eq = triple_from_map({p: ONE if p[0] == p[1] else ZERO for p in PAIRS})
+    eqs = (eq, triple_from_map({p: eq.value_at(p) for p in reversed(PAIRS)}))
+    printed = {
+        format_structure(make_structure(sig, ("a", "b"), {"R": t, EQ: e}))
+        for t in _four_ways()
+        for e in eqs
+    }
+    assert len(printed) == 1
 
 
-def test_triple_op_checks_carriers_in_both_forms():
-    masked, built = _same_classes()
+def test_triple_op_does_not_see_the_index():
+    ways = _four_ways()
+    for op in ("~", "@"):
+        for r in ways:
+            assert triple_op(op, r) == triple_op(op, ways[0])
+    for op in ("&", "|", "->"):
+        for r, u in itertools.product(ways, repeat=2):
+            got = triple_op(op, r, u)
+            assert got == triple_op(op, ways[0], ways[0]) and got.index is r.index
     other = triple_from_map({("a", "a"): ONE})
     narrow = make_triple({("a", "a")}, (), ())
-    for r, u in ((masked, other), (other, built), (built, narrow)):
-        with pytest.raises(ValueError, match="carrier mismatch"):
-            triple_op("&", r, u)
-    # same carrier, different forms and orders: one answer
-    backwards = sorted(built.carrier, reverse=True)
-    reordered = triple_from_map({x: built.value_at(x) for x in backwards})
-    assert reordered.index is not masked.index
-    for r, u in itertools.product((masked, built, reordered), repeat=2):
-        assert triple_op("->", r, u) == triple_op("->", built, built)
+    wide = all_triples(itertools.product("abc", repeat=2))[0]
+    for t in ways:
+        for r, u in ((t, other), (other, t), (t, narrow), (t, wide), (wide, t)):
+            with pytest.raises(ValueError, match="carrier mismatch"):
+                triple_op("&", r, u)
     with pytest.raises(ValueError):
         make_triple({"a"}, {"a"}, set())
     with pytest.raises(ValueError, match="not a truth value"):
         triple_from_map({"a": ONE, "b": 2})
+
+
+def _recursive_all_triples(carrier):
+    """The classes of ``all_triples``, by the recursion that first fixed its
+    order: elements sorted by str, the first varying slowest, each in plus,
+    then minus, then dot."""
+    items = sorted(carrier, key=str)
+    out = []
+
+    def rec(i, plus, minus, dot):
+        if i == len(items):
+            out.append((frozenset(plus), frozenset(minus), frozenset(dot)))
+            return
+        x = items[i]
+        rec(i + 1, plus + [x], minus, dot)
+        rec(i + 1, plus, minus + [x], dot)
+        rec(i + 1, plus, minus, dot + [x])
+
+    rec(0, [], [], [])
+    return out
+
+
+def test_all_triples_order_is_pinned():
+    # the search's first countermodel and the bench's pinned answers follow it
+    for carrier in (X3, set(PAIRS)):
+        got = [(t.plus, t.minus, t.dot) for t in all_triples(carrier)]
+        assert got == _recursive_all_triples(carrier)
+
+
+def test_carrier_index_encode_decode():
+    index = CarrierIndex(("p", ("q", 1), 2, "r"))
+    for mask in range(1 << 4):
+        assert index.encode(index.decode(mask)) == mask
+    assert index.encode([2]) == 0b100 and index.decode(0b1001) == {"p", "r"}
+    with pytest.raises(KeyError):
+        index.encode({"p", "s"})
+    alg = PowersetAlgebra(frozenset({1, 2}))
+    with pytest.raises(ValueError, match="not a subset"):
+        alg.encode({1, 3})

@@ -200,7 +200,7 @@ def test_result_masks_stay_inside_the_base(k):
     for r in results:
         for m in masks(r):
             assert 0 <= m <= full, r
-            assert A.encode(A.decode(m)) == m, r
+            assert A.encode(A.index.decode(m)) == m, r
 
 
 # ---------------------------------------------------------------------------
