@@ -593,7 +593,7 @@ def cmd_search(args) -> int:
             % (res.size, res.structures_checked)
         )
         print(text.rstrip())
-        print("assignment: %s" % res.assignment)
+        print("assignment: %s" % (res.assignment,))
         print("value of target: %s" % res.value)
     elif res.limit_hit:
         print(

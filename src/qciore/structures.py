@@ -9,8 +9,10 @@ when every instance is false.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -44,33 +46,24 @@ POS, NEG, BOTH = "POS", "NEG", "BOTH"
 EQ = "="  # key for the equality interpretation in Structure.preds
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(tuple):
     """A finite-support assignment: explicit pairs, default elsewhere.
 
-    The hash is computed once, on construction: memoised evaluation hashes
-    the assignment on every call.
+    The tuple ``(default, pairs)``, ``pairs`` sorted by variable, so that
+    it is built, hashed and compared in C; it equals the plain tuple.  The
+    hot builders call ``tuple.__new__(Assignment, (default, pairs))``.
     """
 
-    default: object
-    pairs: tuple = ()  # (variable, element), sorted by variable
+    __slots__ = ()
 
-    def __init__(self, default, pairs: tuple = ()):
-        # one call in place of the frozen dataclass's __init__ and a
-        # __post_init__: evaluation builds an assignment per quantifier
-        # instance.  object.__setattr__ keeps the attributes in the
-        # instance's shared-key storage, as vars(self) would not
-        object.__setattr__(self, "default", default)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "_hash", hash((default, pairs)))
+    def __new__(cls, default, pairs: tuple = ()):
+        return tuple.__new__(cls, (default, pairs))
 
-    def __hash__(self) -> int:
-        return self._hash
+    default = property(operator.itemgetter(0))
+    pairs = property(operator.itemgetter(1))
 
     def __reduce__(self):
-        # rebuilt through __init__: string hashes differ from process to
-        # process, so a stored hash must not travel with the pickle
-        return (Assignment, (self.default, self.pairs))
+        return (Assignment, tuple(self))
 
     def get(self, x: str):
         for var, val in self.pairs:
@@ -81,6 +74,9 @@ class Assignment:
     def set(self, x: str, a) -> "Assignment":
         kept = tuple(p for p in self.pairs if p[0] != x)
         return Assignment(self.default, tuple(sorted(kept + ((x, a),))))
+
+    def __repr__(self) -> str:
+        return "Assignment(default=%r, pairs=%r)" % (self.default, self.pairs)
 
     def __str__(self) -> str:
         body = ", ".join("%s=%s" % (v, e) for v, e in self.pairs)
@@ -184,11 +180,7 @@ def eval_term(t: Term, A: Structure, s: Assignment):
 
 def tilde_forall(Y: set) -> Fraction:
     """Value of a universal claim from the set of instance values."""
-    if ZERO in Y:
-        return ZERO
-    if ONE in Y:
-        return ONE
-    return HALF  # Y == {1/2}
+    return ZERO if ZERO in Y else ONE if ONE in Y else HALF
 
 
 def tilde_exists(Y: set) -> Fraction:
@@ -197,11 +189,7 @@ def tilde_exists(Y: set) -> Fraction:
     Only the all-false set gives 0 and only the all-dubious set gives 1/2;
     every mixed set counts as 1, including {0, 1/2}.
     """
-    if Y == {ZERO}:
-        return ZERO
-    if Y == {HALF}:
-        return HALF
-    return ONE
+    return ZERO if Y == {ZERO} else HALF if Y == {HALF} else ONE
 
 
 def eval_formula(
@@ -215,12 +203,15 @@ def eval_formula(
 
     Each node type has one handler in ``_HANDLERS``, looked up once per
     node; a type without one raises ``TypeError``.  An atom reads its
-    variable arguments straight from ``s.pairs``, and a quantifier builds
-    each variant ``s.set(x, a)`` by slicing ``s.pairs`` around the place of
-    ``x``.  ``memo`` may be supplied to share work across calls; it is keyed
-    by (id(subformula), assignment), so the caller must keep the formula
-    objects alive and use one memo per structure and matrix; it is read once
-    per node and written only on a miss.  Without a memo no key is built.
+    variable arguments straight from the pairs of ``s``, and a quantifier
+    builds each variant ``s.set(x, a)`` from them, sliced around ``x``.
+    Without a memo, each node is evaluated at every assignment that reaches
+    it: a call costs the formula's tree size, a shared subformula counted
+    at each occurrence.  ``memo`` may be supplied to share work across calls
+    and occurrences; it is keyed by (id(subformula), assignment), so the
+    caller must keep the formula objects alive and use one memo per
+    structure and matrix.  It is read once per node and written only on a
+    miss, so it pays only where a node meets an assignment again.
     ``matrix`` supplies the connective tables (quantifiers always use the
     fixed set-based rules) — useful for demonstrating what breaks under a
     mutated table.
@@ -239,16 +230,16 @@ def eval_formula(
 
 def _atom_args(terms, A: Structure, s: Assignment) -> tuple:
     """The values of an atom's argument terms: a variable is read straight
-    from ``s.pairs`` (as ``s.get`` reads it), any other term by ``eval_term``."""
+    from ``s`` (as ``s.get`` reads it), any other term by ``eval_term``."""
     out = []
     for t in terms:
         if type(t) is Var:
             x = t.name
-            for var, val in s.pairs:
+            for var, val in s[1]:
                 if var == x:
                     break
             else:
-                val = s.default
+                val = s[0]
             out.append(val)
         else:
             out.append(eval_term(t, A, s))
@@ -300,21 +291,19 @@ def _binary_handler(op: str):
 def _quantifier_handler(rule):
     def handler(f, A: Structure, s: Assignment, memo, matrix: Matrix) -> Fraction:
         # the x-variants s.set(x, a), built by slicing: the pairs without x
-        # and x's insertion point are fixed, since s.pairs is sorted
-        x, body, default = f.var, f.body, s.default
-        kept = [p for p in s.pairs if p[0] != x]
-        i = 0
-        for var, _ in kept:
-            if var > x:
-                break
-            i += 1
-        before, after = kept[:i], kept[i:]
-        values = set()
-        for a in A.domain:
-            values.add(
-                eval_formula(body, A, Assignment(default, (*before, (x, a), *after)), memo, matrix)
-            )
-        return rule(values)
+        # and x's insertion point are fixed, since the pairs are sorted
+        x, body, (default, pairs) = f.var, f.body, s
+        kept = [p for p in pairs if p[0] != x]
+        i = bisect.bisect(kept, (x,))
+        before, after, new = kept[:i], kept[i:], tuple.__new__
+        return rule(
+            {
+                eval_formula(
+                    body, A, new(Assignment, (default, (*before, (x, a), *after))), memo, matrix
+                )
+                for a in A.domain
+            }
+        )
 
     return handler
 
@@ -330,17 +319,17 @@ _HANDLERS = {
 }
 
 
-def holds(f: Formula, A: Structure, s: Assignment | None = None) -> bool:
-    """True when the value of ``f`` is designated (1 or 1/2)."""
-    if s is None:
-        s = A.default_assignment()
-    return eval_formula(f, A, s) in DESIGNATED
-
-
 def assignments_over(A: Structure, frame: tuple[str, ...]):
-    """All assignments on ``frame``, lexicographic in domain order."""
-    for combo in itertools.product(A.domain, repeat=len(frame)):
-        yield Assignment(A.domain[0], tuple(sorted(zip(frame, combo))))
+    """All assignments on ``frame``, lexicographic in domain order.  An
+    unsorted frame permutes each combination to the sorted frame's order."""
+    names = tuple(sorted(frame))
+    combos = itertools.product(A.domain, repeat=len(frame))
+    if names != tuple(frame):
+        order = sorted(range(len(frame)), key=frame.__getitem__)
+        combos = map(operator.itemgetter(*order), combos)
+    default, new = A.domain[0], tuple.__new__
+    for combo in combos:
+        yield new(Assignment, (default, tuple(zip(names, combo))))
 
 
 def is_valid_in(
@@ -350,11 +339,12 @@ def is_valid_in(
 
     Returns (True, None) or (False, least-refuting-assignment), where
     assignments are ordered by the domain order on sorted free variables.
+    Each assignment is evaluated without a memo and costs ``f``'s tree
+    size (``eval_formula``): on search and harness queries a memo shared
+    over the assignments is hit at few of the nodes it keys.
     """
-    frame = tuple(sorted(free_vars(f)))
-    memo: dict = {}
-    for s in assignments_over(A, frame):
-        if eval_formula(f, A, s, memo, matrix) not in DESIGNATED:
+    for s in assignments_over(A, tuple(sorted(free_vars(f)))):
+        if eval_formula(f, A, s, None, matrix) not in DESIGNATED:
             return False, s
     return True, None
 
@@ -382,7 +372,7 @@ def formula_triple(
     return _triple(f, A, frame, memo if memo is not None else {})
 
 
-@functools.lru_cache(maxsize=64)
+@triples._type_faithful_cache(maxsize=64)
 def _frame_index(domain: tuple, k: int) -> CarrierIndex:
     """The index of domain^k, in ``itertools.product`` order."""
     return CarrierIndex.of(tuple(itertools.product(domain, repeat=k)))
@@ -394,11 +384,9 @@ def _triple(f: Formula, A: Structure, frame: tuple[str, ...], memo: dict) -> Tri
     if hit is not None:
         return hit
     if isinstance(f, (Pred, Eq)):
+        points = itertools.product(A.domain, repeat=len(frame))
         out = triple_from_map(
-            {
-                tup: eval_formula(f, A, Assignment(A.domain[0], tuple(sorted(zip(frame, tup)))))
-                for tup in itertools.product(A.domain, repeat=len(frame))
-            }
+            dict(zip(points, (eval_formula(f, A, s) for s in assignments_over(A, frame))))
         )
     elif isinstance(f, (Neg, Cons)):
         out = triple_op(UNARY_OPS[type(f)], _triple(f.sub, A, frame, memo))
@@ -524,11 +512,7 @@ def sentence_trichotomy(f: Formula, A: Structure) -> str:
     if fv:
         raise ValueError("not a sentence; free variables %s" % sorted(fv))
     v = eval_formula(f, A, A.default_assignment())
-    if v == ONE:
-        return POS
-    if v == ZERO:
-        return NEG
-    return BOTH
+    return POS if v == ONE else NEG if v == ZERO else BOTH
 
 
 # ---------------------------------------------------------------------------

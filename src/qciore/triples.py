@@ -33,11 +33,27 @@ from .matrix3 import CIORE, HALF, ONE, VALUES, ZERO, Matrix
 _set = object.__setattr__
 
 
+def _type_faithful_cache(maxsize: int):
+    """``functools.lru_cache`` keyed by the arguments and the type of each
+    of their parts, through tuples: ``(0, 1)`` and ``(False, True)`` are
+    equal and hash alike, but get entries of their own."""
+
+    def types(x):
+        return tuple(map(types, x)) if type(x) is tuple else type(x)
+
+    def decorate(fn):
+        cached = functools.lru_cache(maxsize)(lambda args, _: fn(*args))
+        return functools.wraps(fn)(lambda *args: cached(args, types(args)))
+
+    return decorate
+
+
 class CarrierIndex:
     """A numbering of a carrier: ``elements[i]`` is bit ``i`` of a mask.
 
     ``CarrierIndex.of`` returns one shared index per element tuple, so
-    triples over the same tuple combine and compare their masks directly.
+    triples over the same tuple combine and compare their masks directly;
+    elements of different types, such as ``1`` and ``True``, never share one.
     """
 
     __slots__ = ("elements", "position", "carrier", "full")
@@ -51,7 +67,7 @@ class CarrierIndex:
         self.full = (1 << len(elements)) - 1
 
     @staticmethod
-    @functools.lru_cache(maxsize=256)
+    @_type_faithful_cache(maxsize=256)
     def of(elements: tuple) -> "CarrierIndex":
         """The shared index over ``elements``, in that order."""
         return CarrierIndex(elements)

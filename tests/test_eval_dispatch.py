@@ -4,21 +4,25 @@
 dispatch table: one ``isinstance`` test after another, the variants of a
 quantifier built by ``Assignment.set``.  Both are run on random formulas,
 structures and assignments, with and without a memo, under CIORE and a
-mutated matrix; values, memo contents and errors must all agree.  The
+mutated matrix; values, memo contents and errors must all agree.
+``is_valid_in``, which evaluates each assignment without a memo, is checked
+the same way against a loop that shares one memo over all of them.  The
 searches are derandomized, so a run is repeatable.
 """
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qciore.matrix3 import CIORE, HALF, ONE, VALUES, ZERO, Matrix
+from qciore.matrix3 import CIORE, DESIGNATED, HALF, ONE, VALUES, ZERO, Matrix
 from qciore.structures import (
     EQ,
     Assignment,
     eval_formula,
     eval_term,
+    is_valid_in,
     make_structure,
     tilde_exists,
     tilde_forall,
@@ -40,6 +44,7 @@ from qciore.syntax import (
     Pred,
     Signature,
     Var,
+    free_vars,
 )
 from qciore.triples import make_triple
 
@@ -176,6 +181,50 @@ def test_eval_formula_matches_the_isinstance_chain(data):
         assert memo == reference_memo
         assert eval_formula(f, A, s, memo, matrix) == expected  # read back
         assert memo == reference_memo
+
+
+def reference_validity(f, A, matrix=CIORE):
+    """``is_valid_in`` as a loop over the assignments of f's sorted free
+    variables, in domain order, that shares one ``eval_formula`` memo."""
+    frame = sorted(free_vars(f))
+    memo: dict = {}
+    for values in itertools.product(A.domain, repeat=len(frame)):
+        s = Assignment(A.domain[0], tuple(zip(frame, values)))
+        if eval_formula(f, A, s, memo, matrix) not in DESIGNATED:
+            return False, s
+    return True, None
+
+
+@SEARCH
+@given(st.data())
+def test_is_valid_in_matches_a_loop_sharing_one_memo(data):
+    f = data.draw(formulas)
+    A = data.draw(structures())
+    for matrix in (CIORE, MUTATED):
+        expected = reference_validity(f, A, matrix)
+        got = is_valid_in(f, A, matrix)
+        # the verdict, and the least refuting assignment
+        assert got == expected, str(f)
+        assert type(got[1]) is type(expected[1])
+
+
+def test_is_valid_in_on_a_formula_of_shared_nodes():
+    # g = g & g ten times: each assignment evaluates the innermost node at
+    # its 2**10 occurrences, where a shared memo evaluates it once
+    A = make_structure(
+        Signature(predicates={"R": 2}),
+        ("a", "b"),
+        {"R": make_triple({("a", "a"), ("b", "b"), ("a", "b")}, {("b", "a")}, ())},
+    )
+    xy, yx = Pred("R", (Var("x"), Var("y"))), Pred("R", (Var("y"), Var("x")))
+    refuted = (False, Assignment("a", (("x", "a"), ("y", "b"))))
+    for g, expected in ((Imp(xy, xy), (True, None)), (yx, refuted)):
+        for _ in range(10):
+            g = And(g, g)
+        started = time.perf_counter()
+        assert is_valid_in(g, A) == expected
+        assert time.perf_counter() - started < 2.0
+        assert reference_validity(g, A) == expected
 
 
 def test_the_mutated_matrix_changes_some_values():

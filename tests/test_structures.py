@@ -1,9 +1,14 @@
 import itertools
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import qciore
 from helpers import remark_structure, singleton
 from qciore.matrix3 import CIORE, DESIGNATED, HALF, ONE, ZERO, eval_prop
 from qciore.structures import (
@@ -17,7 +22,6 @@ from qciore.structures import (
     eval_term,
     expand_with_names,
     formula_triple,
-    holds,
     is_valid_in,
     make_structure,
     reduct,
@@ -102,9 +106,10 @@ def test_dubious_singleton():
 
 def test_holds_on_designated_values():
     A = singleton(dot={("a",)})
-    assert holds(parse_formula("P(x)", A.sig), A)
-    assert holds(parse_formula("P(x) & ~P(x)", A.sig), A)
-    assert not holds(parse_formula("@P(x)", A.sig), A)
+    s = A.default_assignment()
+    assert eval_formula(parse_formula("P(x)", A.sig), A, s) in DESIGNATED
+    assert eval_formula(parse_formula("P(x) & ~P(x)", A.sig), A, s) in DESIGNATED
+    assert eval_formula(parse_formula("@P(x)", A.sig), A, s) not in DESIGNATED
 
 
 def test_trichotomy_requires_sentence():
@@ -138,11 +143,15 @@ def test_prop_6_7_value_vs_compounds():
     A = remark_structure()
     sig = A.sig
     f = parse_formula("P(x)", sig)
+
+    def holds(text, s):
+        return eval_formula(parse_formula(text, sig), A, s) in DESIGNATED
+
     for s in (A.default_assignment().set("x", e) for e in A.domain):
         v = eval_formula(f, A, s)
-        assert (v == ONE) == holds(parse_formula("P(x) & @P(x)", sig), A, s)
-        assert (v == ZERO) == holds(parse_formula("~P(x) & @P(x)", sig), A, s)
-        assert (v == HALF) == holds(parse_formula("P(x) & ~P(x)", sig), A, s)
+        assert (v == ONE) == holds("P(x) & @P(x)", s)
+        assert (v == ZERO) == holds("~P(x) & @P(x)", s)
+        assert (v == HALF) == holds("P(x) & ~P(x)", s)
 
 
 def test_implication_validity_via_minus_classes():
@@ -272,7 +281,8 @@ def test_equality_structures():
         },
     )
     # a contradictory diagonal lets ~(x = x) hold
-    assert holds(parse_formula("~x = x", sig), dubious_diag)
+    s = dubious_diag.default_assignment()
+    assert eval_formula(parse_formula("~x = x", sig), dubious_diag, s) in DESIGNATED
 
 
 def test_expand_with_names():
@@ -347,12 +357,64 @@ def test_default_element_never_leaks_into_sentences(d1, d2):
 
 
 def test_assignment_set_hashes_like_a_direct_build():
-    direct = Assignment("a", (("x", "b"), ("y", "c")))
-    built = Assignment("a").set("y", "c").set("x", "b")
-    assert built == direct and hash(built) == hash(direct)
+    # four builds are one value, one hash and one memo key: a direct build,
+    # a chain of set, assignments_over and the quantifier handler's variant;
+    # an assignment is the tuple (default, pairs), so it equals that tuple
+    A = remark_structure()
+    pairs = (("x", "b"), ("y", "c"))
+    direct = Assignment("a", pairs)
+    chained = Assignment("a").set("y", "c").set("x", "b")
+    over = [s for s in assignments_over(A, ("y", "x")) if s.pairs == pairs]
+    # the x-variants, read off the memo keys of the quantifier's body
+    f = parse_formula("forall x. P(x) & P(y)", A.sig)
+    memo: dict = {}
+    eval_formula(f, A, Assignment("a", (("x", "a"), ("y", "c"))), memo)
+    variant = [s for node, s in memo if node == id(f.body) and s.get("x") == "b"]
+    builds = [direct, chained, *over, *variant]
+    assert len(builds) == 4
+    for s in builds:
+        assert type(s) is Assignment and s.default == "a" and s.pairs == pairs
+        assert s == direct and hash(s) == hash(direct) and s == ("a", pairs)
+        assert (id(f.body), s) in memo
+    assert len({(id(f.body), s) for s in builds}) == 1
     assert Assignment("a", (("x", "b"),)).set("x", "c") == Assignment("a", (("x", "c"),))
     assert Assignment("a") != Assignment("b")
-    assert {built: 1}[direct] == 1
-    again = pickle.loads(pickle.dumps(direct))
-    assert again == direct and hash(again) == hash(direct)
-    assert repr(direct) == "Assignment(default='a', pairs=(('x', 'b'), ('y', 'c')))"
+
+
+def test_assignment_prints_as_it_did():
+    s = Assignment("a", (("x", "b"), ("y", "c")))
+    assert str(s) == "{x=b, y=c; default a}"
+    assert str(Assignment("a")) == "{; default a}"
+    assert repr(s) == "Assignment(default='a', pairs=(('x', 'b'), ('y', 'c')))"
+    assert repr(Assignment("a")) == "Assignment(default='a', pairs=())"
+    # one %s operand that is a tuple must be wrapped
+    assert "at %s" % (s,) == "at {x=b, y=c; default a}"
+    with pytest.raises(AttributeError):
+        s.default = "b"
+    with pytest.raises(AttributeError):
+        s.extra = 1
+
+
+def test_assignment_pickles_carry_no_hash():
+    s = Assignment("a", (("x", "b"), ("y", "c")))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        again = pickle.loads(pickle.dumps(s, protocol))
+        assert type(again) is Assignment and again == s and hash(again) == hash(s)
+    # loaded where strings hash differently, it keys a fresh build's entry
+    check = (
+        "import pickle, sys\n"
+        "from qciore.structures import Assignment\n"
+        "s = pickle.loads(sys.stdin.buffer.read())\n"
+        "fresh = Assignment('a', (('x', 'b'), ('y', 'c')))\n"
+        "print(type(s) is Assignment, s == fresh, hash(s) == hash(fresh), {fresh: 7}.get(s), s)\n"
+    )
+    src = str(Path(qciore.__file__).resolve().parent.parent)
+    for seed in ("0", "12345"):
+        done = subprocess.run(
+            [sys.executable, "-c", check],
+            input=pickle.dumps(s),
+            capture_output=True,
+            check=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+        )
+        assert done.stdout.decode().strip() == "True True True 7 {x=b, y=c; default a}"

@@ -5,7 +5,7 @@ import pytest
 
 from qciore.cli import format_structure
 from qciore.matrix3 import HALF, LFI1, ONE, P1, ZERO
-from qciore.structures import EQ, make_structure
+from qciore.structures import EQ, _frame_index, make_structure
 from qciore.syntax import Signature
 from qciore.twist import PowersetAlgebra
 from qciore.triples import (
@@ -213,6 +213,24 @@ def test_the_index_does_not_show():
         ways[0].plus = frozenset()
     with pytest.raises(AttributeError):
         ways[3].index = ways[2].index
+
+
+def test_carrier_indices_keep_the_type_of_each_element():
+    # (False, True) and (0, 1) are equal and hash alike: an index shared by
+    # the element tuple alone would give the ints the bools' index
+    bools = Triple(frozenset({False}), frozenset({True}), frozenset())
+    ints = Triple(frozenset({0}), frozenset({1}), frozenset())
+    assert str(bools) == "({False}, {True}, {})" and str(ints) == "({0}, {1}, {})"
+    assert ints.index is not bools.index
+    assert [type(x) for x in ints.index.decode(ints.index.full)] == [int, int]
+    assert {type(x) for x in ints.plus | ints.minus | ints.carrier} == {int}
+    # tuples of them, as predicate carriers and frames are
+    triple_from_map({(False,): ONE, (True,): ZERO})
+    assert str(triple_from_map({(0,): ONE, (1,): ZERO})) == "({(0,)}, {(1,)}, {})"
+    for domain in ((False, True), (0, 1)):
+        index = _frame_index(domain, 2)
+        assert [type(x) for t in index.elements for x in t] == [type(domain[0])] * 8
+        assert index is _frame_index(domain, 2)
 
 
 def test_structures_do_not_see_the_index():
