@@ -125,9 +125,6 @@ class LemmaStore:
     def __contains__(self, name: str) -> bool:
         return name in self._lemmas
 
-    def names(self) -> list[str]:
-        return sorted(self._lemmas)
-
     def copy(self) -> "LemmaStore":
         out = LemmaStore()
         out._lemmas = dict(self._lemmas)

@@ -168,12 +168,20 @@ def tarski_conditions(
       TC3  if (forall x. phi) has value 1 in B, some a in A gives phi 1;
       TC4  if (forall x. phi) has value 0 in B, some a in A gives phi 0.
 
-    The pool is compiled once into a ``structures.MaskProgram`` at the frame
-    and run on B, from atom masks read pointwise by ``eval_formula``.  Both
-    quantifiers over phi, and the witnesses in A, are fibre steps along x
-    (``triples._fibre_step``) on phi's masks: the witnesses on phi's classes
-    masked to the points whose x lies in A.  Each condition's violations are
-    then one mask, read at the points of A's assignments.
+    When A's domain is all of B's, A interprets everything as B does and
+    every witness in B is in A: once the inputs are checked, the answer is
+    ``[]``.  Otherwise the pool is compiled once into a
+    ``structures.MaskProgram`` at the frame and run on B, from atom masks
+    read pointwise by ``eval_formula``.  Formula j's masks over the n**k
+    points of the frame are lane j, ``width`` = ceil(n**k / 8) whole bytes
+    from byte j * width, of one (plus, minus) pair of ints for the pool,
+    packed and cut apart through ``bytes``.  A lane is a whole number of
+    fibre periods, so a fibre step along x (``triples._fibre_step``, with
+    the fibre's ``base`` and the A-point masks copied into every lane) never
+    crosses one: both quantifiers over phi, and the witnesses in A on phi's
+    classes masked to the points whose x lies in A, are six steps per x for
+    the whole pool.  Each condition's violations are then one mask, read at
+    the points of A's assignments in the lanes of the formulas with any.
 
     Returns the violations found (empty list = all conditions hold), by
     assignment in ``assignments_over`` order, then by formula, variable and
@@ -188,6 +196,8 @@ def tarski_conditions(
         variables = tuple(sorted(used)) or ("x",)
     elif len(set(variables)) != len(variables):
         raise ValueError("variables repeat a name: %s" % (tuple(variables),))
+    if set(A.domain) == set(B.domain):
+        return []
     frame = tuple(sorted(used.union(variables)))
     program = structures.MaskProgram()
     at = [program.add(phi, frame) for phi in formulas]
@@ -197,7 +207,16 @@ def tarski_conditions(
 
     n, k = len(B.domain), len(frame)
     values = program.run(n, leaf)
-    full = (1 << n**k) - 1
+    width = (n**k + 7) // 8
+    size = width * len(formulas)
+
+    def pack(masks) -> int:
+        return int.from_bytes(b"".join(m.to_bytes(width, "little") for m in masks), "little")
+
+    rep = int.from_bytes((b"\1" + bytes(width - 1)) * len(formulas), "little")
+    full = ((1 << n**k) - 1) * rep
+    plus, minus = (pack(values[i][c] for i in at) for c in (0, 1))
+    half = full & ~(plus | minus)
     # per frame variable, its fibre layout and the points where it lies in A;
     # the points of A's assignments are where every variable does
     position = {e: i for i, e in enumerate(B.domain)}
@@ -205,34 +224,39 @@ def tarski_conditions(
     points = full
     for p, v in enumerate(frame):
         stride, base, _ = layout[v] = triples._fibre(n, k, p, False)
-        inside[v] = sum(base << position[a] * stride for a in A.domain)
+        inside[v] = sum(base << position[a] * stride for a in A.domain) * rep
         points &= inside[v]
     step = triples._fibre_step
+    lanes, flagged = {}, 0  # per variable, the bytes of exists' plus and TC1-TC4
+    for x in variables:
+        stride, base, spread = layout[x]
+        fibre = (n, stride, base * rep, spread)
+        within, outside = inside[x], full & ~inside[x]
+        ex_plus, ex_minus = step(False, plus, minus, *fibre)
+        fa_plus, fa_minus = step(True, plus, minus, *fibre)
+        # each condition's points lacking witnesses in A, where it applies:
+        # every witness 1/2 or 0 (TC1, TC2), none 1 (TC3), none 0 (TC4)
+        every_half = step(False, 0, half | outside, *fibre)[1]
+        every_zero = step(False, 0, minus | outside, *fibre)[1]
+        tcs = [
+            ex_plus & (every_zero | every_half),
+            (ex_plus | ex_minus) & every_half,
+            fa_plus & ~step(False, plus & within, 0, *fibre)[0],
+            fa_minus & ~step(False, minus & within, 0, *fibre)[0],
+        ]
+        tcs = [m & points for m in tcs]
+        flagged |= tcs[0] | tcs[1] | tcs[2] | tcs[3]
+        lanes[x] = [m.to_bytes(size, "little") for m in [ex_plus] + tcs]
     found = []  # (phi, x, its masks, exists' plus mask, TC1-TC4 masks)
-    for phi, i in zip(formulas, at):
-        plus, minus = values[i]
-        half = full & ~(plus | minus)
+    hit, none = flagged.to_bytes(size, "little"), bytes(width)
+    for j, (phi, i) in enumerate(zip(formulas, at)):
+        cut = slice(j * width, (j + 1) * width)
+        if hit[cut] == none:
+            continue
         for x in variables:
-            fibre = (n, *layout[x])
-            within, outside = inside[x], full & ~inside[x]
-            ex_plus, ex_minus = step(False, plus, minus, *fibre)
-            fa_plus, fa_minus = step(True, plus, minus, *fibre)
-            # each condition's points lacking witnesses in A, where it applies:
-            # every witness 1/2 or 0 (TC1, TC2), none 1 (TC3), none 0 (TC4)
-            tcs = [0, 0, 0, 0]
-            if ex_plus | ex_minus:
-                every_half = step(False, 0, half | outside, *fibre)[1]
-                tcs[1] = (ex_plus | ex_minus) & every_half
-                if ex_plus:
-                    every_zero = step(False, 0, minus | outside, *fibre)[1]
-                    tcs[0] = ex_plus & (every_zero | every_half)
-            if fa_plus:
-                tcs[2] = fa_plus & ~step(False, plus & within, 0, *fibre)[0]
-            if fa_minus:
-                tcs[3] = fa_minus & ~step(False, minus & within, 0, *fibre)[0]
-            tcs = [m & points for m in tcs]
+            ex_plus, *tcs = [int.from_bytes(raw[cut], "little") for raw in lanes[x]]
             if any(tcs):
-                found.append((phi, x, (plus, minus), ex_plus, tcs))
+                found.append((phi, x, values[i], ex_plus, tcs))
     violations = []
     for s in assignments_over(A, frame) if found else ():
         # s's bit in B's layout: A's domain order need not be B's
@@ -282,12 +306,18 @@ def elementary_sub_bounded(
     """Value agreement between A and B on all formulas up to a depth.
 
     Assignments range over the small structure.  Returns (True, None) or
-    (False, (formula, assignment, value in A, value in B)).
+    (False, (formula, assignment, value in A, value in B)).  When A's domain
+    is all of B's, A interprets everything as B does, so the answer is
+    (True, None) once the inputs are checked.
     """
     ok, why = is_substructure(A, B)
     if not ok:
         raise ValueError("not a substructure: %s" % why)
-    pool = list(enumerate_formulas(A.sig, variables, max_depth))
+    pool = enumerate_formulas(A.sig, variables, max_depth)
+    if set(A.domain) == set(B.domain):
+        next(pool, None)  # the generator checks the variables and the depth
+        return True, None
+    pool = list(pool)
     frame = tuple(sorted(variables))
     memo_a: dict = {}
     memo_b: dict = {}
@@ -309,11 +339,15 @@ def elementary_equiv_bounded(
     """Sentence-verdict agreement up to a depth.
 
     Compares the POS/NEG/BOTH verdict of every sentence in the depth-bounded
-    pool.  Returns (True, None) or (False, separating sentence).
+    pool.  Returns (True, None) or (False, separating sentence); (True, None)
+    when A == B, once the inputs are checked.
     """
     if A.sig != B.sig:
         raise ValueError("signatures differ")
-    pool = list(enumerate_formulas(A.sig, variables, max_depth))
+    pool = enumerate_formulas(A.sig, variables, max_depth)
+    if A == B:
+        next(pool, None)  # the generator checks the variables and the depth
+        return True, None
     for f in pool:
         if free_vars(f):
             continue

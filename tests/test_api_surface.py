@@ -2,10 +2,12 @@
 
 A name-based scan: every public top-level function and class of
 ``src/qciore/*.py``, and every public method of those classes, must be
-reached from the program, that is named (as a ``Name``, an ``Attribute`` or
-an import alias) somewhere in ``src/qciore`` or ``bench/*.py`` outside its
-own definition.  Matching is by name only, so a name that some other object
-shares counts as reached; the scan finds API that nothing at all names.
+reached from the program, that is named somewhere in ``src/qciore`` or
+``bench/*.py`` outside its own definition: a function or class as a
+``Name``, an ``Attribute`` or an import alias, a method only as an
+``Attribute`` (``x.set``, never the builtin ``set``).  Matching is by name
+only, so a name that some other object shares counts as reached; the scan
+finds API that nothing at all names.
 A name the program does not reach must be on ``KEEP``, with the reason it
 stays.
 """
@@ -23,20 +25,24 @@ KEEP = {
     "modeltheory.rename_structure": "bounded amalgamation (ROADMAP item 7) uses it",
     "modeltheory.union_of_chain": "bounded amalgamation (ROADMAP item 7) uses it",
     "structures.expand_with_names": "bounded amalgamation (ROADMAP item 7) uses it",
+    "structures.Assignment.set": "the tests' pointwise reference evaluators build each "
+    "x-variant with it, the rule that eval_formula's sliced variants are checked against",
     "twist.twist_pair": "the paper's definition of a twist pair",
     "twist.twist_triple": "the paper's definition of a twist triple",
 }
 
 
-def named(tree) -> Counter:
+def named(tree, attributes_only: bool = False) -> Counter:
     """How often each name occurs in ``tree`` as a Name, an Attribute or an
-    import alias."""
+    import alias; as an Attribute only if ``attributes_only``."""
     out = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             out[node.attr] += 1
+        elif attributes_only:
+            continue
+        elif isinstance(node, ast.Name):
+            out[node.id] += 1
         elif isinstance(node, ast.alias):
             out[node.name.rpartition(".")[2]] += 1
             if node.asname:
@@ -45,27 +51,30 @@ def named(tree) -> Counter:
 
 
 def public_definitions(path: Path):
-    """(qualified name, definition node) for each public top-level function
-    and class of the module at ``path`` and each public method of those
-    classes."""
+    """(qualified name, definition node, whether it is a method) for each
+    public top-level function and class of the module at ``path`` and each
+    public method of those classes."""
     module = path.stem
     for node in ast.parse(path.read_text()).body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
             continue
-        yield "%s.%s" % (module, node.name), node
+        yield "%s.%s" % (module, node.name), node, False
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
-                    yield "%s.%s.%s" % (module, node.name, member.name), member
+                    yield "%s.%s.%s" % (module, node.name, member.name), member, True
 
 
 def unreached() -> set:
-    everywhere = sum((named(ast.parse(p.read_text())) for p in PROGRAM), Counter())
+    trees = [ast.parse(p.read_text()) for p in PROGRAM]
+    everywhere = {
+        method: sum((named(t, method) for t in trees), Counter()) for method in (False, True)
+    }
     out = set()
     for path in SRC:
-        for qualified, node in public_definitions(path):
+        for qualified, node, method in public_definitions(path):
             # a definition's own body (a recursive call) does not reach it
-            if everywhere[node.name] - named(node)[node.name] <= 0:
+            if everywhere[method][node.name] - named(node, method)[node.name] <= 0:
                 out.add(qualified)
     return out
 

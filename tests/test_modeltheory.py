@@ -266,12 +266,14 @@ def reordered(a):
     [
         (SIG_P1, 3, ("x",), 1, "exists z. P(z) & ~P(x)"),
         (SIG_P1, 2, ("x", "y"), 1, "forall z. P(z) -> P(y)"),
+        # 3**2 = 9 points: every formula's lane is two bytes
+        (SIG_P1, 3, ("x", "y"), 1, "exists z. P(z) & ~P(x)"),
         (SIG_PC, 2, ("x",), 1, "exists z. @P(z) & P(c)"),
         (SIG_R2, 2, ("x",), 1, "forall z. R(x, z) | ~R(z, x)"),
         (SIG_R2, 2, ("x", "y"), 0, "exists z. R(x, z) & ~R(z, y)"),
         (SIG_PF, 2, ("x", "y"), 1, "forall z. P(f(z)) -> ~P(y)"),
     ],
-    ids=["P-x", "P-xy", "Pc-x", "R-x", "R-xy", "Pf-xy"],
+    ids=["P-x", "P-xy", "P-xy-3", "Pc-x", "R-x", "R-xy", "Pf-xy"],
 )
 def test_tarski_matches_pointwise_reference(sig, max_size, variables, depth, extra):
     # the extra formula quantifies a variable outside the frame
@@ -295,6 +297,80 @@ def test_tarski_matches_pointwise_reference(sig, max_size, variables, depth, ext
                         checked += 1
                         found += len(got)
     assert checked and found
+
+
+def reference_elementary_sub(A, B, depth, variables):
+    """Bounded elementarity pointwise: every formula at every assignment."""
+    pool = list(enumerate_formulas(A.sig, variables, depth))
+    for s in assignments_over(A, tuple(sorted(variables))):
+        for f in pool:
+            va, vb = eval_formula(f, A, s), eval_formula(f, B, s)
+            if va != vb:
+                return False, (f, s, va, vb)
+    return True, None
+
+
+def reference_equiv(A, B, depth, variables):
+    """Bounded equivalence pointwise: every sentence's verdict."""
+    for f in enumerate_formulas(A.sig, variables, depth):
+        if not free_vars(f) and sentence_trichotomy(f, A) != sentence_trichotomy(f, B):
+            return False, f
+    return True, None
+
+
+@pytest.mark.parametrize(
+    "sig,max_size,variables",
+    [
+        (SIG_P1, 3, ("x",)),
+        (SIG_P1, 2, ("x", "y")),
+        (SIG_PC, 2, ("x",)),
+        (SIG_R2, 2, ("x",)),
+        (SIG_PF, 2, ("x", "y")),
+    ],
+    ids=["P-x", "P-xy", "Pc-x", "R-x", "Pf-xy"],
+)
+def test_same_domain_pairs_match_pointwise_references(sig, max_size, variables):
+    # A on all of B's elements, in B's order (A == B) and reversed (A != B)
+    pool = list(enumerate_formulas(sig, variables, 1))
+    checked = 0
+    for n in range(1, max_size + 1):
+        for b in enumerate_structures(sig, n):
+            a = induced_substructure(b, b.domain)
+            for small in (a, reordered(a)):
+                assert tarski_conditions(small, b, pool, variables) == []
+                assert reference_tarski_conditions(small, b, pool, variables) == []
+                for depth in (0, 1):
+                    assert elementary_sub_bounded(
+                        small, b, depth, variables
+                    ) == reference_elementary_sub(small, b, depth, variables)
+                    assert elementary_equiv_bounded(
+                        small, b, depth, variables
+                    ) == reference_equiv(small, b, depth, variables)
+                checked += 1
+    assert checked
+
+
+def test_same_domain_pairs_still_check_their_inputs():
+    b = p_structure(("e1", "e2"), plus="e1", minus="e2")
+    pool = [parse_formula("P(x)")]
+    for a in (b, induced_substructure(b, b.domain), reordered(b)):
+        with pytest.raises(ValueError, match="repeat"):
+            tarski_conditions(a, b, pool, ("x", "x"))
+        for check in (elementary_sub_bounded, elementary_equiv_bounded):
+            with pytest.raises(ValueError, match="at least 0"):
+                check(a, b, -1)
+            with pytest.raises(ValueError, match="repeat"):
+                check(a, b, 1, ("x", "x"))
+    other = p_structure(("e1", "e2"), plus="e2", minus="e1")
+    with pytest.raises(ValueError, match="not a substructure"):
+        tarski_conditions(other, b, pool)
+    with pytest.raises(ValueError, match="not a substructure"):
+        elementary_sub_bounded(other, b, 1)
+    renamed_sig = make_structure(
+        Signature(predicates={"Q": 1}), b.domain, preds={"Q": b.preds["P"]}
+    )
+    with pytest.raises(ValueError, match="signatures differ"):
+        elementary_equiv_bounded(renamed_sig, b, 1)
 
 
 # ---------------------------------------------------------------------------
