@@ -447,6 +447,20 @@ def test_search_prints_each_outcome_exactly(argv, code, out, capsys):
     assert capsys.readouterr().out == out
 
 
+def test_main_builds_its_parser_once_and_carries_no_arguments_over(capsys):
+    # one parser per process; each call parses into a fresh namespace, so
+    # the first call's premise and --json do not reach the second
+    from qciore import cli
+
+    cli.build_parser.cache_clear()
+    assert main(["search", "--refute", "P(c)", "--gamma", "P(c)", "--max", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["exhausted"]
+    assert main(["search", "--refute", "P(c)", "--max", "1"]) == 1
+    assert capsys.readouterr().out.startswith("countermodel of size 1")
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 @pytest.mark.parametrize("flag", ["--max-structures", "--time-budget"])
 def test_search_command_rejects_a_negative_budget(flag, capsys):
     # no budget below 0 can be met: an error, not "stopped after 0 structures"
@@ -530,6 +544,85 @@ def test_twist_verify_checks_the_quantifiers_against_eval_formula(capsys, monkey
     assert "lifted quantifiers over a 2-element domain: BROKEN" in out
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert fails and all("misses eval_formula" in line for line in fails)
+
+
+def _quantifier_fails(what, z):
+    return ["FAIL %s over %s %s at %s" % (kind, var, what, z)
+            for kind in ("forall", "exists") for var in ("x", "y")]
+
+
+_FAULTY_LANES = pytest.mark.parametrize(
+    "lanes", [[0], [40], [80], [40, 80]], ids=["first", "middle", "last", "two"]
+)
+
+
+@_FAULTY_LANES
+def test_twist_verify_locates_an_oracle_fault(capsys, monkeypatch, lanes):
+    # eval_formula wrong in the structures of the given triples alone: every
+    # quantified formula misses there, the first is named, and the two
+    # lifted forms still agree
+    from qciore import cli
+    from qciore.matrix3 import ONE, ZERO
+
+    zs = all_twist_triples(cli._TWIST_SPACE.algebra)
+    bad = {(zs[i].a, zs[i].b) for i in lanes}
+    real = cli.eval_formula
+
+    def wrong_in_lanes(f, A, s):
+        v = real(f, A, s)
+        R = A.preds["R"]
+        return {ONE: ZERO}.get(v, ONE) if (R.plus, R.minus) in bad else v
+
+    monkeypatch.setattr(cli, "eval_formula", wrong_in_lanes)
+    code = main(["twist-verify", "--sizes", "1"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "lifted quantifiers over a 2-element domain: BROKEN" in out
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == (
+        _quantifier_fails("misses eval_formula", zs[lanes[0]])
+    )
+
+
+@_FAULTY_LANES
+def test_twist_verify_locates_a_pair_form_fault(capsys, monkeypatch, lanes):
+    # the pair form wrong in the given lanes alone: the triple form still
+    # matches eval_formula, so only the divergence names the first of them
+    from qciore import cli
+
+    real = cli.lifted_quantifier
+
+    def wrong_pairs_in_lanes(kind, representation, x, space, z):
+        r = real(kind, representation, x, space, z)
+        if representation == "P":
+            r = tuple.__new__(type(r), (r[0], r[1] ^ sum(1 << 8 * i for i in lanes), r[2]))
+        return r
+
+    monkeypatch.setattr(cli, "lifted_quantifier", wrong_pairs_in_lanes)
+    code = main(["twist-verify", "--sizes", "1"])
+    out = capsys.readouterr().out
+    assert code == 1
+    bad = all_twist_triples(cli._TWIST_SPACE.algebra)[lanes[0]]
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == (
+        _quantifier_fails("diverges", bad)
+    )
+
+
+def test_twist_verify_lifts_each_quantifier_once_for_all_triples(capsys, monkeypatch):
+    # one triple-form and one pair-form call per (kind, variable), each on
+    # the 81 triples packed side by side, not one call per triple
+    from qciore import cli
+
+    calls = []
+    real = cli.lifted_quantifier
+
+    def counted(kind, representation, x, space, z):
+        calls.append((kind, representation, x))
+        return real(kind, representation, x, space, z)
+
+    monkeypatch.setattr(cli, "lifted_quantifier", counted)
+    assert main(["twist-verify", "--sizes", "1"]) == 0
+    capsys.readouterr()
+    assert len(calls) == len(set(calls)) == 8
 
 
 def test_twist_verify_rejects_infeasible_sizes(capsys):
