@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import re
 import sys
@@ -62,9 +61,8 @@ from .structures import (
     sentence_trichotomy,
 )
 from .syntax import (
-    App,
+    And,
     BINARY_OPS,
-    Eq,
     Formula,
     FVar,
     ParseError,
@@ -406,45 +404,15 @@ def parse_proof(text: str) -> Proof:
 
 
 def infer_signature(formulas) -> Signature:
-    """The smallest signature interpreting every symbol in the formulas.
-
-    Applied identifiers in formula position become predicates, applied
-    identifiers in term position become functions, bare identifiers stay
-    variables, and equality atoms switch the equality flag on.  Formula
-    metavariables contribute nothing.  A symbol used at two arities is a
-    FileFormatError.
-    """
-    preds: dict[str, int] = {}
-    funs: dict[str, int] = {}
-    has_eq = False
-
-    def record(table, kind, name, arity):
-        old = table.setdefault(name, arity)
-        if old != arity:
-            raise FileFormatError(
-                "%s %s used with %d and %d arguments" % (kind, name, old, arity)
-            )
-
-    def term(t) -> None:
-        if isinstance(t, App):
-            record(funs, "function", t.fun, len(t.args))
-            for u in t.args:
-                term(u)
-
-    for g in itertools.chain.from_iterable(map(syntax.subformulas, formulas)):
-        if isinstance(g, Pred):
-            record(preds, "predicate", g.name, len(g.args))
-            args = g.args
-        elif isinstance(g, Eq):
-            has_eq = True
-            args = g.left, g.right
-        else:
-            continue
-        for t in args:
-            term(t)
-    return Signature(
-        predicates=preds, functions=funs, constants=set(), has_equality=has_eq
-    )
+    """The smallest signature interpreting every symbol in the formulas:
+    ``syntax.signature_of`` of their conjunction, which no formula's cache
+    shares.  The parser reads bare identifiers as variables, so it has no
+    constants.  A symbol used at two arities is a FileFormatError."""
+    try:
+        # the leftmost conjunct, a metavariable, has no symbols
+        return syntax.signature_of(functools.reduce(And, formulas, FVar("_")))
+    except ValueError as e:
+        raise FileFormatError(str(e)) from e
 
 
 def _read(path: str) -> str:

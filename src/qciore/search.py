@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,16 +32,13 @@ from .structures import (
     make_structure,
 )
 from .syntax import (
-    App,
     CaptureError,
     Const,
-    Eq,
     Exists,
     Forall,
     Formula,
     FVar,
     Imp,
-    Pred,
     Signature,
     Var,
     enumerate_formulas,
@@ -74,9 +72,8 @@ def _equality_interpretations(domain: tuple, equality_normal: bool):
 def _factors(sig: Signature, n: int, equality_normal: bool) -> tuple:
     """The domain (e1..en) and one factor per symbol of ``sig``, each
     (``Structure`` field, name, interpretations), in the order that
-    ``enumerate_structures`` gives.  A reduct signature's factors are the
-    full one's for its symbols, in the same order, so a structure's reduct
-    is the one at the mixed-radix index of its indices into those."""
+    ``enumerate_structures`` gives.  A sub-signature's factors are the full
+    one's for its symbols, in the same order (see ``_reduct_walk``)."""
     if n < 1:
         raise ValueError("domain size must be at least 1")
     domain = tuple("e%d" % i for i in range(1, n + 1))
@@ -132,73 +129,36 @@ def structure_count(sig: Signature, n: int, equality_normal: bool = True) -> int
 
 # ---------------------------------------------------------------------------
 # Reducts: a formula's value in a structure depends only on the domain and on
-# how the structure interprets the symbols the formula mentions
+# how the structure interprets the formula's signature
 
 
-def _symbols(f: Formula) -> tuple:
-    """The predicates (``"="`` for equality), functions and constants that
-    ``f`` mentions, each sorted.
-
-    The result is cached on the node, as formulas are immutable (as
-    ``free_vars`` caches its own)."""
-    out = getattr(f, "_symbols", None)
-    if out is not None:
-        return out
-    preds, funs, consts = set(), set(), set()
-
-    def term(t):
-        if isinstance(t, Const):
-            consts.add(t.name)
-        elif isinstance(t, App):
-            funs.add(t.fun)
-            for a in t.args:
-                term(a)
-
-    for g in syntax.subformulas(f):
-        if isinstance(g, Pred):
-            preds.add(g.name)
-            args = g.args
-        elif isinstance(g, Eq):
-            preds.add(EQ)
-            args = g.left, g.right
-        else:
-            continue
-        for a in args:
-            term(a)
-    out = tuple(sorted(preds)), tuple(sorted(funs)), tuple(sorted(consts))
-    object.__setattr__(f, "_symbols", out)
-    return out
-
-
-def _signature_symbols(sig: Signature) -> tuple:
-    """Every symbol of ``sig``, in the form ``_symbols`` gives."""
-    preds = set(sig.predicates) | ({EQ} if sig.has_equality else set())
-    return tuple(sorted(preds)), tuple(sorted(sig.functions)), tuple(sorted(sig.constants))
-
-
-def _leaves_out_a_symbol(symbols: tuple, everything: tuple) -> bool:
-    """True when ``symbols`` are some but not all of ``everything``: only
-    then can two distinct structures have the same reduct to them."""
-    return symbols != everything and all(
-        set(part) <= set(whole) for part, whole in zip(symbols, everything)
-    )
-
-
-def _group_by_symbols(formulas) -> tuple[list, list]:
-    """The formulas grouped by the symbols they mention, in order of first
-    appearance: a list of (symbols, members), and for each formula its
+def _group_by_signature(formulas) -> tuple[list, list]:
+    """The formulas grouped by ``syntax.signature_of``, in order of first
+    appearance: a list of (signature, members), and for each formula its
     (group, position in group)."""
     groups = []
-    group_of: dict = {}
     slot = []
     for f in formulas:
-        symbols = _symbols(f)
-        g = group_of.setdefault(symbols, len(groups))
+        used = syntax.signature_of(f)
+        g = next((i for i, (s, _) in enumerate(groups) if s == used), len(groups))
         if g == len(groups):
-            groups.append((symbols, []))
+            groups.append((used, []))
         slot.append((g, len(groups[g][1])))
         groups[g][1].append(f)
     return groups, slot
+
+
+def _reduct_walk(reduct_sig: Signature, factors: list) -> tuple[list, operator.itemgetter]:
+    """The positions in ``factors`` of the factors of ``reduct_sig``, a
+    sub-signature of theirs, and an itemgetter that keys a structure's
+    reduct by its factor indices at those positions: two structures have
+    equal keys exactly when their reducts are equal.  ``_factors`` orders a
+    reduct's factors as the full signature's, so those indices into the
+    factors at those positions build the reduct."""
+    preds = set(reduct_sig.predicates) | ({EQ} if reduct_sig.has_equality else set())
+    kept = {"preds": preds, "funs": reduct_sig.functions, "consts": reduct_sig.constants}
+    positions = [i for i, (part, name, _) in enumerate(factors) if name in kept[part]]
+    return positions, operator.itemgetter(*positions)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +182,15 @@ class SearchSpec:
             raise ValueError("max_structures must not be negative")
         if self.time_budget_s is not None and self.time_budget_s < 0:
             raise ValueError("time_budget_s must not be negative")
+        for f in (self.phi, *self.gamma):
+            used, sig = syntax.signature_of(f), self.sig
+            if not used <= sig:
+                extra = {"%s/%d" % item for part in ("predicates", "functions")
+                         for item in getattr(used, part).items() - getattr(sig, part).items()}
+                extra |= used.constants - sig.constants
+                extra |= {"="} if used.has_equality > sig.has_equality else set()
+                raise ValueError("%s uses %s, outside the signature"
+                                 % (f, ", ".join(sorted(extra))))
 
 
 @dataclass
@@ -247,31 +216,6 @@ def _first_failure(members, A: Structure) -> tuple:
     return True, None
 
 
-def _reduct_walk(sig: Signature, symbols: tuple, factors: list):
-    """For the reducts of ``sig``'s structures over ``factors`` to ``symbols``
-    (as ``_symbols`` gives them): the (factor position, stride) pairs whose
-    products sum a structure's indices to its reduct's index, the reduct's
-    signature, the positions of its factors and those factors, and an empty
-    verdict table."""
-    preds, funs, consts = symbols
-    wanted = {("preds", p) for p in preds} | {("funs", h) for h in funs}
-    wanted |= {("consts", c) for c in consts}
-    strides, stride = [], 1
-    for position in reversed(range(len(factors))):
-        part, name, values = factors[position]
-        if (part, name) in wanted:
-            strides.append((position, stride))
-            stride *= len(values)
-    reduct_sig = Signature(
-        predicates={p: sig.predicates[p] for p in preds if p != EQ},
-        functions={h: sig.functions[h] for h in funs},
-        constants=set(consts),
-        has_equality=EQ in preds,
-    )
-    positions = [position for position, _ in reversed(strides)]
-    return strides, reduct_sig, positions, [factors[p] for p in positions], {}
-
-
 def find_countermodel(spec: SearchSpec, progress=None, progress_every: int = 1000):
     """First structure where every premise is valid and phi is not.
 
@@ -280,18 +224,18 @@ def find_countermodel(spec: SearchSpec, progress=None, progress_every: int = 100
     given, is called with (structures checked, elapsed seconds) every
     ``progress_every`` structures.
 
-    A formula's verdict depends only on the domain and on the
-    interpretations of the symbols it mentions (its reduct).  The premises
-    are grouped by the symbols they mention.  Within one domain size the
+    A formula's verdict depends only on the domain and on how a structure
+    interprets the symbols of ``syntax.signature_of`` (its reduct).  The
+    premises are grouped by their signatures.  Within one domain size the
     search walks the structures of ``enumerate_structures`` as tuples of
     indices into the factors of ``_factors``, in the same order.  A group or
-    the target that leaves out a symbol keeps a verdict table keyed by the
-    index of the reduct, which is built from the same factors at the
-    reduct's positions; each verdict is decided once, on the reduct, and
-    read back for every other structure with that reduct.  A full structure
-    is built (and validated) only for a check that mentions every symbol of
-    the signature, and for the countermodel; where every check does, the
-    structures are taken from ``enumerate_structures``.
+    the target whose signature is not the search's keeps a verdict table
+    keyed by ``_reduct_walk``'s key of the reduct; each verdict is decided
+    once, on the reduct, built from the factors at the reduct's positions,
+    and read back for every other structure with that reduct.  A full
+    structure is built (and validated) only for a check over the whole
+    signature, and for the countermodel; where every check is over the
+    whole signature, the structures are taken from ``enumerate_structures``.
     ``structures_checked`` counts the structures decided;
     ``structures_evaluated`` counts those in which at least one premise or
     the target was evaluated rather than read back.
@@ -301,29 +245,20 @@ def find_countermodel(spec: SearchSpec, progress=None, progress_every: int = 100
     t0 = time.monotonic()
     checked = evaluated = 0
     sig = spec.sig
-    # (symbols, members) per premise group, then the target's; symbols are
-    # None where the formulas mention every symbol of the signature, as they
-    # all do when it has only one (then they are not walked at all)
-    checks = [(None, spec.gamma)] if spec.gamma else []
-    checks.append((None, (spec.phi,)))
-    if len(sig.predicates) + sig.has_equality + len(sig.functions) + len(sig.constants) > 1:
-        everything = _signature_symbols(sig)
-        checks = [
-            (symbols if _leaves_out_a_symbol(symbols, everything) else None, members)
-            for symbols, members in _group_by_symbols(spec.gamma)[0]
-            + [(_symbols(spec.phi), (spec.phi,))]
-        ]
+    # (signature, members) per premise group, then the target's
+    checks = _group_by_signature(spec.gamma)[0]
+    checks.append((syntax.signature_of(spec.phi), (spec.phi,)))
 
     for n in range(1, spec.max_domain_size + 1):
-        if all(symbols is None for symbols, _ in checks):
+        if all(used == sig for used, _ in checks):
             # every check reads the whole structure: take each as enumerated
             walks = [None] * len(checks)
             points = ((None, A) for A in enumerate_structures(sig, n, spec.equality_normal))
         else:
             domain, factors = _factors(sig, n, spec.equality_normal)
             walks = [
-                None if symbols is None else _reduct_walk(sig, symbols, factors)
-                for symbols, _ in checks
+                None if used == sig else (used, *_reduct_walk(used, factors), {})
+                for used, _ in checks
             ]
             points = (
                 (indices, None)
@@ -352,14 +287,13 @@ def find_countermodel(spec: SearchSpec, progress=None, progress_every: int = 100
                     verdict = _first_failure(members, A)
                     fresh = True
                 else:
-                    strides, reduct_sig, positions, reduct_factors, verdicts = walk
-                    i = sum(indices[position] * stride for position, stride in strides)
-                    verdict = verdicts.get(i)
+                    reduct_sig, positions, key, verdicts = walk
+                    k = key(indices)
+                    verdict = verdicts.get(k)
                     if verdict is None:
-                        reduct = _structure_at(
-                            reduct_sig, domain, reduct_factors, [indices[p] for p in positions]
-                        )
-                        verdict = verdicts[i] = _first_failure(members, reduct)
+                        reduct = _structure_at(reduct_sig, domain, [factors[p] for p in positions],
+                                               [indices[p] for p in positions])
+                        verdict = verdicts[k] = _first_failure(members, reduct)
                         fresh = True
                 if not verdict[0]:
                     break
@@ -427,7 +361,7 @@ class HarnessReport:
     # instances evaluated, the rest reuse a verdict: one per entry of a
     # propositional or Ax13-Ax16 table (a schema the matrix makes a tautology
     # fills none), and each distinct Ax11, Ax12 and equality instance once per
-    # domain size and reduct to its symbols
+    # domain size and reduct to its signature
     axiom_evaluations: int = 0
     rule_checks: int = 0
     violations: list = field(default_factory=list)
@@ -531,17 +465,17 @@ def soundness_harness(
     Ax11, Ax12 and the equality instances are decided by ``is_valid_in``,
     each distinct instance once (Ax11 and Ax12 repeat for every term when x
     is not free in the pool formula).  Their value depends only on the
-    domain and on the interpretations of the symbols they mention (their
-    reduct), so their verdicts are decided once per run for each domain size
-    and reduct.  As in ``find_countermodel``, a structure is named by its
-    indices into the factors of ``_factors``, and a reduct by the
-    mixed-radix index that ``_reduct_walk``'s strides sum those to; the
-    verdicts are keyed by (group, domain size, reduct index).  Instances
-    that mention every symbol of the signature share no reduct between
-    structures, so they are evaluated in each structure and their verdicts
-    are not stored.  ``axiom_checks`` counts the instances decided,
-    structure by structure; ``axiom_evaluations`` those actually evaluated
-    (see ``HarnessReport``).
+    domain and on how a structure interprets the symbols of their
+    ``syntax.signature_of`` (their reduct), so they are grouped by signature
+    and their verdicts are decided once per run for each domain size and
+    reduct.  As in ``find_countermodel``, a structure is named by its
+    indices into the factors of ``_factors``, and a reduct by
+    ``_reduct_walk``'s key of those; the verdicts are keyed by (group,
+    domain size, reduct key).  A group whose signature is the harness's
+    shares no reduct between structures, so it is evaluated in each
+    structure and its verdicts are not stored.  ``axiom_checks`` counts the
+    instances decided, structure by structure; ``axiom_evaluations`` those
+    actually evaluated (see ``HarnessReport``).
     """
     if len(set(variables)) != len(variables):
         raise ValueError("variables repeat a name: %s" % (variables,))
@@ -616,16 +550,13 @@ def soundness_harness(
             for name, f in _equality_axiom_instances(pool, variables, extra_var)
             if name in eq_ids
         ]
-    # the distinct instances decided by is_valid_in, grouped by the symbols
-    # they mention.  Only a group that leaves out a symbol of the signature
-    # can meet its reduct again.
+    # the distinct instances decided by is_valid_in, grouped by signature.
+    # Only a group whose signature is not sig's can meet its reduct again.
     distinct = list(dict.fromkeys(f for _, f, t, _ in fixed if t is None))
-    groups, slot = _group_by_symbols(distinct)
+    groups, slot = _group_by_signature(distinct)
     slot_of = dict(zip(distinct, slot))
     fixed = [(name, f, t, slot_of[f] if t is None else i) for name, f, t, i in fixed]
-    everything = _signature_symbols(sig)
-    reusable = [_leaves_out_a_symbol(symbols, everything) for symbols, _ in groups]
-    # (group, size, reduct index) -> (whether all hold, [(ok, witness), ...])
+    # (group, size, reduct key) -> (whether all hold, [(ok, witness), ...])
     fixed_verdicts: dict = {}
 
     # quantifier rule instances over the full pool, as (i, j, table of the
@@ -650,12 +581,9 @@ def soundness_harness(
     for n in range(1, max_size + 1):
         width = n ** len(frame)
         # each structure's indices into the factors it is enumerated from,
-        # and per reusable group the strides that sum them to its reduct's
+        # and per group whose signature is not sig's the key of its reduct
         _, factors = _factors(sig, n, True)
-        strides = [
-            _reduct_walk(sig, symbols, factors)[0] if reuse else None
-            for (symbols, _), reuse in zip(groups, reusable)
-        ]
+        keys = [None if used == sig else _reduct_walk(used, factors)[1] for used, _ in groups]
         points = itertools.product(*(range(len(v)) for _, _, v in factors))
         for A, indices in zip(enumerate_structures(sig, n), points):
             report.structures_checked += 1
@@ -721,9 +649,7 @@ def soundness_harness(
             holds = True  # whether every fixed instance holds in A
             verdicts = []
             for g, (_, members) in enumerate(groups):
-                key = None if strides[g] is None else (
-                    g, n, sum(indices[position] * stride for position, stride in strides[g])
-                )
+                key = None if keys[g] is None else (g, n, keys[g](indices))
                 entry = fixed_verdicts.get(key)  # nothing is stored under None
                 if entry is None:
                     got = [is_valid_in(f, A, matrix) for f in members]

@@ -550,12 +550,7 @@ def expand_with_names(A: Structure, elements) -> Structure:
 
 def reduct(A: Structure, sig: Signature) -> Structure:
     """Forget the interpretations outside ``sig``."""
-    if not (
-        sig.predicates.items() <= A.sig.predicates.items()
-        and sig.functions.items() <= A.sig.functions.items()
-        and sig.constants <= A.sig.constants
-        and sig.has_equality <= A.sig.has_equality
-    ):
+    if not sig <= A.sig:
         raise ValueError("not a subsignature")
     keep = set(sig.predicates) | ({EQ} if sig.has_equality else set())
     return Structure(

@@ -146,12 +146,57 @@ def strong_neg(f: Formula) -> Formula:
 
 @dataclass
 class Signature:
-    """First-order signature: predicate/function arities plus constants."""
+    """First-order signature: predicate/function arities plus constants.
+    ``a <= b`` (a sub-signature) when every symbol of ``a`` is in ``b`` at
+    the same arity."""
 
     predicates: dict[str, int] = field(default_factory=dict)
     functions: dict[str, int] = field(default_factory=dict)
     constants: set[str] = field(default_factory=set)
     has_equality: bool = False
+
+    def __le__(self, other: Signature) -> bool:
+        return (
+            self.predicates.items() <= other.predicates.items()
+            and self.functions.items() <= other.functions.items()
+            and self.constants <= other.constants
+            and self.has_equality <= other.has_equality
+        )
+
+
+def signature_of(f: Formula) -> Signature:
+    """The smallest signature that interprets every symbol of ``f``: its
+    predicates and functions at the arities used, the constants of its
+    ``Const`` terms, and equality if it has an ``Eq`` atom.  A symbol used
+    at two arities is a ValueError.  The result is cached on the node, as
+    ``free_vars``'s is: do not mutate it."""
+    out = getattr(f, "_signature", None)
+    if out is not None:
+        return out
+    out = Signature()
+    todo = [f]
+    while todo:  # in preorder, left before right, into the atoms' terms
+        g = todo.pop()
+        if isinstance(g, (Pred, App)):
+            kind, table, name = (
+                ("predicate", out.predicates, g.name) if isinstance(g, Pred)
+                else ("function", out.functions, g.fun)
+            )
+            if table.setdefault(name, len(g.args)) != len(g.args):
+                raise ValueError("%s %s used with %d and %d arguments"
+                                 % (kind, name, table[name], len(g.args)))
+            todo += reversed(g.args)
+        elif isinstance(g, Eq):
+            out.has_equality = True
+            todo += g.right, g.left
+        elif isinstance(g, Const):
+            out.constants.add(g.name)
+        elif type(g) in _CHILDREN:
+            todo += _CHILDREN[type(g)](g)
+        elif not isinstance(g, Var):
+            raise TypeError("not a formula: %r" % (g,))
+    object.__setattr__(f, "_signature", out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -163,7 +163,11 @@ class Triple:
         return (Triple, (self.plus, self.minus, self.dot))
 
     def __repr__(self) -> str:
-        return "Triple(plus=%r, minus=%r, dot=%r)" % (self.plus, self.minus, self.dot)
+        # each class sorted: a frozenset's own order depends on how it was built
+        return "Triple(plus=%s, minus=%s, dot=%s)" % tuple(
+            "frozenset({%s})" % ", ".join(sorted(map(repr, c))) if c else "frozenset()"
+            for c in (self.plus, self.minus, self.dot)
+        )
 
     def value_at(self, x: Hashable) -> Fraction:
         if x in self.plus:

@@ -195,7 +195,10 @@ def all_twist_triples(alg: PowersetAlgebra) -> list[TwistTriple]:
 
 
 def all_twist_pairs(alg: PowersetAlgebra) -> list[TwistPair]:
-    return [dagger(z) for z in all_twist_triples(alg)]
+    """Every pair (a, b) with a join b = 1, from that definition, not as
+    dagger's image: a dagger that misses a pair shows against it."""
+    full, masks = alg.index.full, range(alg.index.full + 1)
+    return [_new(TwistPair, (alg, a, b)) for a in masks for b in masks if a | b == full]
 
 
 # ---------------------------------------------------------------------------

@@ -171,8 +171,24 @@ def test_infer_signature():
 
 
 def test_infer_signature_rejects_arity_clash():
-    with pytest.raises(FileFormatError):
+    with pytest.raises(FileFormatError, match="predicate P used with 1 and 2 arguments"):
         infer_signature([parse_formula("P(x) & P(x, y)")])
+    # across formulas too
+    with pytest.raises(FileFormatError, match="function f used with 1 and 2 arguments"):
+        infer_signature([parse_formula("P(f(x))"), parse_formula("f(x, y) = x")])
+
+
+def test_infer_signature_shares_no_cache():
+    from qciore import syntax
+
+    f = parse_formula("P(x) & ~P(y)")
+    for formulas in ([f], [f, f.left]):
+        sig = infer_signature(formulas)
+        assert sig == syntax.signature_of(f) and sig is not syntax.signature_of(f)
+        sig.predicates["R"] = 2
+        sig.constants.add("c")
+        assert syntax.signature_of(f) == Signature(predicates={"P": 1})
+    assert infer_signature([]) == Signature()
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +540,31 @@ def test_twist_verify_labels_each_size_by_its_own_problems(capsys, monkeypatch):
     assert "size 2: 9 triples, 9 pairs, connectives ok" in out
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert fails and all(line.startswith("FAIL size 1:") for line in fails)
+
+
+def test_twist_verify_finds_a_pair_the_triple_map_misses(capsys, monkeypatch):
+    # at size 1 dagger sends the all-dubious triple to the all-true one's
+    # pair, so ({1}, {1}) is nobody's image.  The pairs are enumerated from
+    # their definition, so the fault shows even where twist's own dagger
+    # shares it.
+    from qciore import cli, twist
+
+    real, one = cli.dagger, twist.PowersetAlgebra(frozenset({1}))
+
+    def misses_one(z):
+        p = real(z)
+        return tuple.__new__(type(p), (one, 1, 0)) if z[:] == (one, 0, 0, 1) else p
+
+    monkeypatch.setattr(cli, "dagger", misses_one)
+    monkeypatch.setattr(twist, "dagger", misses_one)
+    code = main(["twist-verify", "--sizes", "1,2"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "size 1: 3 triples, 3 pairs, connectives BROKEN" in out
+    assert "size 2: 9 triples, 9 pairs, connectives ok" in out
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert "FAIL size 1: the triple map is not onto the pairs" in fails
+    assert all(line.startswith("FAIL size 1:") for line in fails)
 
 
 def test_twist_verify_checks_the_quantifiers_against_eval_formula(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Tests for structure enumeration, countermodel search, and the harness."""
 
+import dataclasses
 import functools
 import itertools
 import time
@@ -7,7 +8,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qciore import search, structures, triples
+from qciore import search, structures, syntax, triples
 from qciore.cli import format_structure
 from qciore.hilbert import instantiate, possibly_free, schema_metavariables
 from qciore.matrix3 import (
@@ -455,17 +456,21 @@ def test_search_builds_each_predicates_interpretations_once_per_size(monkeypatch
 
 def test_symbols_are_cached_on_the_node():
     f = parse_formula("P(f(c)) & forall x. x = x", SIG_PFC)
-    first = search._symbols(f)
-    assert first == (("=", "P"), ("f",), ("c",))
-    assert search._symbols(f) is first
+    first = syntax.signature_of(f)
+    assert first == Signature({"P": 1}, {"f": 1}, {"c"}, has_equality=True)
+    assert syntax.signature_of(f) is first
     assert f == parse_formula("P(f(c)) & forall x. x = x", SIG_PFC)  # the cache is not a field
 
 
 def test_search_fails_loudly_on_a_wrong_symbol_set(monkeypatch):
     # a target decided on a reduct that lacks one of its symbols raises,
     # rather than reading back a verdict from a structure it does not fix
-    symbols = search._symbols
-    monkeypatch.setattr(search, "_symbols", lambda f: (symbols(f)[0], (), symbols(f)[2]))
+    signature_of = syntax.signature_of
+    monkeypatch.setattr(
+        syntax,
+        "signature_of",
+        lambda f: dataclasses.replace(signature_of(f), functions={}),
+    )
     spec = SearchSpec(
         sig=SIG_PFC,
         phi=parse_formula("P(f(c))", SIG_PFC),
@@ -473,6 +478,24 @@ def test_search_fails_loudly_on_a_wrong_symbol_set(monkeypatch):
     )
     with pytest.raises(ValueError, match="does not interpret f"):
         find_countermodel(spec)
+
+
+@pytest.mark.parametrize("which", ["target", "premise"])
+def test_search_refuses_a_formula_outside_its_signature(which):
+    # only P/1 is in SIG_P.  As a premise after one that fails in every
+    # structure, the formula would never be evaluated, and the search would
+    # end exhausted with no error.
+    wider = Signature({"P": 1, "Q": 1}, {"f": 1}, {"c"}, has_equality=True)
+    outside = parse_formula("Q(x) | P(c) | f(x) = x", wider)
+    never = parse_formula("!(P(x) | ~P(x))")
+    phi, gamma = (outside, ()) if which == "target" else (parse_formula("P(x)"), (never, outside))
+    with pytest.raises(ValueError, match=r"uses =, Q/1, c, f/1, outside the signature"):
+        SearchSpec(sig=SIG_P, phi=phi, gamma=gamma)
+
+
+def test_search_refuses_a_symbol_at_the_wrong_arity():
+    with pytest.raises(ValueError, match="uses P/2,"):
+        SearchSpec(sig=SIG_P, phi=parse_formula("P(x, y)"))
 
 
 def test_search_evaluates_whole_signature_formulas_everywhere():
@@ -806,8 +829,7 @@ def test_harness_counts_table_entries_and_distinct_fixed_instances():
     assert len(distinct) < len(instances)
     expected = 0
     for f in distinct:
-        preds, _, consts = search._symbols(f)
-        reduct = Signature(predicates={p: 1 for p in preds}, constants=set(consts))
+        reduct = syntax.signature_of(f)
         expected += structure_count(reduct, 1) + structure_count(reduct, 2)
     report = soundness_harness(
         SIG_PC, axiom_pool=["Ax11", "Ax12"], instance_depth=0, max_size=2,

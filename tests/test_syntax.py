@@ -28,6 +28,7 @@ from qciore.syntax import (
     map_atoms,
     parse_formula,
     replace_some_matches,
+    signature_of,
     substitute,
     subformulas,
 )
@@ -111,6 +112,61 @@ def test_free_vars_cached_on_the_node():
         free_vars(Var("x"))
 
 
+SIG_ALL = Signature({"P": 1, "R": 2}, {"f": 1, "g": 2}, {"c", "d"}, has_equality=True)
+
+
+def test_signature_of_is_cached_on_the_node():
+    text = "(forall x. P(x) & exists y. R(y, f(c))) -> ~g(x, d) = x"
+    f = parse_formula(text, SIG_ALL)
+    sig = signature_of(f)
+    assert sig == SIG_ALL
+    assert signature_of(f) is sig  # read back, not recomputed
+    assert signature_of(f.left) == Signature({"P": 1, "R": 2}, {"f": 1}, {"c"})
+    assert f == parse_formula(text, SIG_ALL)  # the cache is not a field
+    again = pickle.loads(pickle.dumps(f))
+    assert again == f and signature_of(again) == sig
+
+
+def test_signature_of_reads_constants_from_const_terms():
+    # the same identifier is a constant under a signature, a variable without
+    assert signature_of(parse_formula("P(c)", SIG_ALL)).constants == {"c"}
+    assert signature_of(parse_formula("P(c)")) == Signature({"P": 1})
+    assert signature_of(Pred("P", (App("f", (Const("c"), Var("x"))),))) == Signature(
+        {"P": 1}, {"f": 2}, {"c"}
+    )
+    assert signature_of(Eq(Var("x"), Var("y"))) == Signature(has_equality=True)
+    assert signature_of(Imp(FVar("a"), FVar("b"))) == Signature()
+    with pytest.raises(TypeError):
+        signature_of(And(Pred("P"), "Q"))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("P(x) & P(x, y)", "predicate P used with 1 and 2 arguments"),
+        ("Q(f(x), f(x, y))", "function f used with 1 and 2 arguments"),
+        ("forall x. f(x) = x | ~R(f(x, x))", "function f used with 1 and 2 arguments"),
+    ],
+)
+def test_signature_of_refuses_a_symbol_at_two_arities(text, message):
+    with pytest.raises(ValueError, match=message):
+        signature_of(parse_formula(text))
+
+
+def test_sub_signatures():
+    sig = Signature({"P": 1}, {"f": 1}, {"c"})
+    assert Signature() <= sig <= sig <= SIG_ALL
+    assert not SIG_ALL <= sig
+    # the same name at another arity is another symbol
+    assert not Signature({"P": 2}) <= sig
+    assert not Signature(functions={"f": 2}) <= sig
+    assert not Signature(functions={"P": 1}) <= sig  # a predicate is not a function
+    # equality counts as a symbol
+    with_eq = Signature({"P": 1}, {"f": 1}, {"c"}, has_equality=True)
+    assert sig <= with_eq and not with_eq <= sig
+    assert Signature(has_equality=True) <= with_eq
+
+
 def test_substitute():
     f = parse_formula("P(x) & forall y. Q(x, y)")
     g = substitute(f, "x", Const("c"))
@@ -185,6 +241,7 @@ def test_the_traversals_need_no_recursion():
         f, g = Neg(f), Neg(g)
     assert len(subformulas(f)) == 5001
     assert align(f, g, lambda a, b, bound: a == b)
+    assert signature_of(f) == Signature({"P": 1})
 
 
 def test_enumerate_formulas_base():
