@@ -30,7 +30,7 @@ import re
 import sys
 from types import SimpleNamespace
 
-from . import syntax
+from . import structures, syntax
 from .hilbert import (
     AxiomRef,
     ExistsIn,
@@ -268,27 +268,19 @@ def _format_triple_body(t: Triple) -> str:
 def format_structure(a: Structure) -> str:
     """Print a structure in the file format; parses back to an equal value."""
     lines = ["domain = {%s}" % ", ".join(a.domain)]
-    for name in sorted(a.sig.predicates):
+    for part, name, arity in structures._parts(a.sig):  # equality last
+        value = getattr(a, part)[name]
         if name == "=":
-            continue
-        lines.append(
-            "pred %s/%d %s"
-            % (name, a.sig.predicates[name], _format_triple_body(a.preds[name]))
-        )
-    for name in sorted(a.sig.functions):
-        entries = ", ".join(
-            "(%s)->%s" % (",".join(args), value)
-            for args, value in sorted(a.funs[name].items())
-        )
-        lines.append("fun %s/%d { %s }" % (name, a.sig.functions[name], entries))
-    for name in sorted(a.consts):
-        lines.append("const %s = %s" % (name, a.consts[name]))
-    if a.sig.has_equality:
-        eq = a.preds["="]
-        if eq == classical_equality(a.domain):
-            lines.append("equality normal")
+            normal = value == classical_equality(a.domain)
+            lines.append("equality %s" % ("normal" if normal else _format_triple_body(value)))
+        elif part == "preds":
+            lines.append("pred %s/%d %s" % (name, arity, _format_triple_body(value)))
+        elif part == "funs":
+            entries = ", ".join("(%s)->%s" % (",".join(args), image)
+                                for args, image in sorted(value.items()))
+            lines.append("fun %s/%d { %s }" % (name, arity, entries))
         else:
-            lines.append("equality %s" % _format_triple_body(eq))
+            lines.append("const %s = %s" % (name, value))
     return "\n".join(lines) + "\n"
 
 

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import hilbert, matrix3, syntax, triples
+from . import hilbert, matrix3, structures, syntax, triples
 from .hilbert import instantiate, possibly_free, schema_metavariables
 from .matrix3 import CIORE, DESIGNATED, Matrix, PROP_AXIOMS
 from .structures import (
@@ -69,35 +69,47 @@ def _equality_interpretations(domain: tuple, equality_normal: bool):
         yield make_triple(plus, off, dot)
 
 
+def _function_tables(domain: tuple, arity: int) -> list[dict]:
+    """Every total map from domain^arity into ``domain``, as a dict."""
+    keys = tuple(itertools.product(domain, repeat=arity))
+    return [dict(zip(keys, values)) for values in itertools.product(domain, repeat=len(keys))]
+
+
 def _factors(sig: Signature, n: int, equality_normal: bool) -> tuple:
     """The domain (e1..en) and one factor per symbol of ``sig``, each
     (``Structure`` field, name, interpretations), in the order that
     ``enumerate_structures`` gives.  A sub-signature's factors are the full
-    one's for its symbols, in the same order (see ``_reduct_walk``)."""
+    one's for its symbols, in the same order (see ``_reduct_walk``).  Each
+    interpretation is checked here, once, as ``make_structure`` checks a
+    symbol (``structures._check_part``): the structures assembled from the
+    factors are not checked again."""
     if n < 1:
         raise ValueError("domain size must be at least 1")
     domain = tuple("e%d" % i for i in range(1, n + 1))
     factors = []
-    for name in sorted(sig.predicates):
-        carrier = tuple(itertools.product(domain, repeat=sig.predicates[name]))
-        factors.append(("preds", name, all_triples(carrier)))
-    for name in sorted(sig.functions):
-        keys = tuple(itertools.product(domain, repeat=sig.functions[name]))
-        images = itertools.product(domain, repeat=len(keys))
-        factors.append(("funs", name, [dict(zip(keys, values)) for values in images]))
-    factors += [("consts", name, domain) for name in sorted(sig.constants)]
-    if sig.has_equality:
-        factors.append(("preds", EQ, list(_equality_interpretations(domain, equality_normal))))
+    for part, name, arity in structures._parts(sig):
+        if part == "consts":
+            values = domain
+        elif part == "funs":
+            values = _function_tables(domain, arity)
+        elif name == EQ:
+            values = list(_equality_interpretations(domain, equality_normal))
+        else:
+            values = all_triples(tuple(itertools.product(domain, repeat=arity)))
+        for value in values:
+            structures._check_part(part, name, arity, value, domain)
+        factors.append((part, name, values))
     return domain, factors
 
 
 def _structure_at(sig: Signature, domain: tuple, factors: list, indices) -> Structure:
     """The structure that interprets each factor's symbol by the
-    interpretation at its index in ``indices``, built and validated."""
+    interpretation at its index in ``indices``, unchecked (``_factors``
+    checked each interpretation)."""
     parts: dict = {"preds": {}, "funs": {}, "consts": {}}
     for (part, name, values), i in zip(factors, indices):
         parts[part][name] = values[i]
-    return make_structure(sig, domain, **parts)
+    return Structure(sig, domain, **parts)
 
 
 def enumerate_structures(sig: Signature, n: int, equality_normal: bool = True):
@@ -108,6 +120,7 @@ def enumerate_structures(sig: Signature, n: int, equality_normal: bool = True):
     sorted name order, each ranging over all class assignments; then
     functions in sorted name order over all total maps; then constants, one
     factor each, in sorted name order over all elements; equality last.
+    ``_factors`` checks each interpretation once; a structure is not checked.
     """
     domain, factors = _factors(sig, n, equality_normal)
     for indices in itertools.product(*(range(len(v)) for _, _, v in factors)):
@@ -138,9 +151,10 @@ def _group_by_signature(formulas) -> tuple[list, list]:
     (group, position in group)."""
     groups = []
     slot = []
+    position: dict = {}  # signature -> its group's index in groups
     for f in formulas:
         used = syntax.signature_of(f)
-        g = next((i for i, (s, _) in enumerate(groups) if s == used), len(groups))
+        g = position.setdefault(used, len(groups))
         if g == len(groups):
             groups.append((used, []))
         slot.append((g, len(groups[g][1])))
@@ -155,9 +169,8 @@ def _reduct_walk(reduct_sig: Signature, factors: list) -> tuple[list, operator.i
     equal keys exactly when their reducts are equal.  ``_factors`` orders a
     reduct's factors as the full signature's, so those indices into the
     factors at those positions build the reduct."""
-    preds = set(reduct_sig.predicates) | ({EQ} if reduct_sig.has_equality else set())
-    kept = {"preds": preds, "funs": reduct_sig.functions, "consts": reduct_sig.constants}
-    positions = [i for i, (part, name, _) in enumerate(factors) if name in kept[part]]
+    kept = {(part, name) for part, name, _ in structures._parts(reduct_sig)}
+    positions = [i for i, (part, name, _) in enumerate(factors) if (part, name) in kept]
     return positions, operator.itemgetter(*positions)
 
 
@@ -183,14 +196,12 @@ class SearchSpec:
         if self.time_budget_s is not None and self.time_budget_s < 0:
             raise ValueError("time_budget_s must not be negative")
         for f in (self.phi, *self.gamma):
-            used, sig = syntax.signature_of(f), self.sig
-            if not used <= sig:
-                extra = {"%s/%d" % item for part in ("predicates", "functions")
-                         for item in getattr(used, part).items() - getattr(sig, part).items()}
-                extra |= used.constants - sig.constants
-                extra |= {"="} if used.has_equality > sig.has_equality else set()
+            used = syntax.signature_of(f)
+            if not used <= self.sig:
+                extra = set(structures._parts(used)) - set(structures._parts(self.sig))
+                names = (n if p == "consts" or n == EQ else "%s/%d" % (n, k) for p, n, k in extra)
                 raise ValueError("%s uses %s, outside the signature"
-                                 % (f, ", ".join(sorted(extra))))
+                                 % (f, ", ".join(sorted(names))))
 
 
 @dataclass
@@ -233,9 +244,11 @@ def find_countermodel(spec: SearchSpec, progress=None, progress_every: int = 100
     keyed by ``_reduct_walk``'s key of the reduct; each verdict is decided
     once, on the reduct, built from the factors at the reduct's positions,
     and read back for every other structure with that reduct.  A full
-    structure is built (and validated) only for a check over the whole
-    signature, and for the countermodel; where every check is over the
-    whole signature, the structures are taken from ``enumerate_structures``.
+    structure is built only for a check over the whole signature, and for
+    the countermodel; where every check is over the whole signature, the
+    structures are taken from ``enumerate_structures``.  None is checked
+    but the countermodel, by ``make_structure`` in its re-check: ``_factors``
+    checked each interpretation once.
     ``structures_checked`` counts the structures decided;
     ``structures_evaluated`` counts those in which at least one premise or
     the target was evaluated rather than read back.
@@ -300,7 +313,9 @@ def find_countermodel(spec: SearchSpec, progress=None, progress_every: int = 100
             evaluated += fresh
             if verdict[0] or members is not checks[-1][1]:
                 continue  # the target holds, or a premise fails
+            # the countermodel is built and checked whole before its re-check
             A = A or _structure_at(sig, domain, factors, indices)
+            A = make_structure(sig, A.domain, A.preds, A.funs, A.consts)
             witness = verdict[1]
             value = eval_formula(spec.phi, A, witness)
             if value in DESIGNATED or not _first_failure(spec.gamma, A)[0]:
@@ -585,9 +600,10 @@ def soundness_harness(
         _, factors = _factors(sig, n, True)
         keys = [None if used == sig else _reduct_walk(used, factors)[1] for used, _ in groups]
         points = itertools.product(*(range(len(v)) for _, _, v in factors))
+        space = None
         for A, indices in zip(enumerate_structures(sig, n), points):
             report.structures_checked += 1
-            space = list(assignments_over(A, frame))
+            space = space or list(assignments_over(A, frame))  # one per size
 
             def atom(f, _):
                 # every atom of the pool is at the frame: the pool

@@ -13,7 +13,7 @@ import bisect
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .matrix3 import CIORE, DESIGNATED, HALF, Matrix, ONE, ZERO
@@ -119,42 +119,48 @@ def _tuples_over(domain: tuple, arity: int) -> frozenset:
     return frozenset(itertools.product(domain, repeat=arity))
 
 
-def validate_structure(A: Structure) -> None:
-    sig = A.sig
-    dom = set(A.domain)
-    wanted = dict(sig.predicates)
-    if sig.has_equality:
-        wanted[EQ] = 2
-    for name, arity in wanted.items():
-        t = A.preds.get(name)
-        if t is None:
-            raise ValueError("no interpretation for predicate %s" % name)
-        full = _tuples_over(A.domain, arity)
-        if t.carrier != full:
-            raise ValueError(
-                "predicate %s: triple carrier does not cover domain^%d" % (name, arity)
-            )
-    for name in A.preds:
-        if name not in wanted:
-            raise ValueError("interpretation for undeclared predicate %s" % name)
-    for name, arity in sig.functions.items():
-        fmap = A.funs.get(name)
-        if fmap is None:
-            raise ValueError("no interpretation for function %s" % name)
-        if fmap.keys() != _tuples_over(A.domain, arity):
+_KIND = {"preds": "predicate", "funs": "function", "consts": "constant"}
+
+
+@functools.lru_cache(maxsize=256)
+def _parts(sig: Signature) -> tuple[tuple[str, str, int], ...]:
+    """Each symbol ``sig`` interprets, as (``Structure`` field, name, arity):
+    predicates, functions and constants in sorted name order, equality last."""
+    out = [("preds", name, sig.predicates[name]) for name in sorted(sig.predicates)]
+    out += [("funs", name, sig.functions[name]) for name in sorted(sig.functions)]
+    out += [("consts", name, 0) for name in sorted(sig.constants)]
+    return tuple(out + ([("preds", EQ, 2)] if sig.has_equality else []))
+
+
+def _check_part(part: str, name: str, arity: int, value, domain: tuple) -> None:
+    """Raise ValueError unless ``value`` interprets ``name`` of ``part`` over
+    ``domain``: a triple over domain^arity, a total map into it, or an element."""
+    if part == "preds":
+        if value.carrier != _tuples_over(domain, arity):
+            raise ValueError("predicate %s: triple carrier does not cover domain^%d"
+                             % (name, arity))
+    elif part == "funs":
+        if value.keys() != _tuples_over(domain, arity):
             raise ValueError("function %s is not total on domain^%d" % (name, arity))
-        for out in fmap.values():
-            if out not in dom:
-                raise ValueError("function %s maps outside the domain" % name)
-    for name in A.funs:
-        if name not in sig.functions:
-            raise ValueError("interpretation for undeclared function %s" % name)
-    for name in sig.constants:
-        if A.consts.get(name) not in dom:
-            raise ValueError("constant %s has no domain value" % name)
-    for name in A.consts:
-        if name not in sig.constants:
-            raise ValueError("interpretation for undeclared constant %s" % name)
+        if not set(value.values()) <= set(domain):
+            raise ValueError("function %s maps outside the domain" % name)
+    elif value not in domain:
+        raise ValueError("constant %s has no domain value" % name)
+
+
+def validate_structure(A: Structure) -> None:
+    """Raise ValueError unless ``A`` interprets exactly its signature's
+    symbols, each as ``_check_part`` requires."""
+    wanted = _parts(A.sig)
+    for part, name, arity in wanted:
+        table = getattr(A, part)
+        if name not in table:
+            raise ValueError("no interpretation for %s %s" % (_KIND[part], name))
+        _check_part(part, name, arity, table[name], A.domain)
+    if len(A.preds) + len(A.funs) + len(A.consts) > len(wanted):  # an undeclared symbol
+        for part, kind in _KIND.items():
+            for name in sorted(getattr(A, part).keys() - {n for p, n, _ in wanted if p == part}):
+                raise ValueError("interpretation for undeclared %s %s" % (kind, name))
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +347,39 @@ def is_valid_in(
     assignments are ordered by the domain order on sorted free variables.
     Each assignment is evaluated without a memo and costs ``f``'s tree
     size (``eval_formula``): on search and harness queries a memo shared
-    over the assignments is hit at few of the nodes it keys.
+    over the assignments is hit at few of the nodes it keys.  The
+    assignments come from a cache keyed by (domain, free variables): see
+    ``_space`` for its bound and key.
     """
-    for s in assignments_over(A, tuple(sorted(free_vars(f)))):
+    for s in _space(A, free_vars(f)):
         if eval_formula(f, A, s, None, matrix) not in DESIGNATED:
             return False, s
     return True, None
+
+
+_SPACES: dict = {}  # (domain, free variables) -> (that domain, its assignments)
+_SPACE_KEYS, _SPACE_POINTS = 32, 4096
+
+
+def _space(A: Structure, fv: frozenset):
+    """The assignments on the sorted ``fv``, in ``assignments_over`` order:
+    one tuple per (domain, ``fv``) for at most 32 keys, the oldest dropped
+    first.  A hit is confirmed by the domain's identity, else by its types
+    (``(True, 2)`` and ``(1, 2)`` get tuples of their own).  A space of
+    more than 4,096 assignments is walked lazily and never stored."""
+    domain = A.domain
+    hit = _SPACES.get((domain, fv))
+    if hit is not None and hit[0] is not domain:
+        if triples._types(hit[0]) == triples._types(domain):
+            hit = _SPACES[domain, fv] = domain, hit[1]
+    if hit is None or hit[0] is not domain:
+        frame = tuple(sorted(fv))
+        if len(domain) ** len(frame) > _SPACE_POINTS:
+            return assignments_over(A, frame)
+        if hit is None and len(_SPACES) >= _SPACE_KEYS:
+            del _SPACES[next(iter(_SPACES))]
+        hit = _SPACES[domain, fv] = domain, tuple(assignments_over(A, frame))
+    return hit[1]
 
 
 def formula_triple(
@@ -537,12 +570,7 @@ def expand_with_names(A: Structure, elements) -> Structure:
     clash = sorted(set(names.values()) & A.sig.constants)
     if clash:
         raise ValueError("constant names already taken: %s" % clash)
-    sig = Signature(
-        dict(A.sig.predicates),
-        dict(A.sig.functions),
-        set(A.sig.constants) | set(names.values()),
-        A.sig.has_equality,
-    )
+    sig = replace(A.sig, constants=A.sig.constants | set(names.values()))
     consts = dict(A.consts)
     consts.update({name: e for e, name in names.items()})
     return Structure(sig, A.domain, dict(A.preds), dict(A.funs), consts)
@@ -552,11 +580,6 @@ def reduct(A: Structure, sig: Signature) -> Structure:
     """Forget the interpretations outside ``sig``."""
     if not sig <= A.sig:
         raise ValueError("not a subsignature")
-    keep = set(sig.predicates) | ({EQ} if sig.has_equality else set())
-    return Structure(
-        sig,
-        A.domain,
-        {k: v for k, v in A.preds.items() if k in keep},
-        {k: v for k, v in A.funs.items() if k in sig.functions},
-        {k: v for k, v in A.consts.items() if k in sig.constants},
-    )
+    kept = {part: {name: getattr(A, part)[name] for p, name, _ in _parts(sig) if p == part}
+            for part in _KIND}
+    return Structure(sig, A.domain, **kept)

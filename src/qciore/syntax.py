@@ -11,7 +11,9 @@ from __future__ import annotations
 import itertools
 import operator
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 
 class ParseError(ValueError):
@@ -144,16 +146,32 @@ def strong_neg(f: Formula) -> Formula:
 # Signature
 
 
-@dataclass
+@dataclass(frozen=True)
 class Signature:
     """First-order signature: predicate/function arities plus constants.
     ``a <= b`` (a sub-signature) when every symbol of ``a`` is in ``b`` at
-    the same arity."""
+    the same arity.  Immutable and hashable: it keeps read-only copies of
+    the arities and the constants as a frozenset, and pickles by value."""
 
-    predicates: dict[str, int] = field(default_factory=dict)
-    functions: dict[str, int] = field(default_factory=dict)
-    constants: set[str] = field(default_factory=set)
+    predicates: Mapping[str, int] = field(default_factory=dict)
+    functions: Mapping[str, int] = field(default_factory=dict)
+    constants: frozenset[str] = frozenset()
     has_equality: bool = False
+
+    def __post_init__(self):
+        _set = object.__setattr__
+        _set(self, "predicates", MappingProxyType(dict(self.predicates)))
+        _set(self, "functions", MappingProxyType(dict(self.functions)))
+        _set(self, "constants", frozenset(self.constants))
+        arities = frozenset(self.predicates.items()), frozenset(self.functions.items())
+        _set(self, "_hash", hash((*arities, self.constants, self.has_equality)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # the stored hash is not pickled: str hashes vary by process
+        return Signature, (dict(self.predicates), dict(self.functions), self.constants,
+                           self.has_equality)
 
     def __le__(self, other: Signature) -> bool:
         return (
@@ -169,32 +187,33 @@ def signature_of(f: Formula) -> Signature:
     predicates and functions at the arities used, the constants of its
     ``Const`` terms, and equality if it has an ``Eq`` atom.  A symbol used
     at two arities is a ValueError.  The result is cached on the node, as
-    ``free_vars``'s is: do not mutate it."""
+    ``free_vars``'s is; a ``Signature`` cannot be edited."""
     out = getattr(f, "_signature", None)
     if out is not None:
         return out
-    out = Signature()
+    preds, funs, consts, has_equality = {}, {}, set(), False
     todo = [f]
     while todo:  # in preorder, left before right, into the atoms' terms
         g = todo.pop()
         if isinstance(g, (Pred, App)):
             kind, table, name = (
-                ("predicate", out.predicates, g.name) if isinstance(g, Pred)
-                else ("function", out.functions, g.fun)
+                ("predicate", preds, g.name) if isinstance(g, Pred)
+                else ("function", funs, g.fun)
             )
             if table.setdefault(name, len(g.args)) != len(g.args):
                 raise ValueError("%s %s used with %d and %d arguments"
                                  % (kind, name, table[name], len(g.args)))
             todo += reversed(g.args)
         elif isinstance(g, Eq):
-            out.has_equality = True
+            has_equality = True
             todo += g.right, g.left
         elif isinstance(g, Const):
-            out.constants.add(g.name)
+            consts.add(g.name)
         elif type(g) in _CHILDREN:
             todo += _CHILDREN[type(g)](g)
         elif not isinstance(g, Var):
             raise TypeError("not a formula: %r" % (g,))
+    out = Signature(preds, funs, consts, has_equality)
     object.__setattr__(f, "_signature", out)
     return out
 

@@ -33,17 +33,19 @@ from .matrix3 import CIORE, HALF, ONE, VALUES, ZERO, Matrix
 _set = object.__setattr__
 
 
+def _types(x):
+    """The type of ``x``, through tuples: ``(0, 1)`` gives ``(int, int)``."""
+    return tuple(map(_types, x)) if type(x) is tuple else type(x)
+
+
 def _type_faithful_cache(maxsize: int):
     """``functools.lru_cache`` keyed by the arguments and the type of each
-    of their parts, through tuples: ``(0, 1)`` and ``(False, True)`` are
-    equal and hash alike, but get entries of their own."""
-
-    def types(x):
-        return tuple(map(types, x)) if type(x) is tuple else type(x)
+    of their parts (``_types``): ``(0, 1)`` and ``(False, True)`` are equal
+    and hash alike, but get entries of their own."""
 
     def decorate(fn):
         cached = functools.lru_cache(maxsize)(lambda args, _: fn(*args))
-        return functools.wraps(fn)(lambda *args: cached(args, types(args)))
+        return functools.wraps(fn)(lambda *args: cached(args, _types(args)))
 
     return decorate
 

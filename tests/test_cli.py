@@ -179,14 +179,23 @@ def test_infer_signature_rejects_arity_clash():
 
 
 def test_infer_signature_shares_no_cache():
+    # a Signature cannot be edited, so no caller changes what another reads
+    import dataclasses
+
     from qciore import syntax
 
     f = parse_formula("P(x) & ~P(y)")
     for formulas in ([f], [f, f.left]):
-        sig = infer_signature(formulas)
-        assert sig == syntax.signature_of(f) and sig is not syntax.signature_of(f)
-        sig.predicates["R"] = 2
-        sig.constants.add("c")
+        for sig in (infer_signature(formulas), syntax.signature_of(f)):
+            assert sig == Signature(predicates={"P": 1}) and hash(sig) == hash(Signature({"P": 1}))
+            with pytest.raises(TypeError):
+                sig.predicates["R"] = 2
+            with pytest.raises(TypeError):
+                sig.functions["f"] = 1
+            with pytest.raises(AttributeError):
+                sig.constants.add("c")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                sig.has_equality = True
         assert syntax.signature_of(f) == Signature(predicates={"P": 1})
     assert infer_signature([]) == Signature()
 

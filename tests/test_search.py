@@ -427,9 +427,9 @@ def test_search_builds_only_the_reducts_it_evaluates(size, built, monkeypatch):
     # the premises mention P and c only and never hold together, so the only
     # structures built are the reducts to P and c, one per evaluation
     calls = []
-    make = search.make_structure
+    build = search._structure_at
     monkeypatch.setattr(
-        search, "make_structure", lambda *a, **k: calls.append(a) or make(*a, **k)
+        search, "_structure_at", lambda *a, **k: calls.append(a) or build(*a, **k)
     )
     res = criterion_5_exhaustive(size)
     assert len(calls) == built == res.structures_evaluated
@@ -478,6 +478,76 @@ def test_search_fails_loudly_on_a_wrong_symbol_set(monkeypatch):
     )
     with pytest.raises(ValueError, match="does not interpret f"):
         find_countermodel(spec)
+
+
+def _over_a_wrong_carrier(monkeypatch):
+    # every predicate's triples also cover a point outside domain^arity
+    real = search.all_triples
+    monkeypatch.setattr(search, "all_triples", lambda c: real(c + (("zz",) * len(c[0]),)))
+    return SIG_P
+
+
+def _with_a_partial_table(monkeypatch):
+    # the last total map of each size loses its last key
+    real = search._function_tables
+
+    def tables(domain, arity):
+        out = real(domain, arity)
+        out[-1] = dict(list(out[-1].items())[:-1])
+        return out
+
+    monkeypatch.setattr(search, "_function_tables", tables)
+    return SIG_PF
+
+
+@pytest.mark.parametrize("malform", [_over_a_wrong_carrier, _with_a_partial_table])
+def test_search_fails_loudly_on_a_malformed_factor(malform, monkeypatch):
+    # the structures are assembled from the factors without a check of their
+    # own, so the factors' check is what stands between a malformed
+    # interpretation and a verdict.  Evaluation never reaches the extra point
+    # or the missing key: without that check both calls return normally.
+    sig = malform(monkeypatch)
+    spec = SearchSpec(sig=sig, phi=parse_formula("P(x) | ~P(x)", sig), max_domain_size=2)
+    with pytest.raises(ValueError, match="does not cover|not total"):
+        find_countermodel(spec)
+    with pytest.raises(ValueError, match="does not cover|not total"):
+        list(enumerate_structures(sig, 2))
+
+
+@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize(
+    "sig,equality_normal",
+    [(SIG_P, True), (Signature({"R": 2}), True), (SIG_PF, True), (SIG_PQC, True),
+     (SIG_PEQ, True), (SIG_PEQ, False)],
+    ids=["P", "R", "Pf", "PQc", "P=normal", "P=any"],
+)
+def test_enumerated_structures_are_valid(sig, equality_normal, size):
+    count = 0
+    for A in enumerate_structures(sig, size, equality_normal):
+        structures.validate_structure(A)
+        count += 1
+    assert count == structure_count(sig, size, equality_normal)
+
+
+@pytest.mark.parametrize(
+    "sig,phi,gamma",
+    [
+        (SIG_P, "P(x)", ()),  # every check over the whole signature
+        (SIG_P, "(exists x. ~P(x)) -> ~(forall x. P(x))", ()),
+        (SIG_PQC, "Q(c)", ("P(c)", "~P(c)")),  # the premises on reducts
+        (SIG_PR, "R(x, y)", ("P(x)",)),  # the target on a reduct too
+    ],
+)
+def test_reported_countermodels_are_built_by_make_structure(sig, phi, gamma, monkeypatch):
+    built = []
+    make = search.make_structure
+    monkeypatch.setattr(
+        search, "make_structure", lambda *a, **k: built.append(make(*a, **k)) or built[-1]
+    )
+    spec = SearchSpec(sig=sig, phi=parse_formula(phi, sig),
+                      gamma=tuple(parse_formula(g, sig) for g in gamma))
+    res = find_countermodel(spec)
+    assert res.found and len(built) == 1 and res.structure is built[0]
 
 
 @pytest.mark.parametrize("which", ["target", "premise"])

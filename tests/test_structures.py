@@ -347,6 +347,13 @@ def test_structure_validation_errors():
                 "Q": make_triple({("a",)}, set(), set()),
             },
         )
+    sigc, P = Signature(predicates={"P": 1}, constants={"c"}), make_triple({("a",)}, set(), set())
+    with pytest.raises(ValueError, match="constant c has no domain value"):
+        make_structure(sigc, ("a",), preds={"P": P}, consts={"c": "b"})
+    with pytest.raises(ValueError, match="no interpretation for constant c"):
+        make_structure(sigc, ("a",), preds={"P": P})
+    with pytest.raises(ValueError, match="interpretation for undeclared constant d"):
+        make_structure(sigc, ("a",), preds={"P": P}, consts={"c": "a", "d": "a"})
 
 
 @given(st.sampled_from(["a", "b", "c"]), st.sampled_from(["a", "b", "c"]))
@@ -418,3 +425,32 @@ def test_assignment_pickles_carry_no_hash():
             env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
         )
         assert done.stdout.decode().strip() == "True True True 7 {x=b, y=c; default a}"
+
+
+def test_assignment_spaces_keep_element_types_apart():
+    # (True, 2) == (1, 2), but a witness over (1, 2) holds the int 1
+    f = parse_formula("P(x)")
+    for domain in ((True, 2), (1, 2)):
+        A = make_structure(Signature({"P": 1}), domain,
+                           {"P": make_triple({(2,)}, {(domain[0],)}, set())})
+        ok, witness = is_valid_in(f, A)
+        assert not ok and witness.get("x") == 1 and type(witness.get("x")) is type(domain[0])
+
+
+def test_assignment_spaces_are_bounded():
+    from qciore import structures
+
+    f = parse_formula("P(x) -> P(y)")
+    for i in range(3 * structures._SPACE_KEYS):
+        domain = ("a%d" % i, "b%d" % i)
+        A = make_structure(Signature({"P": 1}), domain,
+                           {"P": make_triple({(domain[0],)}, {(domain[1],)}, set())})
+        ok, witness = is_valid_in(f, A)
+        assert not ok and witness.pairs == (("x", domain[0]), ("y", domain[1]))
+        assert len(structures._SPACES) <= structures._SPACE_KEYS
+    # a space of more than _SPACE_POINTS assignments is walked, not stored
+    domain = tuple(range(65))  # 65**2 = 4,225 assignments on (x, y)
+    A = make_structure(Signature({"P": 1}), domain,
+                       {"P": make_triple({(a,) for a in domain}, set(), set())})
+    assert is_valid_in(f, A) == (True, None)
+    assert (domain, frozenset({"x", "y"})) not in structures._SPACES

@@ -167,6 +167,28 @@ def test_sub_signatures():
     assert Signature(has_equality=True) <= with_eq
 
 
+def test_signatures_are_frozen_and_hashable():
+    preds, consts = {"P": 1}, {"c"}
+    sig = Signature(preds, {"f": 1}, consts)
+    preds["Q"] = 1  # the signature keeps copies of what it was given
+    consts.add("d")
+    assert sig == Signature({"P": 1}, {"f": 1}, frozenset({"c"}))
+    assert hash(sig) == hash(Signature({"P": 1}, {"f": 1}, {"c"}))
+    assert len({sig, Signature({"P": 1}, {"f": 1}, {"c"}), Signature({"P": 1})}) == 2
+    with pytest.raises(TypeError):
+        sig.predicates["Q"] = 1
+    with pytest.raises(AttributeError):
+        sig.constants.add("d")
+    # pickles round-trip, also as the cache of a formula
+    f = parse_formula("P(f(c)) & c = c", SIG_ALL)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        again = pickle.loads(pickle.dumps(sig, protocol))
+        assert again == sig and hash(again) == hash(sig)
+        g = pickle.loads(pickle.dumps((f, signature_of(f)), protocol))[0]
+        assert g == f and signature_of(g) == signature_of(f)
+        assert hash(signature_of(g)) == hash(signature_of(f))
+
+
 def test_substitute():
     f = parse_formula("P(x) & forall y. Q(x, y)")
     g = substitute(f, "x", Const("c"))
