@@ -3,9 +3,11 @@
 A proof is a numbered list of formulas, each justified as a hypothesis, an
 axiom instance, modus ponens, one of the two quantifier-introduction rules,
 or an instance of a stored lemma chained through its premises.  Proofs may
-be schematic: a formula metavariable stands for an arbitrary formula, and
-every variable is conservatively assumed to occur free in it, so accepted
-schematic proofs stay valid under instantiation.
+be schematic: a formula metavariable stands for an arbitrary formula.  One
+with no quantifier on x above it may hold a free x and binders of its own;
+``possibly_free``, ``syntax.is_free_for`` and ``syntax.substitute`` all read
+it so.  Accepted schematic proofs, Ax11, Ax12 and Eq2 steps included, thus
+stay valid under instantiation.
 """
 
 from __future__ import annotations
@@ -15,18 +17,15 @@ from dataclasses import dataclass
 from . import syntax
 from .matrix3 import PROP_AXIOMS, is_tautology3
 from .syntax import (
-    And,
+    App,
     CaptureError,
     Cons,
-    Const,
     Eq,
     Exists,
     Forall,
     Formula,
     FVar,
     Imp,
-    Neg,
-    Or,
     Pred,
     Signature,
     Term,
@@ -138,21 +137,18 @@ class LemmaStore:
 def possibly_free(x: str, f: Formula) -> bool:
     """Could ``x`` occur free in some instantiation of ``f``?
 
-    Metavariables may contain anything, so they count as containing ``x``
-    unless a quantifier on ``x`` stands above them.  On concrete formulas
-    this is exactly ordinary freeness.
+    A metavariable with no quantifier on ``x`` above it may hold a free
+    ``x``, so it counts as one.  On concrete formulas this is exactly
+    ordinary freeness.
     """
-    if isinstance(f, FVar):
-        return True
-    if isinstance(f, (Pred, Eq)):
-        return x in free_vars(f)
-    if isinstance(f, (Neg, Cons)):
-        return possibly_free(x, f.sub)
-    if isinstance(f, (And, Or, Imp)):
-        return possibly_free(x, f.left) or possibly_free(x, f.right)
-    if isinstance(f, (Forall, Exists)):
-        return f.var != x and possibly_free(x, f.body)
-    raise TypeError("not a formula: %r" % (f,))
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, FVar) or isinstance(g, (Pred, Eq)) and x in free_vars(g):
+            return True
+        if not (isinstance(g, (Forall, Exists)) and g.var == x):
+            stack += syntax._CHILDREN[type(g)](g)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -174,34 +170,18 @@ def schema_metavariables(pattern: Formula) -> tuple[str, ...]:
 def match_pattern(pattern: Formula, target: Formula, env: dict | None = None):
     """Match ``target`` against ``pattern``, binding metavariables.
 
-    Returns the (extended) environment or None.  Bound variables and
-    concrete atoms in the pattern must match exactly.
+    Returns the extended copy of ``env`` or None.  A metavariable binds the
+    formula in its place, the same one at each occurrence; quantified
+    variables and concrete atoms in the pattern must match exactly.
     """
-    if env is None:
-        env = {}
-    if isinstance(pattern, FVar):
-        bound = env.get(pattern.name)
-        if bound is None:
-            env = dict(env)
-            env[pattern.name] = target
-            return env
-        return env if bound == target else None
-    if type(pattern) is not type(target):
-        return None
-    if isinstance(pattern, (Pred, Eq)):
-        return env if pattern == target else None
-    if isinstance(pattern, (Neg, Cons)):
-        return match_pattern(pattern.sub, target.sub, env)
-    if isinstance(pattern, (And, Or, Imp)):
-        env = match_pattern(pattern.left, target.left, env)
-        if env is None:
-            return None
-        return match_pattern(pattern.right, target.right, env)
-    if isinstance(pattern, (Forall, Exists)):
-        if pattern.var != target.var:
-            return None
-        return match_pattern(pattern.body, target.body, env)
-    raise TypeError("not a formula: %r" % (pattern,))
+    env = dict(env or {})
+
+    def bind(a, b, bound) -> bool:
+        if isinstance(a, FVar):
+            return env.setdefault(a.name, b) is b or env[a.name] == b
+        return a == b
+
+    return env if syntax.align(pattern, target, bind) else None
 
 
 def _infer_term(body: Formula, x: str, instance: Formula) -> Term | None:
@@ -216,9 +196,7 @@ def _infer_term(body: Formula, x: str, instance: Formula) -> Term | None:
         if isinstance(a, Var) and a.name == x and x not in bound:
             found.append(b)
             return True
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, (Var, Const)):
+        if not (isinstance(a, App) and isinstance(b, App)):
             return a == b
         return (
             a.fun == b.fun

@@ -499,27 +499,27 @@ def free_vars(f: Formula) -> frozenset[str]:
 
 
 def is_free_for(t: Term, x: str, f: Formula) -> bool:
-    """True when substituting ``t`` for free ``x`` in ``f`` captures nothing."""
+    """True when substituting ``t`` for free ``x`` in ``f`` captures nothing.
+
+    A metavariable with no quantifier on ``x`` above it may hold a free
+    ``x`` and binders of its own, so only a closed term is free for ``x``
+    there; then the answer holds for every instance of ``f``.
+    """
     if t == Var(x):
         return True
     tv = term_vars(t)
-
-    def rec(g: Formula) -> bool:
-        if isinstance(g, (Pred, Eq)):
-            return True
-        if isinstance(g, FVar):
-            # The metavariable may stand for anything, so only a closed term
-            # is guaranteed capture-free.
-            return not tv
-        if isinstance(g, (Neg, Cons)):
-            return rec(g.sub)
-        if isinstance(g, (And, Or, Imp)):
-            return rec(g.left) and rec(g.right)
-        if g.var == x or x not in free_vars(g):
-            return True
-        return g.var not in tv and rec(g.body)
-
-    return rec(f)
+    stack = [(f, False)]  # a subformula, and whether a variable of t is bound above it
+    while stack:
+        g, captured = stack.pop()
+        if (isinstance(g, FVar) and tv
+                or captured and isinstance(g, (Pred, Eq)) and x in free_vars(g)):
+            return False
+        if isinstance(g, (Forall, Exists)):
+            if g.var != x:
+                stack.append((g.body, captured or g.var in tv))
+        else:
+            stack += ((h, captured) for h in _CHILDREN[type(g)](g))
+    return True
 
 
 def substitute_term(t: Term, x: str, s: Term) -> Term:
@@ -534,7 +534,8 @@ def substitute(f: Formula, x: str, t: Term) -> Formula:
     """Replace every free occurrence of ``x`` in ``f`` by ``t``.
 
     Raises CaptureError if a replaced occurrence would fall inside the scope
-    of a quantifier binding one of ``t``'s variables.
+    of a quantifier binding one of ``t``'s variables, and at a metavariable
+    with no quantifier on ``x`` above it, which may hold a free ``x``.
     """
     if t == Var(x):
         return f
@@ -553,7 +554,7 @@ def substitute(f: Formula, x: str, t: Term) -> Formula:
             return type(g)(rec(g.sub))
         if type(g) in BINARY_OPS:
             return type(g)(rec(g.left), rec(g.right))
-        if g.var == x or x not in free_vars(g):
+        if g.var == x or x not in free_vars(g) and FVar not in map(type, subformulas(g)):
             return g
         if g.var in tv:
             raise CaptureError(
@@ -628,19 +629,27 @@ def map_atoms(f: Formula, fn) -> Formula:
 
 def align(f: Formula, g: Formula, on_terms) -> bool:
     """Walk ``f`` and ``g`` in parallel: True when they have the same shape
-    and ``on_terms(a, b, bound)`` holds for each pair of atom arguments.
+    and ``on_terms(a, b, bound)`` holds for each pair of atom arguments and
+    for each metavariable ``a`` of ``f`` with the formula ``b`` of ``g`` in
+    its place, whatever ``b``'s type.
 
     The same shape means the same connectives, quantifiers on the same
-    variables, predicates of the same name and arity, and equal
-    metavariables.  ``bound`` is the frozenset of the variables quantified
-    above the pair.
+    variables, and predicates of the same name and arity.  ``bound`` is the
+    frozenset of the variables quantified above the pair.
     """
     stack = [(f, g, frozenset())]
     while stack:
         a, b, bound = stack.pop()
-        if type(a) is not type(b):
+        if isinstance(a, FVar):
+            if not on_terms(a, b, bound):
+                return False
+        elif type(a) is not type(b):
             return False
-        if isinstance(a, Pred):
+        elif isinstance(a, (And, Or, Imp)):
+            stack += ((a.right, b.right, bound), (a.left, b.left, bound))
+        elif isinstance(a, (Neg, Cons)):
+            stack.append((a.sub, b.sub, bound))
+        elif isinstance(a, Pred):
             if a.name != b.name or len(a.args) != len(b.args):
                 return False
             if not all(on_terms(s, t, bound) for s, t in zip(a.args, b.args)):
@@ -648,13 +657,6 @@ def align(f: Formula, g: Formula, on_terms) -> bool:
         elif isinstance(a, Eq):
             if not (on_terms(a.left, b.left, bound) and on_terms(a.right, b.right, bound)):
                 return False
-        elif isinstance(a, FVar):
-            if a != b:
-                return False
-        elif isinstance(a, (Neg, Cons)):
-            stack.append((a.sub, b.sub, bound))
-        elif isinstance(a, (And, Or, Imp)):
-            stack += ((a.right, b.right, bound), (a.left, b.left, bound))
         elif isinstance(a, (Forall, Exists)):
             if a.var != b.var:
                 return False

@@ -108,15 +108,17 @@ def _partitions(index: CarrierIndex) -> list[tuple[int, int]]:
 class Triple:
     """Three pairwise disjoint classes of a carrier; immutable and hashable.
 
-    ``Triple(plus, minus, dot)`` builds one from its classes over the index
-    of the carrier sorted by ``str``; ``Triple.from_masks`` builds one from
-    masks over a given ``CarrierIndex``.  Equality, hashing, ``value_at``,
-    printing and pickling see only the classes, never the index.
+    ``Triple(plus, minus, dot)`` builds one from disjoint classes over the
+    index of the carrier sorted by ``str``; ``Triple.from_masks`` builds one
+    from masks over a given ``CarrierIndex``.  Equality, hashing,
+    ``value_at``, printing and pickling see only the classes, never the index.
     """
 
     __slots__ = ("plus", "minus", "dot", "index", "_masks")
 
     def __new__(cls, plus: frozenset, minus: frozenset, dot: frozenset):
+        if plus & minus or plus & dot or minus & dot:
+            raise ValueError("triple classes overlap: %s %s %s" % (plus, minus, dot))
         index = CarrierIndex.of(tuple(sorted(plus | minus | dot, key=str)))
         return Triple.from_masks(index, index.encode(plus), index.encode(minus))
 
@@ -188,11 +190,8 @@ class Triple:
 
 
 def make_triple(plus, minus, dot) -> Triple:
-    """Build a triple, insisting the three classes are pairwise disjoint."""
-    plus, minus, dot = frozenset(plus), frozenset(minus), frozenset(dot)
-    if plus & minus or plus & dot or minus & dot:
-        raise ValueError("triple classes overlap: %s %s %s" % (plus, minus, dot))
-    return Triple(plus, minus, dot)
+    """``Triple`` of the three classes given as any iterables."""
+    return Triple(frozenset(plus), frozenset(minus), frozenset(dot))
 
 
 def _masks(values) -> tuple[int, int]:

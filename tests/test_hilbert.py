@@ -49,6 +49,8 @@ from qciore.syntax import (
     Signature,
     Var,
     enumerate_formulas,
+    free_vars,
+    is_free_for,
     map_atoms,
     parse_formula,
     substitute,
@@ -123,6 +125,16 @@ def test_match_pattern_quantifier_variable_is_literal():
     pattern = Forall("x", FVar("a"))
     assert match_pattern(pattern, parse_formula("forall x. P(x)", SIG))
     assert match_pattern(pattern, parse_formula("forall y. P(y)", SIG)) is None
+
+
+def test_pattern_walks_need_no_recursion():
+    # 5,000 nested "forall y. ~", far past the interpreter's recursion limit
+    pattern, target = FVar("A"), parse_formula("P(x)", SIG)
+    for _ in range(5000):
+        pattern, target = Forall("y", Neg(pattern)), Forall("y", Neg(target))
+    assert match_pattern(pattern, target) == {"A": parse_formula("P(x)", SIG)}
+    assert possibly_free("x", pattern) and possibly_free("x", target)
+    assert not possibly_free("y", pattern) and not possibly_free("y", target)
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +484,67 @@ def test_substitution_in_ax12_respects_shadowing():
     f = Imp(Forall("x", body), inst)
     env = match_schema(f, AXIOMS["Ax12"])
     assert env["t"] == Var("y")
+
+
+def _with_a(text, a):
+    """``text`` parsed, with its atom A replaced by the formula ``a``."""
+    return map_atoms(parse_formula(text), lambda g: a if g == Pred("A") else g)
+
+
+#: steps whose x may be captured by the forall y above the metavariable A
+CAPTURING_STEPS = [
+    ("Ax12", "(forall x. P(x) & (forall y. A)) -> P(y) & (forall y. A)"),
+    ("Eq2", "forall x. forall y. x = y -> P(x) & (forall y. A) -> P(y) & (forall y. A)"),
+]
+
+
+@pytest.mark.parametrize("name, text", CAPTURING_STEPS, ids=[n for n, _ in CAPTURING_STEPS])
+def test_a_schematic_step_is_accepted_only_if_its_instances_are(name, text):
+    schema = AXIOMS[name]
+    assert match_schema(_with_a(text, FVar("A")), schema) is None
+    assert match_schema(_with_a(text, parse_formula("Q(x)")), schema) is None
+    assert match_schema(_with_a(text, parse_formula("Q(w)")), schema) is not None
+
+
+def _random_formula(rng, depth, atoms):
+    """A formula of depth at most ``depth`` over ``atoms``, quantifiers on x, y, z."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(atoms)
+    kind = rng.choice((Neg, Cons, And, Or, Imp, Forall, Exists))
+    if kind in (Neg, Cons):
+        return kind(_random_formula(rng, depth - 1, atoms))
+    if kind in (Forall, Exists):
+        return kind(rng.choice("xyz"), _random_formula(rng, depth - 1, atoms))
+    return kind(_random_formula(rng, depth - 1, atoms), _random_formula(rng, depth - 1, atoms))
+
+
+def test_instantiation_keeps_what_the_checker_decided_on_the_schema():
+    rng = random.Random(1)
+    terms = [Var(v) for v in "xyz"] + [Const("c")]
+    concrete = [Pred(p, (t,)) for p in "PQ" for t in terms]
+    for _ in range(2500):
+        phi = _random_formula(rng, 3, concrete + [FVar("A"), FVar("B")])
+        sigma = {m: _random_formula(rng, 2, concrete) for m in "AB"}
+        other = {m: _random_formula(rng, 2, concrete) for m in "AB"}
+        inst = instantiate(phi, sigma)
+        for x in "xyz":
+            if not possibly_free(x, phi):
+                assert x not in free_vars(inst), (phi, sigma, x)
+            for t in terms:
+                if is_free_for(t, x, phi):
+                    assert is_free_for(t, x, inst), (phi, sigma, x, t)
+                try:
+                    done = substitute(phi, x, t)
+                except CaptureError:
+                    continue
+                assert substitute(inst, x, t) == instantiate(done, sigma), (phi, sigma, x, t)
+        mvars = schema_metavariables(phi)
+        assert match_pattern(phi, inst) == {m: sigma[m] for m in mvars}
+        # each occurrence from sigma or from other: a match must rebuild it
+        mixed = map_atoms(phi, lambda g: rng.choice((sigma, other))[g.name]
+                          if isinstance(g, FVar) else g)
+        env = match_pattern(phi, mixed)
+        assert env is None or instantiate(phi, env) == mixed, (phi, mixed)
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,22 @@ def test_substitute_refuses_capture():
     assert is_free_for(Var("y"), "x", parse_formula("forall y. P(y)"))
 
 
+def test_a_metavariable_may_hold_a_free_variable_and_binders():
+    # forall y. A: at A := Q(x), y for x is captured; a closed term is not
+    f = Forall("y", FVar("A"))
+    assert not is_free_for(Var("y"), "x", f)
+    assert not is_free_for(Var("z"), "x", f)  # A may bind z itself
+    assert is_free_for(Const("c"), "x", f)
+    assert is_free_for(Var("y"), "x", Forall("x", f))
+    with pytest.raises(CaptureError):
+        substitute(f, "x", Var("y"))
+    with pytest.raises(CaptureError):
+        substitute(f, "x", Const("c"))
+    # a quantifier on x above the metavariable shields it
+    g = And(Pred("P", (Var("x"),)), Forall("y", Forall("x", FVar("A"))))
+    assert substitute(g, "x", Var("z")) == And(Pred("P", (Var("z"),)), g.right)
+
+
 def test_replace_some_matches():
     f = parse_formula("P(x) & Q(x)")
     assert replace_some_matches(f, "x", "y", parse_formula("P(y) & Q(x)"))
@@ -264,6 +280,7 @@ def test_the_traversals_need_no_recursion():
     assert len(subformulas(f)) == 5001
     assert align(f, g, lambda a, b, bound: a == b)
     assert signature_of(f) == Signature({"P": 1})
+    assert is_free_for(Var("y"), "x", f)
 
 
 def test_enumerate_formulas_base():

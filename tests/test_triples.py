@@ -46,6 +46,14 @@ def test_bad_map_value_rejected():
 def test_overlapping_classes_rejected():
     with pytest.raises(ValueError):
         make_triple({"a"}, {"a"}, set())
+    # the constructor itself refuses them, and drops nothing from dot
+    for classes in (({1}, {1}, {2}), ({1}, set(), {1, 2}), (set(), {3}, {3})):
+        with pytest.raises(ValueError, match="overlap"):
+            Triple(*map(frozenset, classes))
+    t = Triple(frozenset({1}), frozenset(), frozenset({2}))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        again = pickle.loads(pickle.dumps(t, protocol))
+        assert again == t and (again.plus, again.minus, again.dot) == (t.plus, t.minus, t.dot)
 
 
 def test_pointwise_disjunction_cell():
