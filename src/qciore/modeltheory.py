@@ -25,38 +25,51 @@ from .structures import (
     sentence_trichotomy,
 )
 from .syntax import Exists, Forall, Formula, enumerate_formulas, free_vars
-from .triples import Triple, make_triple
+from .triples import make_triple
 
 # ---------------------------------------------------------------------------
 # Substructures
 
 
+def _restrictions(B: Structure, domain: tuple):
+    """Each symbol's interpretation in B cut to ``domain``, as (``Structure``
+    field, name, value) in ``structures._parts`` order: a predicate's plus,
+    minus and dot classes, each to the tuples over ``domain``; a function's
+    table, to its arguments over ``domain``; a constant, as it is."""
+    for part, name, arity in structures._parts(B.sig):
+        value = getattr(B, part)[name]
+        if part == "preds":
+            # B's own tuples: the cached domain^arity may hold equal elements
+            # of another type, such as 1 for True
+            tuples = structures._tuples_over(domain, arity)
+            value = tuple(frozenset(filter(tuples.__contains__, c))
+                          for c in (value.plus, value.minus, value.dot))
+        elif part == "funs":
+            value = {args: value[args] for args in itertools.product(domain, repeat=arity)}
+        yield part, name, value
+
+
 def is_substructure(A: Structure, B: Structure) -> tuple[bool, str | None]:
-    """Whether A is a substructure of B; on failure, the first violation."""
+    """Whether A is a substructure of B; on failure, the first violation, in
+    ``structures._parts`` order."""
     if A.sig != B.sig:
         return False, "signatures differ"
     big = set(B.domain)
     for d in A.domain:
         if d not in big:
             return False, "domain element %s is not in the larger structure" % d
-    for c in sorted(A.consts):
-        if A.consts[c] != B.consts[c]:
-            return False, "constant %s: %s != %s" % (c, A.consts[c], B.consts[c])
-    for fname in sorted(A.funs):
-        arity = A.sig.functions[fname]
-        for args in itertools.product(A.domain, repeat=arity):
-            if A.funs[fname][args] != B.funs[fname][args]:
-                return False, "function %s disagrees at %s" % (fname, (args,))
-    for pname in sorted(A.preds):
-        arity = 2 if pname == "=" else A.sig.predicates[pname]
-        tuples = set(itertools.product(A.domain, repeat=arity))
-        small, large = A.preds[pname], B.preds[pname]
-        for cls in ("plus", "minus", "dot"):
-            if getattr(small, cls) != getattr(large, cls) & tuples:
-                return False, "predicate %s: %s class does not restrict" % (
-                    pname,
-                    cls,
-                )
+    for part, name, cut in _restrictions(B, A.domain):
+        mine = getattr(A, part)[name]
+        if part == "preds":
+            for cls, large in zip(("plus", "minus", "dot"), cut):
+                if getattr(mine, cls) != large:
+                    return False, "predicate %s: %s class does not restrict" % (name, cls)
+        elif part == "funs":
+            for args, value in cut.items():
+                if mine[args] != value:
+                    return False, "function %s disagrees at %s" % (name, (args,))
+        elif mine != cut:
+            return False, "constant %s: %s != %s" % (name, mine, cut)
     return True, None
 
 
@@ -64,7 +77,8 @@ def induced_substructure(B: Structure, subdomain) -> Structure:
     """The substructure of B on the given elements.
 
     Raises ValueError if the elements are not a nonempty subset of the
-    domain closed under the functions and containing every constant.
+    domain closed under the functions and containing every constant; the
+    first symbol at fault is named, in ``structures._parts`` order.
     """
     keep = set(subdomain)
     if not keep:
@@ -73,69 +87,20 @@ def induced_substructure(B: Structure, subdomain) -> Structure:
     if stray:
         raise ValueError("subdomain elements not in the domain: %s" % sorted(stray))
     domain = tuple(d for d in B.domain if d in keep)
-    for c, e in sorted(B.consts.items()):
-        if e not in keep:
-            raise ValueError("constant %s lies outside the subdomain" % c)
-    funs = {}
-    for fname, table in B.funs.items():
-        arity = B.sig.functions[fname]
-        restricted = {}
-        for args in itertools.product(domain, repeat=arity):
-            value = table[args]
-            if value not in keep:
-                raise ValueError(
-                    "subdomain is not closed under %s: %s -> %s"
-                    % (fname, args, value)
-                )
-            restricted[args] = value
-        funs[fname] = restricted
-    preds = {}
-    for pname, triple in B.preds.items():
-        arity = 2 if pname == "=" else B.sig.predicates[pname]
-        tuples = set(itertools.product(domain, repeat=arity))
-        preds[pname] = make_triple(
-            triple.plus & tuples, triple.minus & tuples, triple.dot & tuples
-        )
-    return make_structure(B.sig, domain, preds, funs, dict(B.consts))
-
-
-def rename_structure(A: Structure, mapping: dict) -> Structure:
-    """Copy A along a bijection of its domain."""
-    if set(mapping) != set(A.domain):
-        raise ValueError("mapping keys must be exactly the domain")
-    if len(set(mapping.values())) != len(A.domain):
-        raise ValueError("mapping is not injective")
-
-    def m(t):
-        return tuple(mapping[e] for e in t)
-
-    domain = tuple(mapping[d] for d in A.domain)
-    preds = {
-        name: Triple(
-            frozenset(m(t) for t in tri.plus),
-            frozenset(m(t) for t in tri.minus),
-            frozenset(m(t) for t in tri.dot),
-        )
-        for name, tri in A.preds.items()
-    }
-    funs = {
-        name: {m(args): mapping[val] for args, val in table.items()}
-        for name, table in A.funs.items()
-    }
-    consts = {name: mapping[val] for name, val in A.consts.items()}
-    return make_structure(A.sig, domain, preds, funs, consts)
-
-
-def union_of_chain(chain) -> Structure:
-    """The union of a finite chain of substructures (its last element)."""
-    chain = list(chain)
-    if not chain:
-        raise ValueError("empty chain")
-    for small, big in zip(chain, chain[1:]):
-        ok, why = is_substructure(small, big)
-        if not ok:
-            raise ValueError("not a chain: %s" % why)
-    return chain[-1]
+    parts: dict = {"preds": {}, "funs": {}, "consts": {}}
+    for part, name, cut in _restrictions(B, domain):
+        if part == "preds":
+            cut = make_triple(*cut)
+        elif part == "funs":
+            for args, value in cut.items():
+                if value not in keep:
+                    raise ValueError(
+                        "subdomain is not closed under %s: %s -> %s" % (name, args, value)
+                    )
+        elif cut not in keep:
+            raise ValueError("constant %s lies outside the subdomain" % name)
+        parts[part][name] = cut
+    return make_structure(B.sig, domain, **parts)
 
 
 # ---------------------------------------------------------------------------

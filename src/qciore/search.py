@@ -130,13 +130,11 @@ def enumerate_structures(sig: Signature, n: int, equality_normal: bool = True):
 def structure_count(sig: Signature, n: int, equality_normal: bool = True) -> int:
     """How many structures enumerate_structures yields, in closed form."""
     total = 1
-    for arity in sig.predicates.values():
-        total *= 3 ** (n**arity)
-    for arity in sig.functions.values():
-        total *= n ** (n**arity)
-    total *= n ** len(sig.constants)
-    if sig.has_equality:
-        total *= 2**n if equality_normal else 3 ** (n * n)
+    for part, name, arity in structures._parts(sig):
+        if part == "preds":
+            total *= 2**n if name == EQ and equality_normal else 3 ** (n**arity)
+        else:  # a function's tables; a constant, of arity 0, is one of n elements
+            total *= n ** (n**arity)
     return total
 
 

@@ -13,7 +13,7 @@ import bisect
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .matrix3 import CIORE, DESIGNATED, HALF, Matrix, ONE, ZERO
@@ -549,7 +549,7 @@ def sentence_trichotomy(f: Formula, A: Structure) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Equality structures and name expansion
+# Equality structures and reducts
 
 
 def classical_equality(domain) -> Triple:
@@ -558,22 +558,6 @@ def classical_equality(domain) -> Triple:
     diag = {(a, a) for a in domain}
     off = {p for p in itertools.product(domain, repeat=2) if p[0] != p[1]}
     return make_triple(diag, off, set())
-
-
-def expand_with_names(A: Structure, elements) -> Structure:
-    """Expand with a fresh constant ``c_<e>`` naming each given element."""
-    elements = list(elements)
-    for e in elements:
-        if e not in A.domain:
-            raise ValueError("%r is not a domain element" % (e,))
-    names = {e: "c_%s" % (e,) for e in elements}
-    clash = sorted(set(names.values()) & A.sig.constants)
-    if clash:
-        raise ValueError("constant names already taken: %s" % clash)
-    sig = replace(A.sig, constants=A.sig.constants | set(names.values()))
-    consts = dict(A.consts)
-    consts.update({name: e for e, name in names.items()})
-    return Structure(sig, A.domain, dict(A.preds), dict(A.funs), consts)
 
 
 def reduct(A: Structure, sig: Signature) -> Structure:

@@ -192,27 +192,27 @@ def signature_of(f: Formula) -> Signature:
     if out is not None:
         return out
     preds, funs, consts, has_equality = {}, {}, set(), False
-    todo = [f]
+    todo = [(f, False)]  # (node, whether it stands in term position)
     while todo:  # in preorder, left before right, into the atoms' terms
-        g = todo.pop()
-        if isinstance(g, (Pred, App)):
+        g, is_term = todo.pop()
+        if isinstance(g, App if is_term else Pred):
             kind, table, name = (
-                ("predicate", preds, g.name) if isinstance(g, Pred)
-                else ("function", funs, g.fun)
+                ("function", funs, g.fun) if is_term else ("predicate", preds, g.name)
             )
             if table.setdefault(name, len(g.args)) != len(g.args):
                 raise ValueError("%s %s used with %d and %d arguments"
                                  % (kind, name, table[name], len(g.args)))
-            todo += reversed(g.args)
+            todo += ((a, True) for a in reversed(g.args))
+        elif is_term:
+            if isinstance(g, Const):
+                consts.add(g.name)
+            elif not isinstance(g, Var):
+                raise TypeError("not a term: %r" % (g,))
         elif isinstance(g, Eq):
             has_equality = True
-            todo += g.right, g.left
-        elif isinstance(g, Const):
-            consts.add(g.name)
-        elif type(g) in _CHILDREN:
-            todo += _CHILDREN[type(g)](g)
-        elif not isinstance(g, Var):
-            raise TypeError("not a formula: %r" % (g,))
+            todo += (g.right, True), (g.left, True)
+        else:
+            todo += ((h, False) for h in _CHILDREN[type(g)](g))
     out = Signature(preds, funs, consts, has_equality)
     object.__setattr__(f, "_signature", out)
     return out
@@ -589,13 +589,21 @@ def replace_some_matches(f: Formula, x: str, y: str, candidate: Formula) -> bool
 # Traversals: the walks that need no scoping beyond the bound variables
 
 
-#: each node type's children, right to left (a preorder stack pushes them so)
-_CHILDREN = {
+class _Children(dict):
+    """Each formula node type's children, right to left (a preorder stack
+    pushes them so).  Looking up any other type raises the TypeError of a
+    node that is not a formula, the same in every walk."""
+
+    def __missing__(self, kind):
+        raise TypeError("not a formula: %s" % kind.__name__)
+
+
+_CHILDREN = _Children({
     **dict.fromkeys((Pred, Eq, FVar), lambda g: ()),
     **dict.fromkeys((Neg, Cons), lambda g: (g.sub,)),
     **dict.fromkeys((And, Or, Imp), operator.attrgetter("right", "left")),
     **dict.fromkeys((Forall, Exists), lambda g: (g.body,)),
-}
+})
 
 
 def subformulas(f: Formula) -> list[Formula]:
@@ -605,11 +613,8 @@ def subformulas(f: Formula) -> list[Formula]:
     stack = [f]
     while stack:
         g = stack.pop()
-        children = _CHILDREN.get(type(g))
-        if children is None:
-            raise TypeError("not a formula: %r" % (g,))
+        stack += _CHILDREN[type(g)](g)
         out.append(g)
-        stack += children(g)
     return out
 
 

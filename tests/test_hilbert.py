@@ -112,6 +112,12 @@ def test_possibly_free_is_freeness_on_concrete_formulas():
     assert not possibly_free("z", f)
 
 
+def test_possibly_free_refuses_a_term_in_formula_position():
+    for f in (Neg(Var("x")), Imp(Pred("P", (Var("y"),)), Var("x"))):
+        with pytest.raises(TypeError, match="not a formula: Var"):
+            possibly_free("x", f)
+
+
 def test_match_pattern_binds_consistently():
     pattern = Imp(FVar("a"), FVar("a"))
     good = parse_formula("P(x) -> P(x)", SIG)

@@ -10,14 +10,14 @@ from qciore.modeltheory import (
     elementary_sub_bounded,
     induced_substructure,
     is_substructure,
-    rename_structure,
     tarski_conditions,
-    union_of_chain,
 )
+from qciore import structures
 from qciore.search import enumerate_structures
 from qciore.matrix3 import HALF
 from qciore.structures import (
     assignments_over,
+    classical_equality,
     eval_formula,
     make_structure,
     sentence_trichotomy,
@@ -112,40 +112,200 @@ def test_induced_substructure_checks_constants_and_closure():
     assert is_substructure(a, b) == (True, None)
 
 
+def test_induced_substructure_keeps_the_types_of_its_elements():
+    # (1, 2) and (True, 2) are equal tuples, but the second keeps True
+    for one in (1, True):
+        b = make_structure(
+            SIG_P1, (one, 2, 3), preds={"P": make_triple({(one,), (2,)}, {(3,)}, set())}
+        )
+        a = induced_substructure(b, {one, 2})
+        assert {type(e) for (e,) in a.preds["P"].plus} == {type(one), int}
+
+
 def test_function_disagreement_is_reported():
-    shared = dict(
-        preds={"P": make_triple({("e1",)}, set(), set())}, consts={"c": "e1"}
-    )
     b = make_structure(
-        SIG_FC, ("e1",), funs={"f": {("e1",): "e1"}}, **shared
+        SIG_FC,
+        ("e1", "e2"),
+        preds={"P": make_triple({("e1",)}, {("e2",)}, set())},
+        funs={"f": {("e1",): "e2", ("e2",): "e2"}},
+        consts={"c": "e1"},
     )
     a_bad = make_structure(
-        SIG_FC, ("e1",), funs={"f": {("e1",): "e1"}}, **shared
+        SIG_FC,
+        ("e1",),
+        preds={"P": make_triple({("e1",)}, set(), set())},
+        funs={"f": {("e1",): "e1"}},
+        consts={"c": "e1"},
     )
-    assert is_substructure(a_bad, b) == (True, None)
+    assert is_substructure(a_bad, b) == (False, "function f disagrees at (('e1',),)")
 
 
-def test_rename_structure_is_isomorphic_copy():
-    b = remark_structure()
-    r = rename_structure(b, {"a": "z", "b": "y", "c": "x"})
-    assert r.domain == ("z", "y", "x")
-    assert r.preds["P"].plus == {("z",)}
-    with pytest.raises(ValueError):
-        rename_structure(b, {"a": "z", "b": "z", "c": "x"})
-    with pytest.raises(ValueError):
-        rename_structure(b, {"a": "z"})
+SIG_PEQ = Signature(predicates={"P": 1}, has_equality=True)
 
 
-def test_union_of_chain():
-    b = remark_structure()
-    mid = induced_substructure(b, {"a", "b"})
-    small = induced_substructure(b, {"a"})
-    assert union_of_chain([small, mid, b]) is b
-    assert union_of_chain([b]) is b
-    with pytest.raises(ValueError):
-        union_of_chain([])
-    with pytest.raises(ValueError):
-        union_of_chain([b, small])
+def test_each_substructure_violation_has_its_message():
+    b = make_structure(
+        SIG_FC,
+        ("e1", "e2"),
+        preds={"P": make_triple({("e1",)}, {("e2",)}, set())},
+        funs={"f": {("e1",): "e1", ("e2",): "e2"}},
+        consts={"c": "e1"},
+    )
+    on_e1 = dict(
+        preds={"P": make_triple({("e1",)}, set(), set())},
+        funs={"f": {("e1",): "e1"}},
+        consts={"c": "e1"},
+    )
+    assert is_substructure(make_structure(SIG_FC, ("e1",), **on_e1), b) == (True, None)
+    eq = make_structure(
+        SIG_PEQ, b.domain, {"P": b.preds["P"], "=": classical_equality(b.domain)}
+    )
+    dubious = make_triple(set(), set(), {("e1", "e1")})
+    cases = [
+        (make_structure(SIG_P1, ("e1",), on_e1["preds"]), b, "signatures differ"),
+        (
+            make_structure(SIG_FC, ("e1", "e3"), {"P": make_triple({("e1",)}, {("e3",)}, set())},
+                           {"f": {("e1",): "e1", ("e3",): "e3"}}, {"c": "e1"}),
+            b,
+            "domain element e3 is not in the larger structure",
+        ),
+        (make_structure(SIG_FC, b.domain, b.preds, b.funs, {"c": "e2"}), b,
+         "constant c: e2 != e1"),
+        (
+            make_structure(SIG_FC, b.domain, b.preds, {"f": {("e1",): "e1", ("e2",): "e1"}},
+                           b.consts),
+            b,
+            "function f disagrees at (('e2',),)",
+        ),
+        (
+            make_structure(SIG_FC, ("e1",), {"P": make_triple(set(), set(), {("e1",)})},
+                           on_e1["funs"], on_e1["consts"]),
+            b,
+            "predicate P: plus class does not restrict",
+        ),
+        (
+            make_structure(SIG_PEQ, ("e1",), {"P": on_e1["preds"]["P"], "=": dubious}),
+            eq,
+            "predicate =: plus class does not restrict",
+        ),
+    ]
+    for a, big, why in cases:
+        assert is_substructure(a, big) == (False, why)
+
+
+def test_first_violation_follows_the_symbol_order():
+    # predicates by name, then functions, then constants, equality last
+    sig = Signature(predicates={"P": 1}, functions={"f": 1}, constants={"c"},
+                    has_equality=True)
+    domain = ("e1", "e2", "e3")
+    b = make_structure(
+        sig,
+        domain,
+        preds={"P": make_triple({("e1",)}, {("e2",), ("e3",)}, set()),
+               "=": classical_equality(domain)},
+        funs={"f": {(e,): e for e in domain}},
+        consts={"c": "e2"},
+    )
+    a = make_structure(
+        sig,
+        ("e2", "e3"),
+        preds={"P": make_triple(set(), set(), {("e2",), ("e3",)}),
+               "=": make_triple(set(), {("e2", "e3"), ("e3", "e2")},
+                                {("e2", "e2"), ("e3", "e3")})},
+        funs={"f": {("e2",): "e3", ("e3",): "e2"}},
+        consts={"c": "e3"},
+    )
+    assert is_substructure(a, b) == (False, "predicate P: minus class does not restrict")
+    a.preds["P"] = make_triple(set(), {("e2",), ("e3",)}, set())
+    assert is_substructure(a, b) == (False, "function f disagrees at (('e2',),)")
+    a.funs["f"] = {("e2",): "e2", ("e3",): "e3"}
+    assert is_substructure(a, b) == (False, "constant c: e3 != e2")
+    a.consts["c"] = "e2"
+    assert is_substructure(a, b) == (False, "predicate =: plus class does not restrict")
+    # a constant outside the subdomain and a function that leaves it: the
+    # function is named first
+    b = make_structure(
+        SIG_FC,
+        ("e1", "e2"),
+        preds={"P": make_triple({("e1",)}, {("e2",)}, set())},
+        funs={"f": {("e1",): "e1", ("e2",): "e1"}},
+        consts={"c": "e1"},
+    )
+    with pytest.raises(ValueError, match="not closed under f"):
+        induced_substructure(b, {"e2"})
+
+
+def reference_induced(B, subdomain):
+    """The substructure of B on ``subdomain``, each interpretation cut by
+    hand; a ValueError names the first symbol at fault, a function before a
+    constant."""
+    keep = set(subdomain)
+    inside = keep.issuperset
+    funs = {}
+    for name, table in sorted(B.funs.items()):
+        funs[name] = {args: v for args, v in table.items() if inside(args)}
+        if not inside(funs[name].values()):
+            raise ValueError("closed")
+    if not inside(B.consts.values()):
+        raise ValueError("constant")
+    preds = {
+        name: make_triple(*({t for t in c if inside(t)} for c in (tri.plus, tri.minus, tri.dot)))
+        for name, tri in B.preds.items()
+    }
+    domain = tuple(d for d in B.domain if d in keep)
+    return make_structure(B.sig, domain, preds, funs, dict(B.consts))
+
+
+def changed(A, part, name):
+    """A copy of A with the interpretation of ``name`` changed, or None
+    when A's domain leaves no other choice for it."""
+    value = getattr(A, part)[name]
+    if part == "preds":
+        # the first tuple moved to the next class
+        first = min(value.carrier)
+        classes = [set(value.plus), set(value.minus), set(value.dot)]
+        at = next(i for i, c in enumerate(classes) if first in c)
+        classes[at].discard(first)
+        classes[(at + 1) % 3].add(first)
+        value = make_triple(*classes)
+    elif len(A.domain) == 1:
+        return None
+    elif part == "funs":
+        args = min(value)
+        value = {**value, args: next(e for e in A.domain if e != value[args])}
+    else:
+        value = next(e for e in A.domain if e != value)
+    interp = {p: dict(getattr(A, p)) for p in ("preds", "funs", "consts")}
+    interp[part][name] = value
+    return make_structure(A.sig, A.domain, **interp)
+
+
+@pytest.mark.parametrize("sig", [SIG_FC, Signature(predicates={"R": 2}, has_equality=True)],
+                         ids=["Pfc", "R-eq"])
+def test_induced_substructure_matches_a_reference(sig):
+    induced = refused = changes = 0
+    for n in (1, 2):
+        for b in enumerate_structures(sig, n):
+            for k in range(1, n + 1):
+                for subdomain in itertools.combinations(b.domain, k):
+                    try:
+                        want = reference_induced(b, subdomain)
+                    except ValueError as e:
+                        with pytest.raises(ValueError, match=str(e)):
+                            induced_substructure(b, subdomain)
+                        refused += 1
+                        continue
+                    a = induced_substructure(b, subdomain)
+                    assert a == want
+                    assert is_substructure(a, b) == (True, None)
+                    induced += 1
+                    for part, name, _ in structures._parts(sig):
+                        other = changed(a, part, name)
+                        if other is not None:
+                            ok, why = is_substructure(other, b)
+                            assert not ok and why.startswith("%s %s" % (structures._KIND[part], name))
+                            changes += 1
+    assert induced and changes and (refused or not sig.constants)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +569,7 @@ def test_tarski_failure_matches_elementary_failure():
 
 def test_isomorphic_structures_are_equivalent():
     a = p_structure(("e1", "e2"), plus="e1", dot="e2")
-    b = rename_structure(a, {"e1": "u", "e2": "v"})
+    b = p_structure(("u", "v"), plus="u", dot="v")
     ok, sep = elementary_equiv_bounded(a, b, 2)
     assert ok and sep is None
 

@@ -39,6 +39,7 @@ from qciore.structures import (
     eval_formula,
     is_valid_in,
     make_structure,
+    reduct,
 )
 from qciore.syntax import (
     And,
@@ -433,6 +434,29 @@ def test_search_builds_only_the_reducts_it_evaluates(size, built, monkeypatch):
     )
     res = criterion_5_exhaustive(size)
     assert len(calls) == built == res.structures_evaluated
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_reduct_walk_matches_structures_reduct(size):
+    # structures.reduct is the oracle for a reduct built from factor positions
+    sig = Signature(predicates={"P": 1, "Q": 1}, constants={"c"}, has_equality=True)
+    groups, _ = search._group_by_signature(enumerate_formulas(sig, ("x",), 1))
+    domain, factors = search._factors(sig, size, True)
+    walk = list(itertools.product(*(range(len(v)) for _, _, v in factors)))
+    assert len(groups) == 12  # the signatures of one atom and of two
+    for used, _ in groups:
+        positions, key = search._reduct_walk(used, factors)
+        pairs = set()  # (key, reduct) of every structure
+        for indices in walk:
+            want = reduct(search._structure_at(sig, domain, factors, indices), used)
+            got = search._structure_at(
+                used, domain, [factors[p] for p in positions], [indices[p] for p in positions]
+            )
+            assert got == want
+            pairs.add((key(indices), canonical(want)))
+        # equal keys exactly when the reducts are equal
+        assert len(pairs) == len({k for k, _ in pairs}) == len({r for _, r in pairs})
+        assert len(pairs) == structure_count(used, size)
 
 
 def test_search_builds_each_predicates_interpretations_once_per_size(monkeypatch):

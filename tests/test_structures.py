@@ -20,7 +20,6 @@ from qciore.structures import (
     classical_equality,
     eval_formula,
     eval_term,
-    expand_with_names,
     formula_triple,
     is_valid_in,
     make_structure,
@@ -285,20 +284,6 @@ def test_equality_structures():
     assert eval_formula(parse_formula("~x = x", sig), dubious_diag, s) in DESIGNATED
 
 
-def test_expand_with_names():
-    A = remark_structure()
-    B = expand_with_names(A, ["a", "c"])
-    assert B.sig.constants == {"c_a", "c_c"}
-    f = parse_formula("P(c_a)", B.sig)
-    assert eval_formula(f, B, B.default_assignment()) == ONE
-    assert reduct(B, A.sig) == A
-    assert expand_with_names(A, []) == A
-    with pytest.raises(ValueError):
-        expand_with_names(B, ["a"])  # c_a already taken
-    with pytest.raises(ValueError):
-        expand_with_names(A, ["z"])
-
-
 def test_reduct_rejects_a_symbol_of_another_arity():
     sig = Signature(predicates={"P": 1, "Q": 1}, functions={"f": 1}, constants={"c"})
     A = make_structure(
@@ -317,6 +302,7 @@ def test_reduct_rejects_a_symbol_of_another_arity():
         reduct(A, Signature(functions={"f": 2}))
     small = reduct(A, Signature(predicates={"P": 1}, functions={"f": 1}))
     assert small.preds == {"P": A.preds["P"]} and small.funs == A.funs
+    assert small.consts == {}  # the constant c is dropped
     assert eval_formula(parse_formula("P(f(x))", small.sig), small, Assignment("b")) == ONE
 
 

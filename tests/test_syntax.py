@@ -248,6 +248,24 @@ def test_subformulas_in_preorder():
         subformulas(Neg(Var("x")))
 
 
+@pytest.mark.parametrize(
+    "walk",
+    [subformulas, signature_of, lambda f: is_free_for(Var("y"), "x", f)],
+    ids=["subformulas", "signature_of", "is_free_for"],
+)
+def test_every_walk_refuses_a_term_in_formula_position(walk):
+    for f in (Neg(Var("x")), And(Pred("P"), Var("x")), Forall("y", Const("c"))):
+        with pytest.raises(TypeError, match="not a formula: (Var|Const)"):
+            walk(f)
+
+
+def test_signature_of_refuses_a_formula_in_term_position():
+    with pytest.raises(TypeError, match="not a term: Neg"):
+        signature_of(Pred("P", (Neg(Pred("Q")),)))
+    with pytest.raises(TypeError, match="not a term: Pred"):
+        signature_of(Eq(Var("x"), Pred("Q")))
+
+
 def test_map_atoms_rebuilds_around_the_atoms():
     f = parse_formula("~(P(x) & forall y. (x = y | Q))")
     got = map_atoms(f, lambda g: FVar(g.name) if isinstance(g, Pred) else g)
