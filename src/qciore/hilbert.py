@@ -20,7 +20,7 @@ from .syntax import (
     App,
     CaptureError,
     Cons,
-    Eq,
+    EQ,
     Exists,
     Forall,
     Formula,
@@ -144,7 +144,7 @@ def possibly_free(x: str, f: Formula) -> bool:
     stack = [f]
     while stack:
         g = stack.pop()
-        if isinstance(g, FVar) or isinstance(g, (Pred, Eq)) and x in free_vars(g):
+        if isinstance(g, FVar) or isinstance(g, Pred) and x in free_vars(g):
             return True
         if not (isinstance(g, (Forall, Exists)) and g.var == x):
             stack += syntax._CHILDREN[type(g)](g)
@@ -242,14 +242,14 @@ def term_axioms(x: str, body: Formula, t: Term) -> dict:
 
 def eq1_axiom(x: str) -> Formula:
     """Eq1: forall x. x = x."""
-    return Forall(x, Eq(Var(x), Var(x)))
+    return Forall(x, Pred(EQ, (Var(x), Var(x))))
 
 
 def eq2_axiom(x: str, y: str, phi: Formula, replaced: Formula) -> Formula:
     """Eq2: forall x. forall y. (x = y -> (phi -> replaced)).  It is an
     axiom when ``replaced`` turns some free x of ``phi`` into y, and y is
     free for x in ``phi``."""
-    return Forall(x, Forall(y, Imp(Eq(Var(x), Var(y)), Imp(phi, replaced))))
+    return Forall(x, Forall(y, Imp(Pred(EQ, (Var(x), Var(y))), Imp(phi, replaced))))
 
 
 @dataclass(frozen=True)

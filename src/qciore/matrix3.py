@@ -20,7 +20,6 @@ from .syntax import (
     And,
     BINARY_OPS,
     Cons,
-    Eq,
     Exists,
     Forall,
     Formula,
@@ -180,13 +179,13 @@ LFI1 = Matrix(
 )
 
 
-_ATOMS = frozenset((Pred, Eq, FVar))
+_ATOMS = frozenset((Pred, FVar))
 _QUANTIFIERS = frozenset((Forall, Exists))
 
 
 def atoms_of(f: Formula) -> list[Formula]:
-    """The distinct atomic leaves of ``f`` (predicates, equalities,
-    metavariables), sorted by their printed form."""
+    """The distinct atomic leaves of ``f`` (atoms, equality among them,
+    and metavariables), sorted by their printed form."""
     nodes = syntax.subformulas(f)
     if not _QUANTIFIERS.isdisjoint(map(type, nodes)):
         quantified = next(g for g in nodes if type(g) in _QUANTIFIERS)
@@ -196,7 +195,7 @@ def atoms_of(f: Formula) -> list[Formula]:
 
 def eval_prop(f: Formula, v: dict[Formula, Fraction], m: Matrix = CIORE) -> Fraction:
     """Evaluate a quantifier-free formula under the atom valuation ``v``."""
-    if isinstance(f, (Pred, Eq, FVar)):
+    if isinstance(f, (Pred, FVar)):
         try:
             return v[f]
         except KeyError:

@@ -22,7 +22,6 @@ from . import hilbert, matrix3, structures, syntax, triples
 from .hilbert import instantiate, possibly_free, schema_metavariables
 from .matrix3 import CIORE, DESIGNATED, Matrix, PROP_AXIOMS
 from .structures import (
-    EQ,
     Assignment,
     MaskProgram,
     Structure,
@@ -34,6 +33,7 @@ from .structures import (
 from .syntax import (
     CaptureError,
     Const,
+    EQ,
     Exists,
     Forall,
     Formula,
@@ -194,6 +194,10 @@ class SearchSpec:
         if self.time_budget_s is not None and self.time_budget_s < 0:
             raise ValueError("time_budget_s must not be negative")
         for f in (self.phi, *self.gamma):
+            for g in syntax.subformulas(f):
+                if isinstance(g, FVar):
+                    raise ValueError("%s has metavariable %s: search needs concrete formulas"
+                                     % (f, g.name))
             used = syntax.signature_of(f)
             if not used <= self.sig:
                 extra = set(structures._parts(used)) - set(structures._parts(self.sig))

@@ -23,7 +23,7 @@ from .syntax import (
     BINARY_OPS,
     Cons,
     Const,
-    Eq,
+    EQ,
     Exists,
     Forall,
     Formula,
@@ -42,8 +42,6 @@ from . import triples
 from .triples import CarrierIndex, Triple, make_triple, triple_from_map, triple_op
 
 POS, NEG, BOTH = "POS", "NEG", "BOTH"
-
-EQ = "="  # key for the equality interpretation in Structure.preds
 
 
 class Assignment(tuple):
@@ -256,15 +254,9 @@ def _eval_pred(f: Pred, A: Structure, s: Assignment, memo, matrix: Matrix) -> Fr
     args = _atom_args(f.args, A, s)
     t = A.preds.get(f.name)
     if t is None:
-        raise ValueError("structure does not interpret predicate %s" % f.name)
+        raise ValueError("structure does not interpret equality" if f.name == EQ
+                         else "structure does not interpret predicate %s" % f.name)
     return t.value_at(args)
-
-
-def _eval_eq(f: Eq, A: Structure, s: Assignment, memo, matrix: Matrix) -> Fraction:
-    t = A.preds.get(EQ)
-    if t is None:
-        raise ValueError("structure does not interpret equality")
-    return t.value_at(_atom_args((f.left, f.right), A, s))
 
 
 def _eval_fvar(f: FVar, A: Structure, s: Assignment, memo, matrix: Matrix) -> Fraction:
@@ -316,7 +308,6 @@ def _quantifier_handler(rule):
 
 _HANDLERS = {
     Pred: _eval_pred,
-    Eq: _eval_eq,
     FVar: _eval_fvar,
     **{cls: _unary_handler(op) for cls, op in UNARY_OPS.items()},
     **{cls: _binary_handler(op) for cls, op in BINARY_OPS.items()},
@@ -416,7 +407,7 @@ def _triple(f: Formula, A: Structure, frame: tuple[str, ...], memo: dict) -> Tri
     hit = memo.get(key)
     if hit is not None:
         return hit
-    if isinstance(f, (Pred, Eq)):
+    if isinstance(f, Pred):
         points = itertools.product(A.domain, repeat=len(frame))
         out = triple_from_map(
             dict(zip(points, (eval_formula(f, A, s) for s in assignments_over(A, frame))))
@@ -495,7 +486,7 @@ class MaskProgram:
         if at is not None:
             return at
         kind = type(f)
-        if kind in (Pred, Eq) or id(f) in leaves:
+        if kind is Pred or id(f) in leaves:
             entry = ("leaf", f, frame)
         elif kind in UNARY_OPS:
             entry = (UNARY_OPS[kind], (self.add(f.sub, frame, leaves),), len(frame))

@@ -74,12 +74,6 @@ class Pred(_Node):
 
 
 @dataclass(frozen=True)
-class Eq(_Node):
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
 class FVar(_Node):
     """Formula metavariable, used in axiom schemas and schematic proofs.
 
@@ -130,7 +124,8 @@ class Exists(_Node):
     body: "Formula"
 
 
-Formula = Pred | Eq | FVar | Neg | Cons | And | Or | Imp | Forall | Exists
+Formula = Pred | FVar | Neg | Cons | And | Or | Imp | Forall | Exists
+EQ = "="  # equality is the binary Pred of this name, written infix: s = t
 
 #: the connective symbol of each compound node type
 UNARY_OPS = {Neg: "~", Cons: "@"}
@@ -159,6 +154,8 @@ class Signature:
     has_equality: bool = False
 
     def __post_init__(self):
+        if EQ in self.predicates:
+            raise ValueError("%s is not a predicate name: equality is has_equality" % EQ)
         _set = object.__setattr__
         _set(self, "predicates", MappingProxyType(dict(self.predicates)))
         _set(self, "functions", MappingProxyType(dict(self.functions)))
@@ -185,13 +182,14 @@ class Signature:
 def signature_of(f: Formula) -> Signature:
     """The smallest signature that interprets every symbol of ``f``: its
     predicates and functions at the arities used, the constants of its
-    ``Const`` terms, and equality if it has an ``Eq`` atom.  A symbol used
-    at two arities is a ValueError.  The result is cached on the node, as
-    ``free_vars``'s is; a ``Signature`` cannot be edited."""
+    ``Const`` terms, and equality if it has an ``EQ`` atom.  A symbol used
+    at two arities, or ``EQ`` with other than two arguments, is a
+    ValueError.  The result is cached on the node, as ``free_vars``'s is; a
+    ``Signature`` cannot be edited."""
     out = getattr(f, "_signature", None)
     if out is not None:
         return out
-    preds, funs, consts, has_equality = {}, {}, set(), False
+    preds, funs, consts = {}, {}, set()
     todo = [(f, False)]  # (node, whether it stands in term position)
     while todo:  # in preorder, left before right, into the atoms' terms
         g, is_term = todo.pop()
@@ -208,12 +206,12 @@ def signature_of(f: Formula) -> Signature:
                 consts.add(g.name)
             elif not isinstance(g, Var):
                 raise TypeError("not a term: %r" % (g,))
-        elif isinstance(g, Eq):
-            has_equality = True
-            todo += (g.right, True), (g.left, True)
         else:
             todo += ((h, False) for h in _CHILDREN[type(g)](g))
-    out = Signature(preds, funs, consts, has_equality)
+    equality = preds.pop(EQ, None)  # the arity of EQ, if f uses it
+    if equality not in (None, 2):
+        raise ValueError("equality used with %d arguments" % equality)
+    out = Signature(preds, funs, consts, equality is not None)
     object.__setattr__(f, "_signature", out)
     return out
 
@@ -237,13 +235,13 @@ def formula_to_str(f: Formula) -> str:
 
 def _fmt(f: Formula, ctx: int) -> str:
     if isinstance(f, Pred):
+        if f.name == EQ and len(f.args) == 2:
+            return "%s = %s" % f.args
         if not f.args:
             return f.name
         return "%s(%s)" % (f.name, ", ".join(str(a) for a in f.args))
     if isinstance(f, FVar):
         return f.name
-    if isinstance(f, Eq):
-        return "%s = %s" % (f.left, f.right)
     if isinstance(f, (Neg, Cons)):
         return UNARY_OPS[type(f)] + _fmt(f.sub, _PREC_UNARY)
     if isinstance(f, (Forall, Exists)):
@@ -385,10 +383,11 @@ class _Parser:
             while self.accept_op(","):
                 args.append(self.term())
             self.expect_op(")")
+        if self.peek_op("=") and self.sig is not None and not self.sig.has_equality:
+            raise self.error("the signature has no equality")
         if self.accept_op("="):
             right = self.term()
-            left = self.make_term(name, args, had_parens)
-            return Eq(left, right)
+            return Pred(EQ, (self.make_term(name, args, had_parens), right))
         if self.sig is not None:
             if name in self.sig.functions or name in self.sig.constants:
                 raise self.error("term symbol %r used as a predicate" % name)
@@ -479,8 +478,6 @@ def free_vars(f: Formula) -> frozenset[str]:
         return out
     if isinstance(f, Pred):
         out = frozenset(v for a in f.args for v in term_vars(a)) or _NO_VARS
-    elif isinstance(f, Eq):
-        out = frozenset(term_vars(f.left) | term_vars(f.right)) or _NO_VARS
     elif isinstance(f, FVar):
         out = _NO_VARS
     elif isinstance(f, (Neg, Cons)):
@@ -512,7 +509,7 @@ def is_free_for(t: Term, x: str, f: Formula) -> bool:
     while stack:
         g, captured = stack.pop()
         if (isinstance(g, FVar) and tv
-                or captured and isinstance(g, (Pred, Eq)) and x in free_vars(g)):
+                or captured and isinstance(g, Pred) and x in free_vars(g)):
             return False
         if isinstance(g, (Forall, Exists)):
             if g.var != x:
@@ -544,8 +541,6 @@ def substitute(f: Formula, x: str, t: Term) -> Formula:
     def rec(g: Formula) -> Formula:
         if isinstance(g, Pred):
             return Pred(g.name, tuple(substitute_term(a, x, t) for a in g.args))
-        if isinstance(g, Eq):
-            return Eq(substitute_term(g.left, x, t), substitute_term(g.right, x, t))
         if isinstance(g, FVar):
             raise CaptureError(
                 "cannot substitute for %s inside metavariable %s" % (x, g.name)
@@ -599,7 +594,7 @@ class _Children(dict):
 
 
 _CHILDREN = _Children({
-    **dict.fromkeys((Pred, Eq, FVar), lambda g: ()),
+    **dict.fromkeys((Pred, FVar), lambda g: ()),
     **dict.fromkeys((Neg, Cons), lambda g: (g.sub,)),
     **dict.fromkeys((And, Or, Imp), operator.attrgetter("right", "left")),
     **dict.fromkeys((Forall, Exists), lambda g: (g.body,)),
@@ -621,7 +616,7 @@ def subformulas(f: Formula) -> list[Formula]:
 def map_atoms(f: Formula, fn) -> Formula:
     """``f`` rebuilt with each atom and metavariable ``g`` replaced by
     ``fn(g)``."""
-    if isinstance(f, (Pred, Eq, FVar)):
+    if isinstance(f, (Pred, FVar)):
         return fn(f)
     if isinstance(f, (Neg, Cons)):
         return type(f)(map_atoms(f.sub, fn))
@@ -659,9 +654,6 @@ def align(f: Formula, g: Formula, on_terms) -> bool:
                 return False
             if not all(on_terms(s, t, bound) for s, t in zip(a.args, b.args)):
                 return False
-        elif isinstance(a, Eq):
-            if not (on_terms(a.left, b.left, bound) and on_terms(a.right, b.right, bound)):
-                return False
         elif isinstance(a, (Forall, Exists)):
             if a.var != b.var:
                 return False
@@ -696,8 +688,8 @@ def enumerate_formulas(sig: Signature, variables: list[str], max_depth: int):
         for args in itertools.product(terms, repeat=sig.predicates[name]):
             atoms.append(Pred(name, args))
     if sig.has_equality:
-        for t1, t2 in itertools.product(terms, repeat=2):
-            atoms.append(Eq(t1, t2))
+        for args in itertools.product(terms, repeat=2):
+            atoms.append(Pred(EQ, args))
 
     yield from atoms
     exact = atoms  # formulas of depth exactly d

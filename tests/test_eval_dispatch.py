@@ -12,16 +12,20 @@ searches are derandomized, so a run is repeatable.
 
 import itertools
 import time
+import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qciore import syntax
 from qciore.matrix3 import CIORE, DESIGNATED, HALF, ONE, VALUES, ZERO, Matrix
 from qciore.structures import (
-    EQ,
+    _HANDLERS,
     Assignment,
+    MaskProgram,
     eval_formula,
     eval_term,
+    formula_triple,
     is_valid_in,
     make_structure,
     tilde_exists,
@@ -34,9 +38,10 @@ from qciore.syntax import (
     App,
     Cons,
     Const,
-    Eq,
+    EQ,
     Exists,
     Forall,
+    Formula,
     FVar,
     Imp,
     Neg,
@@ -44,7 +49,11 @@ from qciore.syntax import (
     Pred,
     Signature,
     Var,
+    align,
+    formula_to_str,
     free_vars,
+    map_atoms,
+    signature_of,
 )
 from qciore.triples import make_triple
 
@@ -65,15 +74,11 @@ def _reference(f, A, s, memo, matrix):
     if isinstance(f, Pred):
         args = tuple(eval_term(t, A, s) for t in f.args)
         t = A.preds.get(f.name)
+        if t is None and f.name == EQ:
+            raise ValueError("structure does not interpret equality")
         if t is None:
             raise ValueError("structure does not interpret predicate %s" % f.name)
         return t.value_at(args)
-    if isinstance(f, Eq):
-        t = A.preds.get(EQ)
-        if t is None:
-            raise ValueError("structure does not interpret equality")
-        pair = (eval_term(f.left, A, s), eval_term(f.right, A, s))
-        return t.value_at(pair)
     if isinstance(f, FVar):
         raise ValueError("metavariable %s in a concrete formula" % f.name)
     if isinstance(f, (Neg, Cons)):
@@ -123,7 +128,7 @@ terms = st.recursive(
 atoms = st.one_of(
     st.builds(lambda t: Pred("P", (t,)), terms),
     st.builds(lambda t, u: Pred("R", (t, u)), terms, terms),
-    st.builds(Eq, terms, terms),
+    st.builds(lambda t, u: Pred(EQ, (t, u)), terms, terms),
 )
 formulas = st.recursive(
     atoms,
@@ -264,7 +269,7 @@ SMALL = make_structure(
         (Forall("x", Or(P_X, FVar("B"))), CIORE),
         (Pred("Q", (Var("x"),)), CIORE),  # an undeclared predicate
         (Exists("y", Pred("R", (Var("x"), Var("y")))), CIORE),
-        (Eq(Var("x"), Var("x")), CIORE),  # no equality in the structure
+        (Pred(EQ, (Var("x"), Var("x"))), CIORE),  # no equality in the structure
         (Pred("P", (Const("d"),)), CIORE),  # an uninterpreted constant
         (Pred("P", (App("g", (Var("x"),)),)), CIORE),  # an uninterpreted function
         (Pred("Q", (Const("d"),)), CIORE),  # both: the term is evaluated first
@@ -312,3 +317,54 @@ def test_the_memo_is_read_once_per_node_and_written_only_on_a_miss():
     memo.gets = memo.stores = 0
     assert eval_formula(f, SMALL, s, memo) == value
     assert (memo.gets, memo.stores) == (1, 0)
+
+
+def test_a_structure_without_equality_says_so():
+    x_is_x = Pred(EQ, (Var("x"), Var("x")))
+    for run in (lambda: eval_formula(x_is_x, SMALL, SMALL.default_assignment()),
+                lambda: is_valid_in(Forall("x", Or(P_X, x_is_x)), SMALL),
+                lambda: formula_triple(Neg(x_is_x), SMALL, ("x",))):
+        with pytest.raises(ValueError, match="^structure does not interpret equality$"):
+            run()
+
+
+# one node of each formula type, and an equality atom
+SAMPLES = (
+    P_X,
+    Pred(EQ, (Var("x"), Const("c"))),
+    FVar("A"),
+    Neg(P_X),
+    Cons(P_X),
+    And(P_X, P_X),
+    Or(P_X, P_X),
+    Imp(P_X, P_X),
+    Forall("y", P_X),
+    Exists("x", P_X),
+)
+
+
+def test_each_dispatch_table_has_exactly_the_formula_types():
+    # an entry left behind for a deleted node type, or a node type with no
+    # entry, fails here rather than in some walk
+    kinds = set(typing.get_args(Formula))
+    assert len(kinds) == 9
+    assert _HANDLERS.keys() == kinds
+    assert syntax._CHILDREN.keys() == kinds
+    assert set(map(type, SAMPLES)) == kinds
+
+
+@pytest.mark.parametrize("f", SAMPLES, ids=str)
+def test_each_walk_takes_each_node_type(f):
+    # a metavariable prints as its name, which parses as a nullary atom
+    meta = isinstance(f, FVar)
+    again = syntax.parse_formula(formula_to_str(f), None if meta else SIG)
+    assert again == (Pred(f.name) if meta else f)
+    assert free_vars(f) <= {"x", "y"}
+    assert signature_of(f) <= SIG
+    assert map_atoms(f, lambda g: g) == f
+    assert align(f, f, lambda a, b, bound: a == b)
+    if meta:
+        with pytest.raises(ValueError, match="metavariable A"):
+            MaskProgram().add(f, ("x",))
+    else:
+        assert MaskProgram().add(f, ("x",)) >= 0

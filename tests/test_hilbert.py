@@ -38,7 +38,7 @@ from qciore.syntax import (
     CaptureError,
     Cons,
     Const,
-    Eq,
+    EQ,
     Exists,
     Forall,
     FVar,
@@ -233,7 +233,7 @@ def test_eq2_rejects_capture():
     # replacing x by y under a quantifier on y would capture it
     phi = Exists("y", Pred("R", (Var("x"), Var("y"))))
     phi2 = Exists("y", Pred("R", (Var("y"), Var("y"))))
-    f = Forall("x", Forall("y", Imp(Eq(Var("x"), Var("y")), Imp(phi, phi2))))
+    f = Forall("x", Forall("y", Imp(Pred(EQ, (Var("x"), Var("y"))), Imp(phi, phi2))))
     assert match_schema(f, AXIOMS["Eq2"]) is None
 
 
@@ -591,8 +591,6 @@ def _replace_everywhere(f, x, t):
     def atom(g):
         if isinstance(g, Pred):
             return Pred(g.name, tuple(substitute_term(a, x, t) for a in g.args))
-        if isinstance(g, Eq):
-            return Eq(substitute_term(g.left, x, t), substitute_term(g.right, x, t))
         return g
 
     return map_atoms(f, atom)
@@ -620,7 +618,8 @@ def _near_misses(bodies, variables, terms):
     built = []
     for x in variables:
         other = next(v for v in variables if v != x)
-        built += [eq1_axiom(x), Forall(x, Eq(Var(x), Var(other))), Forall(other, Eq(Var(x), Var(x)))]
+        built += [eq1_axiom(x), Forall(x, Pred(EQ, (Var(x), Var(other)))),
+                  Forall(other, Pred(EQ, (Var(x), Var(x))))]
         for body in bodies:
             for t in terms:
                 wrong = _replace_everywhere(body, x, t)

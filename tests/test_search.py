@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import itertools
+import re
 import time
 
 import pytest
@@ -47,6 +48,7 @@ from qciore.syntax import (
     Const,
     Exists,
     Forall,
+    FVar,
     Imp,
     Neg,
     Or,
@@ -479,11 +481,12 @@ def test_search_builds_each_predicates_interpretations_once_per_size(monkeypatch
 
 
 def test_symbols_are_cached_on_the_node():
-    f = parse_formula("P(f(c)) & forall x. x = x", SIG_PFC)
+    sig = dataclasses.replace(SIG_PFC, has_equality=True)
+    f = parse_formula("P(f(c)) & forall x. x = x", sig)
     first = syntax.signature_of(f)
-    assert first == Signature({"P": 1}, {"f": 1}, {"c"}, has_equality=True)
+    assert first == sig
     assert syntax.signature_of(f) is first
-    assert f == parse_formula("P(f(c)) & forall x. x = x", SIG_PFC)  # the cache is not a field
+    assert f == parse_formula("P(f(c)) & forall x. x = x", sig)  # the cache is not a field
 
 
 def test_search_fails_loudly_on_a_wrong_symbol_set(monkeypatch):
@@ -590,6 +593,22 @@ def test_search_refuses_a_formula_outside_its_signature(which):
 def test_search_refuses_a_symbol_at_the_wrong_arity():
     with pytest.raises(ValueError, match="uses P/2,"):
         SearchSpec(sig=SIG_P, phi=parse_formula("P(x, y)"))
+
+
+P_X = Pred("P", (Var("x"),))
+
+
+@pytest.mark.parametrize(
+    "phi,gamma,named",
+    [
+        (P_X, (FVar("A"),), "A has metavariable A"),  # its signature is empty
+        (Imp(FVar("A"), P_X), (), "A -> P(x) has metavariable A"),
+        (P_X, (P_X, Forall("x", And(P_X, FVar("B")))), "has metavariable B"),
+    ],
+)
+def test_search_refuses_a_metavariable_and_names_it(phi, gamma, named):
+    with pytest.raises(ValueError, match=re.escape(named + ": search needs concrete formulas")):
+        SearchSpec(sig=SIG_P, phi=phi, gamma=gamma)
 
 
 def test_search_evaluates_whole_signature_formulas_everywhere():

@@ -24,7 +24,7 @@ from qciore.syntax import (
     App,
     Cons,
     Const,
-    Eq,
+    EQ,
     Exists,
     Forall,
     Imp,
@@ -54,7 +54,7 @@ terms = st.recursive(
 atoms = st.one_of(
     st.builds(lambda t: Pred("P", (t,)), terms),
     st.builds(lambda t, u: Pred("R", (t, u)), terms, terms),
-    st.builds(Eq, terms, terms),
+    st.builds(lambda t, u: Pred(EQ, (t, u)), terms, terms),
 )
 formulas = st.recursive(
     atoms,

@@ -9,7 +9,7 @@ from qciore.syntax import (
     CaptureError,
     Cons,
     Const,
-    Eq,
+    EQ,
     Exists,
     FVar,
     Forall,
@@ -58,9 +58,19 @@ def test_sugar_desugars():
 
 def test_equality_atom_and_terms():
     f = parse_formula("f(x, c) = y")
-    assert f == Eq(App("f", (Var("x"), Var("c"))), Var("y"))
+    assert f == Pred(EQ, (App("f", (Var("x"), Var("c"))), Var("y")))
     # without a signature every bare identifier is a variable
-    assert parse_formula("~x = y") == Neg(Eq(Var("x"), Var("y")))
+    assert parse_formula("~x = y") == Neg(Pred(EQ, (Var("x"), Var("y"))))
+
+
+def test_equality_needs_a_signature_with_equality():
+    # under a signature, as an undeclared predicate is refused
+    sig = Signature(predicates={"P": 1})
+    for text in ("x = y", "P(x) & ~(x = x)"):
+        with pytest.raises(ParseError, match="the signature has no equality at '='"):
+            parse_formula(text, sig)
+    with_eq = Signature(predicates={"P": 1}, has_equality=True)
+    assert parse_formula("x = y", with_eq) == Pred(EQ, (Var("x"), Var("y")))
 
 
 def test_signature_validation():
@@ -134,7 +144,7 @@ def test_signature_of_reads_constants_from_const_terms():
     assert signature_of(Pred("P", (App("f", (Const("c"), Var("x"))),))) == Signature(
         {"P": 1}, {"f": 2}, {"c"}
     )
-    assert signature_of(Eq(Var("x"), Var("y"))) == Signature(has_equality=True)
+    assert signature_of(Pred(EQ, (Var("x"), Var("y")))) == Signature(has_equality=True)
     assert signature_of(Imp(FVar("a"), FVar("b"))) == Signature()
     with pytest.raises(TypeError):
         signature_of(And(Pred("P"), "Q"))
@@ -151,6 +161,23 @@ def test_signature_of_reads_constants_from_const_terms():
 def test_signature_of_refuses_a_symbol_at_two_arities(text, message):
     with pytest.raises(ValueError, match=message):
         signature_of(parse_formula(text))
+
+
+@pytest.mark.parametrize("args", [(), (Var("x"),), (Var("x"), Var("y"), Var("z"))],
+                         ids=["0", "1", "3"])
+def test_signature_of_refuses_equality_of_another_arity(args):
+    with pytest.raises(ValueError, match="equality used with %d arguments" % len(args)):
+        signature_of(Pred(EQ, args))
+
+
+def test_equality_is_not_a_predicate_of_a_signature():
+    # it is has_equality: a predicate named = would be a second equality
+    for preds in ({EQ: 2}, {"P": 1, EQ: 2}):
+        for has_equality in (False, True):
+            with pytest.raises(ValueError, match="= is not a predicate name"):
+                Signature(predicates=preds, has_equality=has_equality)
+    got = signature_of(parse_formula("P(x) & x = c", SIG_ALL))
+    assert got == Signature({"P": 1}, constants={"c"}, has_equality=True)
 
 
 def test_sub_signatures():
@@ -263,13 +290,14 @@ def test_signature_of_refuses_a_formula_in_term_position():
     with pytest.raises(TypeError, match="not a term: Neg"):
         signature_of(Pred("P", (Neg(Pred("Q")),)))
     with pytest.raises(TypeError, match="not a term: Pred"):
-        signature_of(Eq(Var("x"), Pred("Q")))
+        signature_of(Pred(EQ, (Var("x"), Pred("Q"))))
 
 
 def test_map_atoms_rebuilds_around_the_atoms():
     f = parse_formula("~(P(x) & forall y. (x = y | Q))")
-    got = map_atoms(f, lambda g: FVar(g.name) if isinstance(g, Pred) else g)
-    assert got == Neg(And(FVar("P"), Forall("y", Or(Eq(Var("x"), Var("y")), FVar("Q")))))
+    got = map_atoms(f, lambda g: FVar(g.name) if g.name != EQ else g)
+    x_is_y = Pred(EQ, (Var("x"), Var("y")))
+    assert got == Neg(And(FVar("P"), Forall("y", Or(x_is_y, FVar("Q")))))
     assert map_atoms(f, lambda g: g) == f
 
 
@@ -290,6 +318,20 @@ def test_align_needs_the_same_shape_and_passes_the_bound_variables():
     assert not align(f, g, lambda a, b, bound: a == b)
 
 
+# Known defects: == and hash recurse through the nodes' fields.  Hash-consing
+# the nodes mends both; the change that does so removes these markers.
+@pytest.mark.xfail(strict=True, raises=RecursionError, reason="== recurses into the nodes")
+def test_two_parses_of_a_deep_formula_are_equal():
+    text = "~" * 450 + "P(x)"
+    assert parse_formula(text) == parse_formula(text)
+
+
+@pytest.mark.xfail(strict=True, raises=RecursionError, reason="hash recurses into the nodes")
+def test_a_deep_formula_hashes():
+    text = "~" * 900 + "P(x)"
+    assert hash(parse_formula(text)) == hash(parse_formula(text))
+
+
 def test_the_traversals_need_no_recursion():
     # far past the interpreter's recursion limit
     f = g = Pred("P", (Var("x"),))
@@ -307,7 +349,7 @@ def test_enumerate_formulas_base():
     sig_eq = Signature(predicates={"P": 1}, has_equality=True)
     assert list(enumerate_formulas(sig_eq, ["x"], 0)) == [
         Pred("P", (Var("x"),)),
-        Eq(Var("x"), Var("x")),
+        Pred(EQ, (Var("x"), Var("x"))),
     ]
 
 
@@ -362,7 +404,7 @@ def _formulas():
             Pred("a"),
             Pred("P", (Var("x"),)),
             Pred("R", (Var("x"), Var("y"))),
-            Eq(Var("x"), Var("y")),
+            Pred(EQ, (Var("x"), Var("y"))),
         ]
     )
     return st.recursive(
