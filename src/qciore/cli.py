@@ -33,9 +33,8 @@ from types import SimpleNamespace
 from . import structures, syntax
 from .hilbert import (
     AxiomRef,
-    ExistsIn,
-    ForallIn,
     HypRef,
+    INTRODUCTIONS,
     LemmaRef,
     LemmaStore,
     MP,
@@ -317,10 +316,9 @@ def _parse_justification(text: str):
             return AxiomRef(rest[0])
         if head == "mp" and len(rest) == 2:
             return MP(int(rest[0]), int(rest[1]))
-        if head == "forall-in" and len(rest) == 1:
-            return ForallIn(int(rest[0]))
-        if head == "exists-in" and len(rest) == 1:
-            return ExistsIn(int(rest[0]))
+        for kind, rule in INTRODUCTIONS.items():
+            if head == rule.name and len(rest) == 1:
+                return kind(int(rest[0]))
         if head == "hyp" and len(rest) == 1:
             return HypRef(int(rest[0]))
         if head == "lemma" and rest and _LEMMA_NAME.match(rest[0]):

@@ -12,12 +12,12 @@ stay valid under instantiation.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 from . import syntax
 from .matrix3 import PROP_AXIOMS, is_tautology3
 from .syntax import (
-    App,
     CaptureError,
     Cons,
     EQ,
@@ -196,13 +196,7 @@ def _infer_term(body: Formula, x: str, instance: Formula) -> Term | None:
         if isinstance(a, Var) and a.name == x and x not in bound:
             found.append(b)
             return True
-        if not (isinstance(a, App) and isinstance(b, App)):
-            return a == b
-        return (
-            a.fun == b.fun
-            and len(a.args) == len(b.args)
-            and all(terms(p, q, bound) for p, q in zip(a.args, b.args))
-        )
+        return a == b
 
     if not syntax.align(body, instance, terms):
         return None
@@ -215,8 +209,8 @@ def _infer_term(body: Formula, x: str, instance: Formula) -> Term | None:
 
 
 # ---------------------------------------------------------------------------
-# The quantifier and equality axioms, written once: the proof checker and the
-# soundness harness both build them here
+# The quantifier and equality axioms and the quantifier introductions,
+# written once: the proof checker and the soundness harness both read them here
 
 #: Ax13-Ax16, each on a variable x and a formula a
 _CONSISTENCY = {
@@ -252,6 +246,22 @@ def eq2_axiom(x: str, y: str, phi: Formula, replaced: Formula) -> Formula:
     return Forall(x, Forall(y, Imp(Pred(EQ, (Var(x), Var(y))), Imp(phi, replaced))))
 
 
+QUANT_AXIOM_IDS = ("Ax11", "Ax12", *_CONSISTENCY)
+EQ_AXIOM_IDS = ("Eq1", "Eq2")
+
+#: The quantifier introductions by justification type.  From the premise
+#: a -> b, with x not possibly free in its ``side`` (0: a, 1: b), each infers
+#: ``conclusion(x, a, b)``, whose other side has the quantifier on x;
+#: ``shape`` and ``where`` are the checker's words for it and for that side.
+Introduction = namedtuple("Introduction", "name conclusion side shape where")
+INTRODUCTIONS = {
+    ForallIn: Introduction("forall-in", lambda x, a, b: Imp(a, Forall(x, b)), 0,
+                           "a -> forall x. b", "antecedent"),
+    ExistsIn: Introduction("exists-in", lambda x, a, b: Imp(Exists(x, a), b), 1,
+                           "(exists x. a) -> b", "consequent"),
+}
+
+
 @dataclass(frozen=True)
 class AxiomSchema:
     name: str
@@ -259,7 +269,7 @@ class AxiomSchema:
 
 
 AXIOMS: dict[str, AxiomSchema] = {name: AxiomSchema(name, f) for name, f in PROP_AXIOMS.items()}
-AXIOMS.update((name, AxiomSchema(name)) for name in ("Ax11", "Ax12", *_CONSISTENCY, "Eq1", "Eq2"))
+AXIOMS.update((name, AxiomSchema(name)) for name in QUANT_AXIOM_IDS + EQ_AXIOM_IDS)
 
 
 def match_schema(f: Formula, schema: AxiomSchema):
@@ -385,7 +395,7 @@ def _check_step(p, sig, store, idx, step) -> str | None:
         schema = AXIOMS.get(just.axiom_id)
         if schema is None:
             return "unknown axiom %r" % just.axiom_id
-        if schema.name in ("Eq1", "Eq2") and not sig.has_equality:
+        if schema.name in EQ_AXIOM_IDS and not sig.has_equality:
             return "axiom %s needs an equality signature" % schema.name
         if match_schema(f, schema) is None:
             return "not an instance of %s" % schema.name
@@ -400,30 +410,19 @@ def _check_step(p, sig, store, idx, step) -> str | None:
             return "step %d is not (step %d -> this formula)" % (just.j, just.i)
         return None
 
-    if isinstance(just, ForallIn):
+    rule = INTRODUCTIONS.get(type(just))
+    if rule is not None:
         prem = earlier(just.i)
         if prem is None:
             return "cited step is not earlier"
-        if not (isinstance(f, Imp) and isinstance(f.right, Forall)):
-            return "conclusion must have shape a -> forall x. b"
-        x = f.right.var
-        if prem != Imp(f.left, f.right.body):
+        x = getattr((f.left, f.right)[1 - rule.side], "var", None) if isinstance(f, Imp) else None
+        env = None if x is None else match_pattern(rule.conclusion(x, FVar("a"), FVar("b")), f)
+        if env is None:
+            return "conclusion must have shape %s" % rule.shape
+        if prem != Imp(env["a"], env["b"]):
             return "step %d does not match the premise shape" % just.i
-        if possibly_free(x, f.left):
-            return "variable %s may occur free in the antecedent" % x
-        return None
-
-    if isinstance(just, ExistsIn):
-        prem = earlier(just.i)
-        if prem is None:
-            return "cited step is not earlier"
-        if not (isinstance(f, Imp) and isinstance(f.left, Exists)):
-            return "conclusion must have shape (exists x. a) -> b"
-        x = f.left.var
-        if prem != Imp(f.left.body, f.right):
-            return "step %d does not match the premise shape" % just.i
-        if possibly_free(x, f.right):
-            return "variable %s may occur free in the consequent" % x
+        if possibly_free(x, env["ab"[rule.side]]):
+            return "variable %s may occur free in the %s" % (x, rule.where)
         return None
 
     if isinstance(just, LemmaRef):

@@ -134,8 +134,8 @@ def tarski_conditions(
       TC4  if (forall x. phi) has value 0 in B, some a in A gives phi 0.
 
     When A's domain is all of B's, A interprets everything as B does and
-    every witness in B is in A: once the inputs are checked, the answer is
-    ``[]``.  Otherwise the pool is compiled once into a
+    every witness in B is in A: once the inputs, the pool included, are
+    checked, the answer is ``[]``.  Otherwise the pool is compiled once into a
     ``structures.MaskProgram`` at the frame and run on B, from atom masks
     read pointwise by ``eval_formula``.  Formula j's masks over the n**k
     points of the frame are lane j, ``width`` = ceil(n**k / 8) whole bytes
@@ -156,13 +156,14 @@ def tarski_conditions(
     if not ok:
         raise ValueError("not a substructure: %s" % why)
     formulas = list(formulas)
-    used = set().union(*map(free_vars, formulas))
-    if variables is None:
-        variables = tuple(sorted(used)) or ("x",)
-    elif len(set(variables)) != len(variables):
+    B.sig.check_concrete(formulas, "tarski_conditions")
+    if variables is not None and len(set(variables)) != len(variables):
         raise ValueError("variables repeat a name: %s" % (tuple(variables),))
     if set(A.domain) == set(B.domain):
         return []
+    used = set().union(*map(free_vars, formulas))  # only the mask route needs them
+    if variables is None:
+        variables = tuple(sorted(used)) or ("x",)
     frame = tuple(sorted(used.union(variables)))
     program = structures.MaskProgram()
     at = [program.add(phi, frame) for phi in formulas]

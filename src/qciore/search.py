@@ -34,8 +34,6 @@ from .syntax import (
     CaptureError,
     Const,
     EQ,
-    Exists,
-    Forall,
     Formula,
     FVar,
     Imp,
@@ -193,17 +191,7 @@ class SearchSpec:
             raise ValueError("max_structures must not be negative")
         if self.time_budget_s is not None and self.time_budget_s < 0:
             raise ValueError("time_budget_s must not be negative")
-        for f in (self.phi, *self.gamma):
-            for g in syntax.subformulas(f):
-                if isinstance(g, FVar):
-                    raise ValueError("%s has metavariable %s: search needs concrete formulas"
-                                     % (f, g.name))
-            used = syntax.signature_of(f)
-            if not used <= self.sig:
-                extra = set(structures._parts(used)) - set(structures._parts(self.sig))
-                names = (n if p == "consts" or n == EQ else "%s/%d" % (n, k) for p, n, k in extra)
-                raise ValueError("%s uses %s, outside the signature"
-                                 % (f, ", ".join(sorted(names))))
+        self.sig.check_concrete((self.phi, *self.gamma), "search")
 
 
 @dataclass
@@ -358,8 +346,7 @@ def check_consequence_bounded(
 # Soundness harness
 
 
-QUANT_AXIOM_IDS = ("Ax11", "Ax12", "Ax13", "Ax14", "Ax15", "Ax16")
-EQ_AXIOM_IDS = ("Eq1", "Eq2")
+QUANT_AXIOM_IDS, EQ_AXIOM_IDS = hilbert.QUANT_AXIOM_IDS, hilbert.EQ_AXIOM_IDS
 
 
 @dataclass(frozen=True)
@@ -448,10 +435,10 @@ def soundness_harness(
     structure of size ≤ ``max_size``.  Rule preservation (modus ponens and
     the two quantifier introductions) is checked for every pair of pool
     formulas in every structure, and counted per pair.  A violation names the
-    pool formulas themselves.  Ax11-Ax16, Eq1 and Eq2 are built by
-    ``hilbert``'s axiom builders, the ones ``match_schema`` checks proof
-    steps against.  Each check is decided at the coarsest level that fixes
-    its answer.
+    pool formulas themselves.  Ax11-Ax16, Eq1, Eq2 and the introductions'
+    conclusions and side conditions are ``hilbert``'s, the ones the proof
+    checker checks steps against.  Each check is decided at the coarsest
+    level that fixes its answer.
 
     The pool is compiled once into a ``MaskProgram`` over the frame of the
     sorted variables.  In each structure it gives every pool formula's value
@@ -467,17 +454,17 @@ def soundness_harness(
     representative), compiled once per run for each tuple of
     representatives, and evaluated on their masks.  The patterns are the
     propositional schemas, Ax13-Ax16 per variable, the modus ponens premise
-    ``a -> b`` and, per variable x, the conclusions ``a -> forall x. b`` and
-    ``(exists x. a) -> b``.  A propositional schema that is a tautology of
-    the matrix (``_tautology``) has no failing instance, so its table is
-    never filled.  Per structure, modus ponens fails on the pairs (valid
-    class, failing class) whose premise holds, and an introduction on the
-    pairs of a class with a pool formula closed in x on the premise side
-    (``a`` under ∀-in, ``b`` under ∃-in) and any class, whose premise holds
-    and whose conclusion fails; pool pairs are scanned only to report such
-    pairs in pool order.  An instance is built again from the pool formulas
-    only where it is a violation to report; a failing Ax13-Ax16 instance
-    takes its witness from ``is_valid_in``.
+    ``a -> b`` and, per variable x, the conclusion of each introduction.  A
+    propositional schema that is a tautology of the matrix (``_tautology``)
+    has no failing instance, so its table is never filled.  Per structure,
+    modus ponens fails on the pairs (valid class, failing class) whose
+    premise holds, and an introduction on the pairs of a class with a pool
+    formula closed in x on its side of the premise (``a`` under ∀-in, ``b``
+    under ∃-in) and any class, whose premise holds and whose conclusion
+    fails; pool pairs are scanned only to report such pairs in pool order.
+    An instance is built again from the pool formulas only where it is a
+    violation to report; a failing Ax13-Ax16 instance takes its witness
+    from ``is_valid_in``.
 
     Ax11, Ax12 and the equality instances are decided by ``is_valid_in``,
     each distinct instance once (Ax11 and Ax12 repeat for every term when x
@@ -503,15 +490,11 @@ def soundness_harness(
         raise ValueError("the formula pool is empty: no atom over the variables "
                          "%s and the signature's constants" % (tuple(variables),))
     if axiom_pool is None:
-        axiom_pool = (
-            list(PROP_AXIOMS)
-            + list(QUANT_AXIOM_IDS)
-            + (list(EQ_AXIOM_IDS) if sig.has_equality else [])
-        )
+        axiom_pool = [a for a in hilbert.AXIOMS if sig.has_equality or a not in EQ_AXIOM_IDS]
     prop_ids = [a for a in axiom_pool if a in PROP_AXIOMS]
     quant_ids = [a for a in axiom_pool if a in QUANT_AXIOM_IDS]
     eq_ids = [a for a in axiom_pool if a in EQ_AXIOM_IDS]
-    unknown = [a for a in axiom_pool if a not in set(prop_ids + quant_ids + eq_ids)]
+    unknown = [a for a in axiom_pool if a not in hilbert.AXIOMS]
     if unknown:
         raise ValueError("unknown axiom schemas: %s" % ", ".join(unknown))
     if len(set(axiom_pool)) != len(axiom_pool):
@@ -543,11 +526,11 @@ def soundness_harness(
                 patterns.append(pattern)
     mp = len(patterns)
     patterns.append(Imp(a, b))
-    conclusion = {}  # (rule, variable) -> index of its conclusion's table
+    conclusion = {}  # (rule name, variable) -> index of its conclusion's table
     for x in variables:
-        conclusion["forall-in", x] = len(patterns)
-        conclusion["exists-in", x] = len(patterns) + 1
-        patterns += [Imp(a, Forall(x, b)), Imp(Exists(x, a), b)]
+        for rule in hilbert.INTRODUCTIONS.values():
+            conclusion[rule.name, x] = len(patterns)
+            patterns.append(rule.conclusion(x, a, b))
     tables = [(p, schema_metavariables(p), {}, {}) for p in patterns]
     vector_ids: dict = {}  # (width, plus, minus) -> small int, for the whole run
 
@@ -576,18 +559,15 @@ def soundness_harness(
     # (group, size, reduct key) -> (whether all hold, [(ok, witness), ...])
     fixed_verdicts: dict = {}
 
-    # quantifier rule instances over the full pool, as (i, j, table of the
-    # conclusion) for each introduction from pool[i] -> pool[j] whose side
-    # condition holds
+    # per introduction, its instances over the full pool, as (i, j, table of
+    # the conclusion) for each from pool[i] -> pool[j] whose side condition
+    # holds
     closed = {x: [not possibly_free(x, f) for f in pool] for x in variables}
     indices = range(len(pool))
-    forall_in = [
-        (i, j, conclusion["forall-in", x])
-        for i in indices for j in indices for x in variables if closed[x][i]
-    ]
-    exists_in = [
-        (i, j, conclusion["exists-in", x])
-        for i in indices for j in indices for x in variables if closed[x][j]
+    introductions = [
+        (rule, [(i, j, conclusion[rule.name, x]) for i in indices for j in indices
+                for x in variables if closed[x][(i, j)[rule.side]]])
+        for rule in hilbert.INTRODUCTIONS.values()
     ]
 
     frame = tuple(sorted(variables))
@@ -711,14 +691,14 @@ def soundness_harness(
             # the introductions: per variable, the failing pairs of a closed
             # class on the premise side and any class, with the index of
             # the conclusion's first failure
-            for rule, instances in (("forall-in", forall_in), ("exists-in", exists_in)):
+            for rule, instances in introductions:
                 report.rule_checks += len(instances)
                 broken = {}  # (table, pair of class ids) -> first failure
                 for x in variables:
-                    t = conclusion[rule, x]
+                    t = conclusion[rule.name, x]
                     for c in {c for c, side in zip(ids, closed[x]) if side}:
                         for d in rep_ids:
-                            key = (c, d) if rule == "forall-in" else (d, c)
+                            key = (c, d) if rule.side == 0 else (d, c)
                             if failure(mp, key) is None:
                                 k = failure(t, key)
                                 if k is not None:
@@ -727,7 +707,7 @@ def soundness_harness(
                     k = broken.get((t, (ids[i], ids[j])))
                     if k is not None:
                         concl = instantiate(tables[t][0], {"a": pool[i], "b": pool[j]})
-                        report.violations.append(Violation("rule", rule, concl, A, space[k]))
+                        report.violations.append(Violation("rule", rule.name, concl, A, space[k]))
     # every evaluation of an axiom instance on masks left one table entry
     report.axiom_evaluations += sum(len(table) for _, _, table, _ in tables[:mp])
     return report

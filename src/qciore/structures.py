@@ -212,10 +212,10 @@ def eval_formula(
     Without a memo, each node is evaluated at every assignment that reaches
     it: a call costs the formula's tree size, a shared subformula counted
     at each occurrence.  ``memo`` may be supplied to share work across calls
-    and occurrences; it is keyed by (id(subformula), assignment), so the
-    caller must keep the formula objects alive and use one memo per
-    structure and matrix.  It is read once per node and written only on a
-    miss, so it pays only where a node meets an assignment again.
+    and occurrences, one per structure and matrix.  It maps (id(subformula),
+    assignment) to (subformula, value), so no other node can take a held
+    node's id.  It is read once per node and written only on a miss, so it
+    pays only where a node meets an assignment again.
     ``matrix`` supplies the connective tables (quantifiers always use the
     fixed set-based rules) — useful for demonstrating what breaks under a
     mutated table.
@@ -226,10 +226,10 @@ def eval_formula(
     if memo is None:
         return handler(f, A, s, None, matrix)
     key = (id(f), s)
-    v = memo.get(key)
-    if v is None:
-        v = memo[key] = handler(f, A, s, memo, matrix)
-    return v
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = f, handler(f, A, s, memo, matrix)
+    return hit[1]
 
 
 def _atom_args(terms, A: Structure, s: Assignment) -> tuple:
@@ -382,9 +382,9 @@ def formula_triple(
     connective triples via ``triple_op``'s lift of the tables, quantifier
     triples from the value-set rules along the quantified coordinate.  Every
     triple's masks are over the index of domain^k in ``itertools.product``
-    order, the first frame variable most significant.  ``memo`` holds those
-    triples keyed by (id(subformula), frame), so the caller must keep the
-    formula objects alive; one memo per structure.
+    order, the first frame variable most significant.  ``memo``, one per
+    structure, maps (id(subformula), frame) to (subformula, triple), so no
+    other node can take a held node's id.
     """
     frame = tuple(frame)
     names = set(frame)
@@ -406,7 +406,7 @@ def _triple(f: Formula, A: Structure, frame: tuple[str, ...], memo: dict) -> Tri
     key = (id(f), frame)
     hit = memo.get(key)
     if hit is not None:
-        return hit
+        return hit[1]
     if isinstance(f, Pred):
         points = itertools.product(A.domain, repeat=len(frame))
         out = triple_from_map(
@@ -438,7 +438,7 @@ def _triple(f: Formula, A: Structure, frame: tuple[str, ...], memo: dict) -> Tri
         raise ValueError("metavariable %s in a concrete formula" % f.name)
     else:
         raise TypeError("not a formula: %r" % (f,))
-    memo[key] = out
+    memo[key] = f, out
     return out
 
 
@@ -465,7 +465,7 @@ class MaskProgram:
     supplies their masks (``triples._masks`` reads them off a list of values).
     """
 
-    __slots__ = ("code", "_position", "_nodes")
+    __slots__ = ("code", "_position")
 
     def __init__(self):
         # (opcode, operands, k), children first: ("leaf", node, frame),
@@ -473,8 +473,7 @@ class MaskProgram:
         # "exists", body position, (body frame length, place of the
         # variable in it, whether the entry's frame lacks it))
         self.code: list[tuple] = []
-        self._position: dict = {}
-        self._nodes: list = []
+        self._position: dict = {}  # (id(node), frame) -> (node, position)
 
     def add(self, f: Formula, frame: tuple[str, ...], leaves=frozenset()) -> int:
         """The position of ``f``'s entry at ``frame``, compiled if new.
@@ -482,9 +481,9 @@ class MaskProgram:
         ``leaves`` holds the ids of nodes, besides atoms, to compile as
         leaves; a node compiled before keeps its entry."""
         key = (id(f), frame)
-        at = self._position.get(key)
-        if at is not None:
-            return at
+        hit = self._position.get(key)
+        if hit is not None:
+            return hit[1]
         kind = type(f)
         if kind is Pred or id(f) in leaves:
             entry = ("leaf", f, frame)
@@ -503,9 +502,8 @@ class MaskProgram:
             raise ValueError("metavariable %s in a concrete formula" % f.name)
         else:
             raise TypeError("not a formula: %r" % (f,))
-        self._position[key] = len(self.code)
+        self._position[key] = f, len(self.code)
         self.code.append(entry)
-        self._nodes.append(f)
         return len(self.code) - 1
 
     def run(self, n: int, leaf, matrix: Matrix = CIORE) -> list[tuple[int, int]]:

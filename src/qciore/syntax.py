@@ -63,17 +63,19 @@ Term = Var | Const | App
 class _Node:
     """Base of the formula nodes: each prints as ``formula_to_str`` renders it."""
 
+    __slots__ = ("_free_vars", "_signature")  # caches, left out of pickles
+
     def __str__(self) -> str:
         return formula_to_str(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pred(_Node):
     name: str
     args: tuple[Term, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FVar(_Node):
     """Formula metavariable, used in axiom schemas and schematic proofs.
 
@@ -84,41 +86,41 @@ class FVar(_Node):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neg(_Node):
     sub: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cons(_Node):
     sub: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Imp(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forall(_Node):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exists(_Node):
     var: str
     body: "Formula"
@@ -130,6 +132,7 @@ EQ = "="  # equality is the binary Pred of this name, written infix: s = t
 #: the connective symbol of each compound node type
 UNARY_OPS = {Neg: "~", Cons: "@"}
 BINARY_OPS = {And: "&", Or: "|", Imp: "->"}
+_SIGNATURES: dict = {}  # each signature signature_of has made, so equal ones are one object
 
 
 def strong_neg(f: Formula) -> Formula:
@@ -178,18 +181,43 @@ class Signature:
             and self.has_equality <= other.has_equality
         )
 
+    def check_concrete(self, formulas, user: str) -> None:
+        """Raise ValueError, for ``user``, unless each of ``formulas`` is concrete
+        and over this signature, naming the first metavariable or each symbol
+        outside.  A formula whose cached signature was found inside is not
+        walked again: only a concrete formula caches one (``signature_of``)."""
+        inside = set()  # the ids of those signatures, which _SIGNATURES keeps alive
+        for f in formulas:
+            if id(getattr(f, "_signature", None)) in inside:
+                continue
+            for g in subformulas(f):
+                if isinstance(g, FVar):
+                    raise ValueError("%s has metavariable %s: %s needs concrete formulas"
+                                     % (f, g.name, user))
+            used = signature_of(f)
+            if not used <= self:
+                extra = ["%s/%d" % p for kind in ("predicates", "functions")
+                         for p in getattr(used, kind).items() - getattr(self, kind).items()]
+                extra += used.constants - self.constants
+                extra += [EQ] * (used.has_equality > self.has_equality)
+                raise ValueError("%s uses %s, outside the signature"
+                                 % (f, ", ".join(sorted(extra))))
+            inside.add(id(used))
+
 
 def signature_of(f: Formula) -> Signature:
     """The smallest signature that interprets every symbol of ``f``: its
     predicates and functions at the arities used, the constants of its
     ``Const`` terms, and equality if it has an ``EQ`` atom.  A symbol used
     at two arities, or ``EQ`` with other than two arguments, is a
-    ValueError.  The result is cached on the node, as ``free_vars``'s is; a
-    ``Signature`` cannot be edited."""
+    ValueError.  The result is cached on a node with no metavariable, as
+    ``free_vars``'s is, and equal results are one object; a ``Signature``
+    cannot be edited."""
     out = getattr(f, "_signature", None)
     if out is not None:
         return out
     preds, funs, consts = {}, {}, set()
+    schematic = False
     todo = [(f, False)]  # (node, whether it stands in term position)
     while todo:  # in preorder, left before right, into the atoms' terms
         g, is_term = todo.pop()
@@ -206,13 +234,17 @@ def signature_of(f: Formula) -> Signature:
                 consts.add(g.name)
             elif not isinstance(g, Var):
                 raise TypeError("not a term: %r" % (g,))
+        elif type(g) is FVar:
+            schematic = True
         else:
             todo += ((h, False) for h in _CHILDREN[type(g)](g))
     equality = preds.pop(EQ, None)  # the arity of EQ, if f uses it
     if equality not in (None, 2):
         raise ValueError("equality used with %d arguments" % equality)
     out = Signature(preds, funs, consts, equality is not None)
-    object.__setattr__(f, "_signature", out)
+    out = _SIGNATURES.setdefault(out, out)
+    if not schematic:
+        object.__setattr__(f, "_signature", out)
     return out
 
 
@@ -453,14 +485,9 @@ def parse_formula(text: str, sig: Signature | None = None) -> Formula:
 
 
 def term_vars(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, Const):
-        return set()
-    out: set[str] = set()
-    for a in t.args:
-        out |= term_vars(a)
-    return out
+    if isinstance(t, App):
+        return set().union(*map(term_vars, t.args))
+    return {t.name} if isinstance(t, Var) else set()
 
 
 _NO_VARS: frozenset[str] = frozenset()
@@ -520,11 +547,9 @@ def is_free_for(t: Term, x: str, f: Formula) -> bool:
 
 
 def substitute_term(t: Term, x: str, s: Term) -> Term:
-    if isinstance(t, Var):
-        return s if t.name == x else t
-    if isinstance(t, Const):
-        return t
-    return App(t.fun, tuple(substitute_term(a, x, s) for a in t.args))
+    if isinstance(t, App):
+        return App(t.fun, tuple(substitute_term(a, x, s) for a in t.args))
+    return s if t == Var(x) else t
 
 
 def substitute(f: Formula, x: str, t: Term) -> Formula:
@@ -564,20 +589,10 @@ def replace_some_matches(f: Formula, x: str, y: str, candidate: Formula) -> bool
     """Is ``candidate`` obtainable from ``f`` by turning some (possibly zero,
     possibly all) free occurrences of variable ``x`` into ``y``?"""
 
-    def rec_t(t: Term, c: Term, bound: frozenset[str]) -> bool:
-        if t == c:
-            return True
-        if isinstance(t, Var) and t.name == x and x not in bound:
-            return c == Var(y)
-        if isinstance(t, App) and isinstance(c, App):
-            return (
-                t.fun == c.fun
-                and len(t.args) == len(c.args)
-                and all(rec_t(a, b, bound) for a, b in zip(t.args, c.args))
-            )
-        return False
+    def leaf(t: Term, c: Term, bound: frozenset[str]) -> bool:
+        return t == c or isinstance(t, Var) and t.name == x and x not in bound and c == Var(y)
 
-    return align(f, candidate, rec_t)
+    return align(f, candidate, leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -629,32 +644,34 @@ def map_atoms(f: Formula, fn) -> Formula:
 
 def align(f: Formula, g: Formula, on_terms) -> bool:
     """Walk ``f`` and ``g`` in parallel: True when they have the same shape
-    and ``on_terms(a, b, bound)`` holds for each pair of atom arguments and
-    for each metavariable ``a`` of ``f`` with the formula ``b`` of ``g`` in
-    its place, whatever ``b``'s type.
+    and ``on_terms(a, b, bound)`` holds for each leaf ``a`` of ``f`` (a
+    variable, a constant or a metavariable) with what ``g`` has in its
+    place, whatever ``b``'s type.  The leaves come left to right.
 
     The same shape means the same connectives, quantifiers on the same
-    variables, and predicates of the same name and arity.  ``bound`` is the
-    frozenset of the variables quantified above the pair.
+    variables, and predicates and function applications of the same name
+    and arity.  ``bound`` is the frozenset of the variables quantified
+    above the pair.
     """
     stack = [(f, g, frozenset())]
     while stack:
         a, b, bound = stack.pop()
-        if isinstance(a, FVar):
+        kind = type(a)
+        if kind is Var or kind is Const or kind is FVar:
             if not on_terms(a, b, bound):
                 return False
-        elif type(a) is not type(b):
+        elif kind is not type(b):
             return False
-        elif isinstance(a, (And, Or, Imp)):
+        elif kind in BINARY_OPS:
             stack += ((a.right, b.right, bound), (a.left, b.left, bound))
-        elif isinstance(a, (Neg, Cons)):
+        elif kind in UNARY_OPS:
             stack.append((a.sub, b.sub, bound))
-        elif isinstance(a, Pred):
-            if a.name != b.name or len(a.args) != len(b.args):
+        elif kind is Pred or kind is App:
+            same = a.name == b.name if kind is Pred else a.fun == b.fun
+            if not same or len(a.args) != len(b.args):
                 return False
-            if not all(on_terms(s, t, bound) for s, t in zip(a.args, b.args)):
-                return False
-        elif isinstance(a, (Forall, Exists)):
+            stack += zip(reversed(a.args), reversed(b.args), itertools.repeat(bound))
+        elif kind is Forall or kind is Exists:
             if a.var != b.var:
                 return False
             stack.append((a.body, b.body, bound | {a.var}))

@@ -63,10 +63,10 @@ def reference_eval(f, A, s, memo=None, matrix=CIORE):
         key = (id(f), s)
         hit = memo.get(key)
         if hit is not None:
-            return hit
+            return hit[1]
     v = _reference(f, A, s, memo, matrix)
     if memo is not None:
-        memo[key] = v
+        memo[key] = f, v  # the entry holds its node, so its id stays unique
     return v
 
 

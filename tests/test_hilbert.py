@@ -19,6 +19,7 @@ from qciore.hilbert import (
     MP,
     Proof,
     Step,
+    Verdict,
     check_proof,
     check_proof_sequence,
     consistency_axioms,
@@ -303,6 +304,37 @@ def test_exists_in_side_condition():
     )
     v = check_proof(bad, SIG)
     assert not v.accepted and v.failed_step == 2
+
+
+@pytest.mark.parametrize(
+    "rule,cited,premise,conclusion,reason",
+    [
+        (ForallIn, 2, "P(y) -> Q(x)", "P(y) -> forall x. Q(x)", "cited step is not earlier"),
+        (ForallIn, 1, "P(y) -> Q(x)", "P(y) -> exists x. Q(x)",
+         "conclusion must have shape a -> forall x. b"),
+        (ForallIn, 1, "P(y) -> Q(x)", "forall x. Q(x)",
+         "conclusion must have shape a -> forall x. b"),
+        (ForallIn, 1, "P(y) -> Q(x)", "P(y) -> forall x. P(x)",
+         "step 1 does not match the premise shape"),
+        (ForallIn, 1, "P(x) -> Q(x)", "P(x) -> forall x. Q(x)",
+         "variable x may occur free in the antecedent"),
+        (ExistsIn, 3, "P(x) -> Q(y)", "(exists x. P(x)) -> Q(y)", "cited step is not earlier"),
+        (ExistsIn, 1, "P(x) -> Q(y)", "(forall x. P(x)) -> Q(y)",
+         "conclusion must have shape (exists x. a) -> b"),
+        (ExistsIn, 1, "P(x) -> Q(y)", "~(exists x. P(x))",
+         "conclusion must have shape (exists x. a) -> b"),
+        (ExistsIn, 1, "P(x) -> Q(y)", "(exists x. Q(x)) -> Q(y)",
+         "step 1 does not match the premise shape"),
+        (ExistsIn, 1, "P(x) -> Q(x)", "(exists x. P(x)) -> Q(x)",
+         "variable x may occur free in the consequent"),
+    ],
+)
+def test_each_refusal_of_an_introduction_names_its_reason(rule, cited, premise, conclusion,
+                                                          reason):
+    prem, f = parse_formula(premise, SIG), parse_formula(conclusion, SIG)
+    steps = (Step(prem, HypRef(1)), Step(f, rule(cited)))
+    proof = Proof(name="intro", hypotheses=(prem,), steps=steps)
+    assert check_proof(proof, SIG) == Verdict(False, 2, reason)
 
 
 def test_lemma_citation_with_premises():

@@ -1,6 +1,7 @@
 """Tests for substructures, witness conditions, and bounded elementarity."""
 
 import itertools
+import re
 
 import pytest
 
@@ -24,8 +25,12 @@ from qciore.structures import (
 )
 from qciore.syntax import (
     Exists,
+    FVar,
     Forall,
+    Or,
+    Pred,
     Signature,
+    Var,
     enumerate_formulas,
     free_vars,
     parse_formula,
@@ -531,6 +536,22 @@ def test_same_domain_pairs_still_check_their_inputs():
     )
     with pytest.raises(ValueError, match="signatures differ"):
         elementary_equiv_bounded(renamed_sig, b, 1)
+
+
+@pytest.mark.parametrize(
+    "pool,message",
+    [
+        ([Pred("Q", (Var("x"),))], "Q(x) uses Q/1, outside the signature"),
+        ([FVar("A")], "A has metavariable A: tarski_conditions needs concrete formulas"),
+        ([parse_formula("P(x)"), Or(FVar("B"), FVar("A"))], "has metavariable B"),
+    ],
+)
+def test_tarski_checks_its_pool_on_every_pair(pool, message):
+    # same domain or not, a pool outside B's signature is refused alike
+    b = p_structure(("e1", "e2"), plus="e1", minus="e2")
+    for a in (b, reordered(b), induced_substructure(b, {"e1"})):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tarski_conditions(a, b, pool)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qciore import search, structures, syntax, triples
+from qciore import hilbert, search, structures, syntax, triples
 from qciore.cli import format_structure
 from qciore.hilbert import instantiate, possibly_free, schema_metavariables
 from qciore.matrix3 import (
@@ -635,6 +635,27 @@ def test_harness_clean_with_equality():
     report = soundness_harness(SIG_PEQ, max_size=1)
     assert report.ok
     assert report.structures_checked == 6
+
+
+def test_the_default_schema_pool_is_every_axiom_the_checker_knows():
+    # the default pool checks as much as every name of hilbert.AXIOMS, and
+    # each of those names adds checks of its own
+    def checks(pool):
+        return soundness_harness(SIG_PEQ, pool, instance_depth=0, max_size=1).axiom_checks
+
+    every = list(hilbert.AXIOMS)
+    assert checks(None) == checks(every)
+    for name in every:
+        assert checks([a for a in every if a != name]) < checks(every), name
+
+
+def test_the_harness_reports_the_checker_rule_names():
+    names = {"MP"} | {rule.name for rule in hilbert.INTRODUCTIONS.values()}
+    assert names == {"MP", "forall-in", "exists-in"}
+    for matrix in (mutated_implication((HALF, ZERO), HALF), mutated_implication((ONE, ZERO), ONE)):
+        report = soundness_harness(SIG_P, axiom_pool=[], max_size=2, matrix=matrix)
+        reported = {v.name for v in report.violations}
+        assert reported and reported <= names
 
 
 def test_harness_restricted_pool():

@@ -374,6 +374,28 @@ def test_assignment_set_hashes_like_a_direct_build():
     assert Assignment("a") != Assignment("b")
 
 
+def test_a_shared_memo_outlives_the_formulas_it_was_given():
+    # each formula is a fresh parse, dropped after its call: a memo keyed by
+    # id() alone would hand a later parse the value of an earlier one
+    sig = Signature(predicates={"P": 1, "Q": 1})
+    A = make_structure(sig, ("a", "b"), preds={
+        "P": make_triple({("a",)}, {("b",)}, set()),
+        "Q": make_triple({("b",)}, set(), {("a",)}),
+    })
+    texts = ["P(x)", "Q(x)", "~P(x)", "@Q(x)", "P(x) -> Q(x)", "P(x) & ~Q(x)", "~Q(x) | P(x)"]
+    s = Assignment("a", (("x", "a"),))
+    values = [eval_formula(parse_formula(t), A, s) for t in texts]
+    triples = [formula_triple(parse_formula(t), A, ("x",)) for t in texts]
+    memo: dict = {}
+    triple_memo: dict = {}
+    wrong = 0
+    for i in range(2 * 2000):
+        k = i % len(texts)
+        wrong += eval_formula(parse_formula(texts[k]), A, s, memo) != values[k]
+        wrong += formula_triple(parse_formula(texts[k]), A, ("x",), triple_memo) != triples[k]
+    assert wrong == 0
+
+
 def test_assignment_prints_as_it_did():
     s = Assignment("a", (("x", "b"), ("y", "c")))
     assert str(s) == "{x=b, y=c; default a}"

@@ -135,6 +135,26 @@ def test_signature_of_is_cached_on_the_node():
     assert f == parse_formula(text, SIG_ALL)  # the cache is not a field
     again = pickle.loads(pickle.dumps(f))
     assert again == f and signature_of(again) == sig
+    # the caches are slots, and a pickle carries the fields only
+    free_vars(f)
+    assert not hasattr(f, "__dict__")
+    assert pickle.dumps(f) == pickle.dumps(parse_formula(text, SIG_ALL))
+
+
+def test_check_concrete_walks_each_schematic_formula():
+    # equal signatures are one object, so a pool sharing one is checked by
+    # lookups; a formula with a metavariable caches no signature, so it is
+    # walked, and refused, even after a formula of the same signature passed
+    sig = Signature({"P": 1})
+    p_x, p_y = parse_formula("P(x)", sig), parse_formula("~P(y)", sig)
+    assert signature_of(p_x) is signature_of(p_y)
+    schematic = And(p_x, FVar("A"))
+    assert signature_of(schematic) is signature_of(p_x)
+    sig.check_concrete([p_x, p_y], "a test")
+    with pytest.raises(ValueError, match="P\\(x\\) & A has metavariable A: a test needs"):
+        sig.check_concrete([p_x, p_y, schematic], "a test")
+    with pytest.raises(ValueError, match="Q\\(x\\) uses Q/1, outside the signature"):
+        sig.check_concrete([p_x, parse_formula("Q(x)")], "a test")
 
 
 def test_signature_of_reads_constants_from_const_terms():
@@ -316,6 +336,40 @@ def test_align_needs_the_same_shape_and_passes_the_bound_variables():
                   "P(c) & forall y. exists z. R(x)", "P(c) & forall y. exists z. Q(x, c)"):
         assert not align(f, parse_formula(other), record)
     assert not align(f, g, lambda a, b, bound: a == b)
+
+
+def test_align_descends_into_function_terms():
+    seen = []
+
+    def record(a, b, bound):
+        seen.append((a, b))
+        return True
+
+    f = parse_formula("R(f(x, g(c)), y)")
+    g = parse_formula("R(f(h(z), g(x)), c)")
+    assert align(f, g, record)
+    # only leaves of f reach on_terms, left to right, whatever stands in g
+    assert seen == [(Var("x"), App("h", (Var("z"),))), (Var("c"), Var("x")), (Var("y"), Var("c"))]
+    # a name or arity mismatch is False, with no call for the leaves below it
+    for other, reached in [
+        ("R(k(x, g(c)), y)", []), ("R(f(x), y)", []), ("R(x, y)", []), ("R(f(x, g(c)))", []),
+        ("R(f(x, g(c, c)), y)", [(Var("x"), Var("x"))]),
+        ("R(f(x, h(c)), y)", [(Var("x"), Var("x"))]),
+    ]:
+        seen.clear()
+        assert not align(f, parse_formula(other), record)
+        assert seen == reached
+
+
+def test_align_needs_no_recursion_on_deep_function_terms():
+    s = t = Var("x")
+    for _ in range(5000):
+        s, t = App("f", (s,)), App("f", (t,))
+    calls = []
+    assert align(Pred("P", (s,)), Pred("P", (t,)),
+                 lambda a, b, bound: calls.append(a) or a == b)
+    assert calls == [Var("x")]
+    assert not align(Pred("P", (s,)), Pred("P", (App("g", (t,)),)), lambda a, b, bound: True)
 
 
 # Known defects: == and hash recurse through the nodes' fields.  Hash-consing
