@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import time
 from dataclasses import dataclass, field
@@ -125,15 +126,19 @@ def enumerate_structures(sig: Signature, n: int, equality_normal: bool = True):
         yield _structure_at(sig, domain, factors, indices)
 
 
+def _factor_sizes(sig: Signature, n: int, equality_normal: bool) -> list[int]:
+    """How many interpretations each factor of ``_factors`` has, in its order,
+    in closed form and without building them."""
+    return [
+        (2**n if name == EQ and equality_normal else 3 ** (n**arity)) if part == "preds"
+        else n ** (n**arity)  # a function's tables; a constant, of arity 0, is one of n elements
+        for part, name, arity in structures._parts(sig)
+    ]
+
+
 def structure_count(sig: Signature, n: int, equality_normal: bool = True) -> int:
     """How many structures enumerate_structures yields, in closed form."""
-    total = 1
-    for part, name, arity in structures._parts(sig):
-        if part == "preds":
-            total *= 2**n if name == EQ and equality_normal else 3 ** (n**arity)
-        else:  # a function's tables; a constant, of arity 0, is one of n elements
-            total *= n ** (n**arity)
-    return total
+    return math.prod(_factor_sizes(sig, n, equality_normal))
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +163,16 @@ def _group_by_signature(formulas) -> tuple[list, list]:
     return groups, slot
 
 
-def _reduct_walk(reduct_sig: Signature, factors: list) -> tuple[list, operator.itemgetter]:
-    """The positions in ``factors`` of the factors of ``reduct_sig``, a
-    sub-signature of theirs, and an itemgetter that keys a structure's
-    reduct by its factor indices at those positions: two structures have
-    equal keys exactly when their reducts are equal.  ``_factors`` orders a
-    reduct's factors as the full signature's, so those indices into the
-    factors at those positions build the reduct."""
+def _reduct_walk(reduct_sig: Signature, factors) -> tuple[list, object]:
+    """The positions in ``factors`` (``_factors``' list or the full
+    signature's ``structures._parts``, in one order) of ``reduct_sig``'s
+    factors, and a function that keys a structure's reduct by its factor
+    indices there: equal keys exactly for equal reducts (one key for the
+    empty signature).  ``_factors`` orders a reduct's factors as the full
+    signature's, so those indices build the reduct."""
     kept = {(part, name) for part, name, _ in structures._parts(reduct_sig)}
     positions = [i for i, (part, name, _) in enumerate(factors) if (part, name) in kept]
-    return positions, operator.itemgetter(*positions)
+    return positions, operator.itemgetter(*positions) if positions else lambda indices: ()
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +575,9 @@ def soundness_harness(
         for rule in hilbert.INTRODUCTIONS.values()
     ]
 
+    # per group whose signature is not sig's, the key of its reduct
+    parts = structures._parts(sig)
+    keys = [None if used == sig else _reduct_walk(used, parts)[1] for used, _ in groups]
     frame = tuple(sorted(variables))
     program = MaskProgram()
     pool_at = [program.add(f, frame) for f in pool]
@@ -577,13 +585,10 @@ def soundness_harness(
 
     for n in range(1, max_size + 1):
         width = n ** len(frame)
-        # each structure's indices into the factors it is enumerated from,
-        # and per group whose signature is not sig's the key of its reduct
-        _, factors = _factors(sig, n, True)
-        keys = [None if used == sig else _reduct_walk(used, factors)[1] for used, _ in groups]
-        points = itertools.product(*(range(len(v)) for _, _, v in factors))
+        # each structure's indices into the factors it is enumerated from
+        points = itertools.product(*map(range, _factor_sizes(sig, n, True)))
         space = None
-        for A, indices in zip(enumerate_structures(sig, n), points):
+        for A, indices in zip(enumerate_structures(sig, n), points, strict=True):
             report.structures_checked += 1
             space = space or list(assignments_over(A, frame))  # one per size
 

@@ -18,19 +18,14 @@ from fractions import Fraction
 
 from .matrix3 import CIORE, DESIGNATED, HALF, Matrix, ONE, ZERO
 from .syntax import (
-    And,
     App,
     BINARY_OPS,
-    Cons,
     Const,
     EQ,
     Exists,
     Forall,
     Formula,
     FVar,
-    Imp,
-    Neg,
-    Or,
     Pred,
     Signature,
     Term,
@@ -378,13 +373,14 @@ def formula_triple(
 ) -> Triple:
     """The semantic triple of ``f`` over assignment tuples aligned with ``frame``.
 
-    Uses the set-valued route on masks: atom triples from the structure,
-    connective triples via ``triple_op``'s lift of the tables, quantifier
-    triples from the value-set rules along the quantified coordinate.  Every
+    ``f`` is compiled by ``MaskProgram.add``, and the program's new entries
+    are evaluated children first, as triples: a leaf from ``eval_formula``
+    at each assignment of its frame, a connective by ``triple_op``'s lift of
+    the tables, a quantifier by one fibre step along its variable.  Every
     triple's masks are over the index of domain^k in ``itertools.product``
     order, the first frame variable most significant.  ``memo``, one per
-    structure, maps (id(subformula), frame) to (subformula, triple), so no
-    other node can take a held node's id.
+    structure, holds the program and its entries' triples, equal ones shared:
+    a later call evaluates only the entries it adds; one that raises drops them.
     """
     frame = tuple(frame)
     names = set(frame)
@@ -393,53 +389,34 @@ def formula_triple(
     fv = free_vars(f)
     if not fv <= names:
         raise ValueError("frame %s misses free variables %s" % (frame, sorted(fv - names)))
-    return _triple(f, A, frame, memo if memo is not None else {})
+    memo = memo if memo is not None else {}
+    program, values, shared = memo.get(MaskProgram) or memo.setdefault(
+        MaskProgram, (MaskProgram(), [], {}))  # the triples by (index, masks)
+    domain, n = A.domain, len(A.domain)
+    try:
+        top = program.add(f, frame)
+        for op, operands, k in program.code[len(values):]:
+            if op == "leaf":
+                at = (eval_formula(operands, A, s) for s in assignments_over(A, k))
+                out = triple_from_map(dict(zip(itertools.product(domain, repeat=len(k)), at)))
+            elif op == "forall" or op == "exists":
+                body = values[operands].masks(_frame_index(domain, k[0]))
+                plus, minus = triples._fibre_step(op == "forall", *body, n, *triples._fibre(n, *k))
+                out = Triple.from_masks(_frame_index(domain, k[0] - k[2]), plus, minus)
+            else:  # a connective
+                u = values[operands[1]] if len(operands) == 2 else None
+                out = triple_op(op, values[operands[0]], u)
+            values.append(shared.setdefault((out.index, out._masks), out))
+    except BaseException:
+        del memo[MaskProgram]  # entries left unevaluated would raise again
+        raise
+    return values[top]
 
 
 @triples._type_faithful_cache(maxsize=64)
 def _frame_index(domain: tuple, k: int) -> CarrierIndex:
     """The index of domain^k, in ``itertools.product`` order."""
     return CarrierIndex.of(tuple(itertools.product(domain, repeat=k)))
-
-
-def _triple(f: Formula, A: Structure, frame: tuple[str, ...], memo: dict) -> Triple:
-    key = (id(f), frame)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit[1]
-    if isinstance(f, Pred):
-        points = itertools.product(A.domain, repeat=len(frame))
-        out = triple_from_map(
-            dict(zip(points, (eval_formula(f, A, s) for s in assignments_over(A, frame))))
-        )
-    elif isinstance(f, (Neg, Cons)):
-        out = triple_op(UNARY_OPS[type(f)], _triple(f.sub, A, frame, memo))
-    elif isinstance(f, (And, Or, Imp)):
-        out = triple_op(
-            BINARY_OPS[type(f)],
-            _triple(f.left, A, frame, memo),
-            _triple(f.right, A, frame, memo),
-        )
-    elif isinstance(f, (Forall, Exists)):
-        # the body's frame is the same one if it has the variable, else the
-        # variable followed by the frame
-        projected = f.var not in frame
-        body_frame = (f.var,) + frame if projected else frame
-        n, k = len(A.domain), len(body_frame)
-        sub = _triple(f.body, A, body_frame, memo)
-        plus, minus = triples._fibre_step(
-            isinstance(f, Forall),
-            *sub.masks(_frame_index(A.domain, k)),
-            n,
-            *triples._fibre(n, k, body_frame.index(f.var), projected),
-        )
-        out = Triple.from_masks(_frame_index(A.domain, len(frame)), plus, minus)
-    elif isinstance(f, FVar):
-        raise ValueError("metavariable %s in a concrete formula" % f.name)
-    else:
-        raise TypeError("not a formula: %r" % (f,))
-    memo[key] = f, out
-    return out
 
 
 class MaskProgram:
@@ -455,8 +432,9 @@ class MaskProgram:
     ``add`` compiles a formula and its subformulas after the entries the
     program has, sharing every entry whose node and frame it has already
     compiled: entries are keyed by (id(node), frame), and the program holds
-    each node it compiled, so that the ids stay valid.  ``run`` evaluates
-    every entry on one domain size, children first.  A connective lifts the
+    each node it compiled, so that the ids stay valid.  Two readers evaluate
+    the entries children first: ``run`` as masks on one domain size, and
+    ``formula_triple`` as triples in one structure.  A connective lifts the
     matrix's table over the masks (``triples._lift`` and ``_apply``, as
     ``triple_op`` does).  A quantifier makes one fibre step along its variable
     (``triples._fibre_step``), on its body at the same frame when the frame
@@ -465,7 +443,7 @@ class MaskProgram:
     supplies their masks (``triples._masks`` reads them off a list of values).
     """
 
-    __slots__ = ("code", "_position")
+    __slots__ = ("code", "_nodes", "_position")
 
     def __init__(self):
         # (opcode, operands, k), children first: ("leaf", node, frame),
@@ -473,7 +451,8 @@ class MaskProgram:
         # "exists", body position, (body frame length, place of the
         # variable in it, whether the entry's frame lacks it))
         self.code: list[tuple] = []
-        self._position: dict = {}  # (id(node), frame) -> (node, position)
+        self._nodes: list = []  # each entry's node, so that no other node takes its id
+        self._position: dict = {}  # (id(node), frame) -> position
 
     def add(self, f: Formula, frame: tuple[str, ...], leaves=frozenset()) -> int:
         """The position of ``f``'s entry at ``frame``, compiled if new.
@@ -483,9 +462,9 @@ class MaskProgram:
         key = (id(f), frame)
         hit = self._position.get(key)
         if hit is not None:
-            return hit[1]
+            return hit
         kind = type(f)
-        if kind is Pred or id(f) in leaves:
+        if kind is Pred or leaves and id(f) in leaves:
             entry = ("leaf", f, frame)
         elif kind in UNARY_OPS:
             entry = (UNARY_OPS[kind], (self.add(f.sub, frame, leaves),), len(frame))
@@ -502,9 +481,10 @@ class MaskProgram:
             raise ValueError("metavariable %s in a concrete formula" % f.name)
         else:
             raise TypeError("not a formula: %r" % (f,))
-        self._position[key] = f, len(self.code)
+        position = self._position[key] = len(self.code)
         self.code.append(entry)
-        return len(self.code) - 1
+        self._nodes.append(f)
+        return position
 
     def run(self, n: int, leaf, matrix: Matrix = CIORE) -> list[tuple[int, int]]:
         """The (plus, minus) masks of every entry over a domain of ``n``

@@ -256,7 +256,6 @@ _PREC_IMP = 1
 _PREC_OR = 2
 _PREC_AND = 3
 _PREC_UNARY = 4
-_PREC_ATOM = 5
 _BINARY_PREC = {And: _PREC_AND, Or: _PREC_OR, Imp: _PREC_IMP}
 
 

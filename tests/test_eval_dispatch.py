@@ -328,6 +328,18 @@ def test_a_structure_without_equality_says_so():
             run()
 
 
+# a structure over SIG where P(x) and x = c take every value
+WHOLE = make_structure(
+    SIG,
+    DOMAIN,
+    {"P": make_triple({("a",)}, {("b",)}, {("c",)}),
+     "R": make_triple((), (), set(itertools.product(DOMAIN, repeat=2))),
+     EQ: make_triple({("a", "a"), ("b", "b")}, {("a", "c"), ("c", "a")},
+                     {("c", "c"), ("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")})},
+    {"f": {(a,): a for a in DOMAIN}},
+    {"c": "a"},
+)
+
 # one node of each formula type, and an equality atom
 SAMPLES = (
     P_X,
@@ -364,7 +376,11 @@ def test_each_walk_takes_each_node_type(f):
     assert map_atoms(f, lambda g: g) == f
     assert align(f, f, lambda a, b, bound: a == b)
     if meta:
-        with pytest.raises(ValueError, match="metavariable A"):
-            MaskProgram().add(f, ("x",))
-    else:
-        assert MaskProgram().add(f, ("x",)) >= 0
+        for walk in (MaskProgram().add, lambda f, frame: formula_triple(f, WHOLE, frame)):
+            with pytest.raises(ValueError, match="metavariable A"):
+                walk(f, ("x",))
+        return
+    assert MaskProgram().add(f, ("x",)) >= 0
+    t = formula_triple(f, WHOLE, ("x",))
+    for a in WHOLE.domain:
+        assert t.value_at((a,)) == eval_formula(f, WHOLE, Assignment("a", (("x", a),)))

@@ -445,9 +445,11 @@ def test_reduct_walk_matches_structures_reduct(size):
     groups, _ = search._group_by_signature(enumerate_formulas(sig, ("x",), 1))
     domain, factors = search._factors(sig, size, True)
     walk = list(itertools.product(*(range(len(v)) for _, _, v in factors)))
+    assert [len(v) for _, _, v in factors] == search._factor_sizes(sig, size, True)
     assert len(groups) == 12  # the signatures of one atom and of two
     for used, _ in groups:
         positions, key = search._reduct_walk(used, factors)
+        assert search._reduct_walk(used, structures._parts(sig))[0] == positions
         pairs = set()  # (key, reduct) of every structure
         for indices in walk:
             want = reduct(search._structure_at(sig, domain, factors, indices), used)
@@ -459,6 +461,30 @@ def test_reduct_walk_matches_structures_reduct(size):
         # equal keys exactly when the reducts are equal
         assert len(pairs) == len({k for k, _ in pairs}) == len({r for _, r in pairs})
         assert len(pairs) == structure_count(used, size)
+
+
+def test_the_reduct_walk_of_the_empty_signature_has_one_key():
+    # two formulas that share no symbol have the empty signature in common
+    sig = Signature(predicates={"P": 1}, constants={"c"})
+    domain, factors = search._factors(sig, 2, True)
+    positions, key = search._reduct_walk(Signature(), factors)
+    assert positions == []
+    keys = {key(indices) for indices in itertools.product(*(range(len(v)) for _, _, v in factors))}
+    assert keys == {()}
+    A = next(enumerate_structures(sig, 2))
+    assert search._structure_at(Signature(), domain, [], []) == reduct(A, Signature())
+
+
+def test_the_harness_builds_each_sizes_factors_once(monkeypatch):
+    # the structures come from enumerate_structures; the index walk beside
+    # them is counted from the factors' sizes, not from a second build
+    calls = []
+    factors = search._factors
+    monkeypatch.setattr(search, "_factors", lambda *a: calls.append(a) or factors(*a))
+    sig = Signature(predicates={"P": 1, "R": 2})
+    report = soundness_harness(sig, max_size=2)
+    assert report.structures_checked == structure_count(sig, 1) + structure_count(sig, 2)
+    assert calls == [(sig, 1, True), (sig, 2, True)]
 
 
 def test_search_builds_each_predicates_interpretations_once_per_size(monkeypatch):

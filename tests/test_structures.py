@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import qciore
+from qciore import structures
 from helpers import remark_structure, singleton
 from qciore.matrix3 import CIORE, DESIGNATED, HALF, ONE, ZERO, eval_prop
 from qciore.structures import (
@@ -28,7 +29,18 @@ from qciore.structures import (
     tilde_exists,
     tilde_forall,
 )
-from qciore.syntax import FVar, Pred, Signature, Var, parse_formula, substitute
+from qciore.syntax import (
+    EQ,
+    And,
+    FVar,
+    Neg,
+    Or,
+    Pred,
+    Signature,
+    Var,
+    parse_formula,
+    substitute,
+)
 from qciore.triples import make_triple, triple_from_map
 
 
@@ -394,6 +406,50 @@ def test_a_shared_memo_outlives_the_formulas_it_was_given():
         wrong += eval_formula(parse_formula(texts[k]), A, s, memo) != values[k]
         wrong += formula_triple(parse_formula(texts[k]), A, ("x",), triple_memo) != triples[k]
     assert wrong == 0
+
+
+def test_a_memo_that_saw_a_failing_call_still_serves_later_formulas():
+    # a call that raises must leave nothing behind that raises again: the
+    # equality leaf of the first call, and the one compiled before the
+    # metavariable of the second, are never evaluated without equality.
+    # The second names whichever fault its walk meets first.
+    sig = Signature(predicates={"P": 1})
+    A = make_structure(sig, ("a", "b"), preds={"P": make_triple({("a",)}, set(), {("b",)})})
+    x_is_x = Pred(EQ, (Var("x"), Var("x")))
+    memo: dict = {}
+    for bad, message in ((Neg(x_is_x), "^structure does not interpret equality$"),
+                         (And(x_is_x, FVar("A")), "^(metavariable A|structure does not int)")):
+        with pytest.raises(ValueError, match=message):
+            formula_triple(bad, A, ("x",), memo)
+        for text in ("P(x)", "~P(x)"):
+            f = parse_formula(text, sig)
+            assert formula_triple(f, A, ("x",), memo) == formula_triple(f, A, ("x",))
+
+
+def test_a_second_call_on_a_memo_evaluates_only_the_entries_it_adds(monkeypatch):
+    sig = Signature(predicates={"P": 1, "Q": 1})
+    A = make_structure(sig, ("a", "b"), preds={
+        "P": make_triple({("a",)}, {("b",)}, set()),
+        "Q": make_triple({("b",)}, set(), {("a",)}),
+    })
+    calls = []
+    op = structures.triple_op
+    monkeypatch.setattr(structures, "triple_op", lambda *a: calls.append(a[0]) or op(*a))
+    memo: dict = {}
+    f = parse_formula("~P(x) & Q(x)", sig)
+    formula_triple(f, A, ("x",), memo)
+    assert calls == ["~", "&"]
+    formula_triple(f, A, ("x",), memo)
+    formula_triple(f.left, A, ("x",), memo)
+    assert calls == ["~", "&"]
+    # a formula over nodes the memo has: only its root is new
+    g = Or(f, f.left)
+    t = formula_triple(g, A, ("x",), memo)
+    assert calls == ["~", "&", "|"]
+    assert t == formula_triple(g, A, ("x",))
+    # equal triples in one memo are one object: ~~P(x) is P(x) here
+    p_x = formula_triple(f.left.sub, A, ("x",), memo)
+    assert formula_triple(Neg(f.left), A, ("x",), memo) is p_x
 
 
 def test_assignment_prints_as_it_did():
