@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .matrix3 import CIORE, DESIGNATED, HALF, Matrix, ONE, ZERO
+from .matrix3 import CIORE, DESIGNATED, HALF, Matrix, ONE, VALUES, ZERO
 from .syntax import (
     App,
     BINARY_OPS,
@@ -331,16 +331,86 @@ def is_valid_in(
 
     Returns (True, None) or (False, least-refuting-assignment), where
     assignments are ordered by the domain order on sorted free variables.
-    Each assignment is evaluated without a memo and costs ``f``'s tree
-    size (``eval_formula``): on search and harness queries a memo shared
-    over the assignments is hit at few of the nodes it keys.  The
-    assignments come from a cache keyed by (domain, free variables): see
-    ``_space`` for its bound and key.
+    ``f`` runs as closures compiled once per matrix (``_compile``), with
+    ``eval_formula``'s values and errors.  The assignments come from a cache
+    keyed by (domain, free variables): see ``_space`` for its bound and key.
     """
-    for s in _space(A, free_vars(f)):
-        if eval_formula(f, A, s, None, matrix) not in DESIGNATED:
+    fv, fn = free_vars(f), _compiled(f, matrix)
+    for s in _space(A, fv):
+        if fn(A, s) not in _DESIGNATED_CODES:
             return False, s
     return True, None
+
+
+_CODE = {v: i for i, v in enumerate(VALUES)}  # a value's code; a set of codes is a 3-bit mask
+_DESIGNATED_CODES = frozenset(_CODE[v] for v in DESIGNATED)
+_QUANTIFIER_CODES = {  # by the mask of the codes of a quantifier's instances
+    kind: tuple(_CODE[rule({v for v in VALUES if bits >> _CODE[v] & 1})] for bits in range(8))
+    for kind, rule in ((Forall, tilde_forall), (Exists, tilde_exists))
+}
+
+
+@functools.lru_cache(maxsize=64)
+def _table_codes(matrix: Matrix, op: str) -> tuple | None:
+    """``op``'s table in ``matrix`` over codes (binary: at ``3 * left + right``), or None."""
+    table, keys = ((matrix.unary.get(op), VALUES) if op in UNARY_OPS.values()
+                   else (matrix.binary.get(op), itertools.product(VALUES, repeat=2)))
+    return None if table is None else tuple(_CODE[table[k]] for k in keys)
+
+
+def _compiled(f: Formula, matrix: Matrix):
+    """``f``'s closure under ``matrix``, cached on the node with the matrix."""
+    hit = getattr(f, "_closure", None)
+    if hit is None or hit[0] is not matrix:
+        object.__setattr__(f, "_closure", (matrix, _compile(f, matrix)))
+    return f._closure[1]
+
+
+def _compile(f: Formula, matrix: Matrix):
+    """``fn(A, s)``: the code of ``eval_formula(f, A, s, None, matrix)``, or its
+    error when it reaches the node, for a formula ``f`` (``free_vars`` walked
+    it).  It calls its children's ``_compiled`` closures and holds no node."""
+    kind = type(f)
+    op = UNARY_OPS.get(kind) or BINARY_OPS.get(kind)
+    table = op and _table_codes(matrix, op)
+    if kind is FVar or op and table is None:
+        message = ("metavariable %s in a concrete formula" % f.name if kind is FVar
+                   else "%s does not interpret %s" % (matrix.name, op))
+        def fn(A, s):
+            raise ValueError(message)
+    elif kind is Pred:
+        name, args, one, zero = f.name, f.args, _CODE[ONE], _CODE[ZERO]
+        x = args[0].name if len(args) == 1 and type(args[0]) is Var else None
+        def fn(A, s):
+            if x is None:
+                at = _atom_args(args, A, s)
+            else:  # one variable argument, read as _atom_args reads it
+                at = s[0],
+                for var, val in s[1]:
+                    if var == x:
+                        at = val,
+            t = A.preds.get(name)
+            if t is None:
+                raise ValueError("structure does not interpret equality" if name == EQ
+                                 else "structure does not interpret predicate %s" % name)
+            return one if at in t.plus else zero if at in t.minus else _CODE[t.value_at(at)]
+    elif kind is Forall or kind is Exists:
+        x, body, rule = f.var, _compiled(f.body, matrix), _QUANTIFIER_CODES[kind]
+        def fn(A, s):  # over the x-variants, sliced as eval_formula slices them
+            default, pairs = s
+            kept = [p for p in pairs if p[0] != x]
+            i = bisect.bisect(kept, (x,))
+            before, after, new, seen = kept[:i], kept[i:], tuple.__new__, 0
+            for a in A.domain:
+                seen |= 1 << body(A, new(Assignment, (default, (*before, (x, a), *after))))
+            return rule[seen]
+    elif kind in UNARY_OPS:
+        sub = _compiled(f.sub, matrix)
+        return lambda A, s: table[sub(A, s)]
+    else:
+        left, right = _compiled(f.left, matrix), _compiled(f.right, matrix)
+        return lambda A, s: table[3 * left(A, s) + right(A, s)]
+    return fn
 
 
 _SPACES: dict = {}  # (domain, free variables) -> (that domain, its assignments)

@@ -63,7 +63,7 @@ Term = Var | Const | App
 class _Node:
     """Base of the formula nodes: each prints as ``formula_to_str`` renders it."""
 
-    __slots__ = ("_free_vars", "_signature")  # caches, left out of pickles
+    __slots__ = ("_free_vars", "_signature", "_closure")  # caches, left out of pickles
 
     def __str__(self) -> str:
         return formula_to_str(self)

@@ -5,7 +5,7 @@ dispatch table: one ``isinstance`` test after another, the variants of a
 quantifier built by ``Assignment.set``.  Both are run on random formulas,
 structures and assignments, with and without a memo, under CIORE and a
 mutated matrix; values, memo contents and errors must all agree.
-``is_valid_in``, which evaluates each assignment without a memo, is checked
+``is_valid_in``, which runs each formula as compiled closures, is checked
 the same way against a loop that shares one memo over all of them.  The
 searches are derandomized, so a run is repeatable.
 """
