@@ -184,6 +184,20 @@ def _parse_fun_body(sc: _StructScanner, what: str) -> dict:
     return table
 
 
+def _parse_header(sc: _StructScanner, arities: dict, what: str) -> str:
+    """The ``name/arity`` of a pred or fun declaration: enters the arity in
+    ``arities`` and returns the name."""
+    name = sc.name()
+    sc.expect("/")
+    arity = sc.next()
+    if not arity.isdecimal():
+        raise FileFormatError("expected an arity, found %r" % arity)
+    if name in arities:
+        raise FileFormatError("%s %s declared twice" % (what, name))
+    arities[name] = int(arity)
+    return name
+
+
 def parse_structure(text: str) -> Structure:
     """Parse the structure file format; validates the result."""
     sc = _StructScanner(text)
@@ -206,20 +220,10 @@ def parse_structure(text: str) -> Structure:
                 raise FileFormatError("domain must be nonempty")
             domain = tuple(elems)
         elif head == "pred":
-            name = sc.name()
-            sc.expect("/")
-            arity = int(sc.next())
-            if name in pred_sig:
-                raise FileFormatError("predicate %s declared twice" % name)
-            pred_sig[name] = arity
+            name = _parse_header(sc, pred_sig, "predicate")
             preds[name] = _parse_triple_body(sc, "pred %s" % name)
         elif head == "fun":
-            name = sc.name()
-            sc.expect("/")
-            arity = int(sc.next())
-            if name in fun_sig:
-                raise FileFormatError("function %s declared twice" % name)
-            fun_sig[name] = arity
+            name = _parse_header(sc, fun_sig, "function")
             funs[name] = _parse_fun_body(sc, "fun %s" % name)
         elif head == "const":
             name = sc.name()

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 from . import syntax
 from .matrix3 import PROP_AXIOMS, is_tautology3
@@ -167,14 +168,14 @@ def schema_metavariables(pattern: Formula) -> tuple[str, ...]:
     return tuple(sorted({g.name for g in syntax.subformulas(pattern) if isinstance(g, FVar)}))
 
 
-def match_pattern(pattern: Formula, target: Formula, env: dict | None = None):
+def match_pattern(pattern: Formula, target: Formula):
     """Match ``target`` against ``pattern``, binding metavariables.
 
-    Returns the extended copy of ``env`` or None.  A metavariable binds the
-    formula in its place, the same one at each occurrence; quantified
-    variables and concrete atoms in the pattern must match exactly.
+    Returns the bindings or None.  A metavariable binds the formula in its
+    place, the same one at each occurrence; quantified variables and
+    concrete atoms in the pattern must match exactly.
     """
-    env = dict(env or {})
+    env = {}
 
     def bind(a, b, bound) -> bool:
         if isinstance(a, FVar):
@@ -262,39 +263,6 @@ INTRODUCTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class AxiomSchema:
-    name: str
-    pattern: Formula | None = None  # None: matched by name in match_schema
-
-
-AXIOMS: dict[str, AxiomSchema] = {name: AxiomSchema(name, f) for name, f in PROP_AXIOMS.items()}
-AXIOMS.update((name, AxiomSchema(name)) for name in QUANT_AXIOM_IDS + EQ_AXIOM_IDS)
-
-
-def match_schema(f: Formula, schema: AxiomSchema):
-    """Match ``f`` as an instance of the axiom schema; None on failure.
-
-    A propositional schema is matched by its pattern.  The others are
-    matched by building the expected formula with the builder above that
-    the soundness harness also uses, so the checker accepts exactly the
-    shapes the harness checks.  The env maps "x" (and "y") to the
-    variables, and "body" and "t", or "phi" and "phi2", to the parts.
-    """
-    name = schema.name
-    if schema.pattern is not None:
-        return match_pattern(schema.pattern, f)
-    if name in ("Ax11", "Ax12"):
-        return _match_term_instance(f, name)
-    if name in _CONSISTENCY:
-        return _match_cons_quant(f, name)
-    if name == "Eq1":
-        return {"x": f.var} if isinstance(f, Forall) and f == eq1_axiom(f.var) else None
-    if name == "Eq2":
-        return _match_eq_subst(f)
-    raise ValueError("unknown axiom %r" % name)
-
-
 def _match_term_instance(f: Formula, name: str):
     """Ax11 or Ax12: the axiom rebuilt from the term ``_infer_term`` reads
     off the instance must be ``f``; so the term is free for x."""
@@ -338,6 +306,20 @@ def _match_eq_subst(f: Formula):
     if not is_free_for(Var(y), x, phi) or not replace_some_matches(phi, x, y, phi2):
         return None
     return {"x": x, "y": y, "phi": phi, "phi2": phi2}
+
+
+#: Every axiom by name, in the order the soundness harness reports them: the
+#: propositional schemas of ``PROP_AXIOMS``, Ax11-Ax16, Eq1 and Eq2.  Each
+#: maps a formula to its bindings as an instance of the axiom, or None.  The
+#: quantifier and equality axioms are matched by rebuilding the instance with
+#: the builders above, so the checker accepts exactly the shapes the harness
+#: checks; their bindings map "x" (and "y") to the variables, and "body" and
+#: "t", or "phi" and "phi2", to the parts.
+AXIOMS = {name: partial(match_pattern, p) for name, p in PROP_AXIOMS.items()}
+AXIOMS.update((name, partial(_match_term_instance, name=name)) for name in ("Ax11", "Ax12"))
+AXIOMS.update((name, partial(_match_cons_quant, name=name)) for name in _CONSISTENCY)
+AXIOMS["Eq1"] = lambda f: {"x": f.var} if isinstance(f, Forall) and f == eq1_axiom(f.var) else None
+AXIOMS["Eq2"] = _match_eq_subst
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +374,13 @@ def _check_step(p, sig, store, idx, step) -> str | None:
         return None
 
     if isinstance(just, AxiomRef):
-        schema = AXIOMS.get(just.axiom_id)
-        if schema is None:
-            return "unknown axiom %r" % just.axiom_id
-        if schema.name in EQ_AXIOM_IDS and not sig.has_equality:
-            return "axiom %s needs an equality signature" % schema.name
-        if match_schema(f, schema) is None:
-            return "not an instance of %s" % schema.name
+        name = just.axiom_id
+        if name not in AXIOMS:
+            return "unknown axiom %r" % name
+        if name in EQ_AXIOM_IDS and not sig.has_equality:
+            return "axiom %s needs an equality signature" % name
+        if AXIOMS[name](f) is None:
+            return "not an instance of %s" % name
         return None
 
     if isinstance(just, MP):

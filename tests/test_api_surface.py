@@ -12,6 +12,13 @@ so a name that some other object shares counts as reached; the scan finds
 API that nothing at all names.
 A name the program does not reach must be on ``KEEP``, with the reason it
 stays.
+
+Likewise every defaulted parameter of those functions and methods must be
+passed by some call in ``src/qciore``, ``bench/*.py`` or ``tests/*.py``,
+or be on ``KEEP_DEFAULTS`` with its reason.  A call of the same name passes
+a parameter by keyword, or by position at or past its place (a method's
+``self`` not counted); a call with ``*args`` or ``**kwargs`` passes every
+parameter.
 """
 
 import ast
@@ -21,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "qciore").glob("*.py"))
 PROGRAM = SRC + sorted((ROOT / "bench").glob("*.py"))
+CALLERS = PROGRAM + sorted((ROOT / "tests").glob("*.py"))
 
 KEEP = {
     "search.check_consequence_bounded": "acceptance criterion 5 calls it",
@@ -31,6 +39,10 @@ KEEP = {
     "twist.twist_pair": "the paper's definition of a twist pair",
     "twist.twist_triple": "the paper's definition of a twist triple",
 }
+
+#: "module.function.parameter" (or "module.Class.method.parameter"): why
+#: that defaulted parameter stays though no call passes it
+KEEP_DEFAULTS: dict[str, str] = {}
 
 
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
@@ -132,3 +144,89 @@ def test_a_local_variable_does_not_reach_a_function():
     counts = named(tree)
     # c is bound by the comprehension only: f's own c is a global
     assert (counts["a"], counts["b"], counts["c"], counts["d"], counts["e"]) == (0, 0, 1, 0, 1)
+
+
+def defaulted(node, method: bool):
+    """(parameter, position) for each defaulted parameter of the function
+    ``node``; the position counts the call's positional arguments (a
+    method's ``self`` not among them), and is None for a keyword-only one."""
+    args = node.args
+    positional = [*args.posonlyargs, *args.args]
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+    shift = 1 if method and not static else 0
+    start = len(positional) - len(args.defaults)
+    for i, a in enumerate(positional[start:], start):
+        yield a.arg, i - shift
+    for a, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield a.arg, None
+
+
+def passed(trees) -> set:
+    """(function name, parameter or position) for each way some call in
+    ``trees`` passes arguments: a keyword by name, the positional
+    arguments as their count, and ``*args`` or ``**kwargs`` as "*"."""
+    out = set()
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            out.add((name, "*" if starred else len(call.args)))
+            out |= {(name, "*" if k.arg is None else k.arg) for k in call.keywords}
+    return out
+
+
+def dead_defaults(definitions, trees) -> set:
+    """The defaulted parameters of ``definitions`` (as ``public_definitions``
+    yields them) that no call in ``trees`` passes."""
+    calls = passed(trees)
+    widest = {}  # function name: the most positional arguments of a call
+    for name, n in calls:
+        if isinstance(n, int):
+            widest[name] = max(widest.get(name, 0), n)
+    out = set()
+    for qualified, node, method in definitions:
+        if isinstance(node, ast.ClassDef):
+            continue
+        name = node.name
+        for param, position in defaulted(node, method):
+            if (name, param) in calls or (name, "*") in calls:
+                continue
+            if position is not None and widest.get(name, 0) > position:
+                continue
+            out.add("%s.%s" % (qualified, param))
+    return out
+
+
+def test_every_defaulted_parameter_is_passed_or_kept():
+    definitions = [d for path in SRC for d in public_definitions(path)]
+    trees = [ast.parse(p.read_text()) for p in CALLERS]
+    dead = dead_defaults(definitions, trees)
+    assert dead - KEEP_DEFAULTS.keys() == set()
+    # a kept parameter that some call now passes, or that is gone, leaves the list
+    assert KEEP_DEFAULTS.keys() <= dead
+
+
+def test_a_planted_dead_parameter_is_found():
+    source = (
+        "def f(a, b=1, *, c=2):\n"
+        "    pass\n"
+        "class K:\n"
+        "    def m(self, a, b=1, c=2):\n"
+        "        pass\n"
+    )
+    tree = ast.parse(source)
+    definitions = [("m.f", tree.body[0], False), ("m.K.m", tree.body[1].body[0], True)]
+
+    def dead(calls):
+        return dead_defaults(definitions, [ast.parse(calls)])
+
+    assert dead("f(0)\nk.m(0)") == {"m.f.b", "m.f.c", "m.K.m.b", "m.K.m.c"}
+    # by position at or past the place, by keyword, and self not counted
+    assert dead("f(0, 1)\nk.m(0, 1)") == {"m.f.c", "m.K.m.c"}
+    assert dead("f(0, c=3)\nk.m(0, 1, 2)") == {"m.f.b"}
+    # *args or **kwargs may pass anything
+    assert dead("f(*xs)\nk.m(**kw)") == set()

@@ -98,6 +98,8 @@ def test_structure_round_trip_odd_equality():
         "domain = {a}\npred P/1 { plus={(a),} minus={} dot={} }",
         "domain = {a}\npred P/1 { plus={(a a)} minus={} dot={} }",
         "domain = {a}\npred P/1 { plus={(a} minus={} dot={} }",  # unclosed tuple
+        "domain = {a}\npred P/x { plus={} minus={} dot={} }",  # arity not a number
+        "domain = {a}\nfun f/-1 { }",  # negative arity
     ],
 )
 def test_structure_errors(bad):
@@ -116,6 +118,8 @@ PLUS_ONLY = "domain = {a}\npred P/1 { plus=%s minus={} dot={} }"
         (PLUS_ONLY % "{(a),}", "expected '(', found '}'"),
         (PLUS_ONLY % "{(a a)}", "expected ')', found 'a'"),
         (PLUS_ONLY % "{(a}", "expected ')', found '}'"),
+        ("domain = {a}\npred P/x { plus={} minus={} dot={} }", "expected an arity, found 'x'"),
+        ("domain = {a}\nfun f/-1 { }", "expected an arity, found '-'"),
     ],
 )
 def test_list_error_messages(bad, message):

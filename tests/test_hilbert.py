@@ -27,7 +27,6 @@ from qciore.hilbert import (
     eq2_axiom,
     instantiate,
     match_pattern,
-    match_schema,
     possibly_free,
     schema_metavariables,
     term_axioms,
@@ -150,20 +149,20 @@ def test_pattern_walks_need_no_recursion():
 
 def test_prop_axiom_instances():
     ax1 = AXIOMS["Ax1"]
-    assert match_schema(parse_formula("P(x) -> (Q(y) -> P(x))", SIG), ax1)
-    assert match_schema(parse_formula("P(x) -> (Q(y) -> P(y))", SIG), ax1) is None
+    assert ax1(parse_formula("P(x) -> (Q(y) -> P(x))", SIG))
+    assert ax1(parse_formula("P(x) -> (Q(y) -> P(y))", SIG)) is None
 
 
 def test_ax11_instance_with_proper_term():
     f = parse_formula("P(y) -> (exists x. P(x))", SIG)
-    env = match_schema(f, AXIOMS["Ax11"])
+    env = AXIOMS["Ax11"](f)
     assert env["t"] == Var("y")
     assert env["x"] == "x"
 
 
 def test_ax11_identity_instance():
     f = parse_formula("P(x) -> (exists x. P(x))", SIG)
-    env = match_schema(f, AXIOMS["Ax11"])
+    env = AXIOMS["Ax11"](f)
     assert env["t"] == Var("x")
 
 
@@ -172,7 +171,7 @@ def test_ax11_rejects_capture():
     body = Exists("y", Pred("R", (Var("x"), Var("y"))))
     inst = Exists("y", Pred("R", (Var("y"), Var("y"))))
     f = Imp(inst, Exists("x", body))
-    assert match_schema(f, AXIOMS["Ax11"]) is None
+    assert AXIOMS["Ax11"](f) is None
 
 
 def test_ax11_rejects_mixed_terms():
@@ -180,19 +179,19 @@ def test_ax11_rejects_mixed_terms():
     body = Pred("R", (Var("x"), Var("x")))
     inst = Pred("R", (Var("y"), Var("z")))
     f = Imp(inst, Exists("x", body))
-    assert match_schema(f, AXIOMS["Ax11"]) is None
+    assert AXIOMS["Ax11"](f) is None
 
 
 def test_ax12_instance_with_constant():
     sig = Signature(predicates={"P": 1}, functions={}, constants={"c"})
     f = parse_formula("(forall x. P(x)) -> P(c)", sig)
-    env = match_schema(f, AXIOMS["Ax12"])
+    env = AXIOMS["Ax12"](f)
     assert env["t"] == Const("c")
 
 
 def test_ax12_rejects_non_instance():
     f = parse_formula("(forall x. P(x)) -> Q(y)", SIG)
-    assert match_schema(f, AXIOMS["Ax12"]) is None
+    assert AXIOMS["Ax12"](f) is None
 
 
 def test_consistency_quantifier_axioms():
@@ -204,20 +203,20 @@ def test_consistency_quantifier_axioms():
     }
     for axiom_id, text in cases.items():
         f = parse_formula(text, SIG)
-        assert match_schema(f, AXIOMS[axiom_id]), axiom_id
+        assert AXIOMS[axiom_id](f), axiom_id
         for other_id in cases:
             if other_id != axiom_id:
-                assert match_schema(f, AXIOMS[other_id]) is None, (axiom_id, other_id)
+                assert AXIOMS[other_id](f) is None, (axiom_id, other_id)
 
 
 def test_consistency_axioms_need_matching_bodies():
     f = parse_formula("@(exists x. P(x)) -> (exists x. @Q(x))", SIG)
-    assert match_schema(f, AXIOMS["Ax13"]) is None
+    assert AXIOMS["Ax13"](f) is None
 
 
 def test_eq1_matching():
-    assert match_schema(parse_formula("forall x. x = x", SIG_EQ), AXIOMS["Eq1"])
-    assert match_schema(parse_formula("forall x. x = y", SIG_EQ), AXIOMS["Eq1"]) is None
+    assert AXIOMS["Eq1"](parse_formula("forall x. x = x", SIG_EQ))
+    assert AXIOMS["Eq1"](parse_formula("forall x. x = y", SIG_EQ)) is None
 
 
 def test_eq2_replaces_some_occurrences():
@@ -225,9 +224,9 @@ def test_eq2_replaces_some_occurrences():
     full = parse_formula("forall x. forall y. (x = y -> (R(x,x) -> R(x,y)))", sig)
     none = parse_formula("forall x. forall y. (x = y -> (R(x,x) -> R(x,x)))", sig)
     wrong = parse_formula("forall x. forall y. (x = y -> (R(x,x) -> R(y,z)))", sig)
-    assert match_schema(full, AXIOMS["Eq2"])
-    assert match_schema(none, AXIOMS["Eq2"])
-    assert match_schema(wrong, AXIOMS["Eq2"]) is None
+    assert AXIOMS["Eq2"](full)
+    assert AXIOMS["Eq2"](none)
+    assert AXIOMS["Eq2"](wrong) is None
 
 
 def test_eq2_rejects_capture():
@@ -235,7 +234,7 @@ def test_eq2_rejects_capture():
     phi = Exists("y", Pred("R", (Var("x"), Var("y"))))
     phi2 = Exists("y", Pred("R", (Var("y"), Var("y"))))
     f = Forall("x", Forall("y", Imp(Pred(EQ, (Var("x"), Var("y"))), Imp(phi, phi2))))
-    assert match_schema(f, AXIOMS["Eq2"]) is None
+    assert AXIOMS["Eq2"](f) is None
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +272,28 @@ def test_empty_proof_rejected():
     assert not v.accepted
 
 
-def test_unknown_axiom_rejected():
-    proof = Proof(
-        name="bad-ax", steps=(Step(parse_formula("P(x)", SIG), AxiomRef("Ax99")),)
-    )
-    v = check_proof(proof, SIG)
-    assert not v.accepted and v.failed_step == 1 and "Ax99" in v.reason
+@pytest.mark.parametrize(
+    "axiom,formula,reason",
+    [
+        ("Ax99", "P(x)", "unknown axiom 'Ax99'"),
+        ("Eq1", "forall x. P(x)", "axiom Eq1 needs an equality signature"),
+        ("Ax12", "(forall x. P(x)) -> Q(y)", "not an instance of Ax12"),
+    ],
+    ids=["unknown", "no-equality", "not-an-instance"],
+)
+def test_each_refusal_of_an_axiom_step_names_its_reason(axiom, formula, reason):
+    proof = Proof(name="ax", steps=(Step(parse_formula(formula, SIG), AxiomRef(axiom)),))
+    assert check_proof(proof, SIG) == Verdict(False, 1, reason)
+
+
+def test_axioms_table_names_every_axiom_once_in_order():
+    assert list(AXIOMS) == [*PROP_AXIOMS, *search.QUANT_AXIOM_IDS, *search.EQ_AXIOM_IDS]
+    assert len(AXIOMS) == 28 and all(callable(match) for match in AXIOMS.values())
+
+
+@pytest.mark.parametrize("f", [Pred("P", (Var("x"),)), FVar("A")], ids=["atom", "metavariable"])
+def test_no_axiom_matches_an_atom_or_a_metavariable(f):
+    assert {name: match(f) for name, match in AXIOMS.items()} == dict.fromkeys(AXIOMS)
 
 
 def test_equality_axioms_gated_on_signature():
@@ -520,7 +535,7 @@ def test_substitution_in_ax12_respects_shadowing():
     body = parse_formula("P(x) & (forall x. Q(x))", SIG)
     inst = substitute(body, "x", Var("y"))
     f = Imp(Forall("x", body), inst)
-    env = match_schema(f, AXIOMS["Ax12"])
+    env = AXIOMS["Ax12"](f)
     assert env["t"] == Var("y")
 
 
@@ -538,10 +553,10 @@ CAPTURING_STEPS = [
 
 @pytest.mark.parametrize("name, text", CAPTURING_STEPS, ids=[n for n, _ in CAPTURING_STEPS])
 def test_a_schematic_step_is_accepted_only_if_its_instances_are(name, text):
-    schema = AXIOMS[name]
-    assert match_schema(_with_a(text, FVar("A")), schema) is None
-    assert match_schema(_with_a(text, parse_formula("Q(x)")), schema) is None
-    assert match_schema(_with_a(text, parse_formula("Q(w)")), schema) is not None
+    match = AXIOMS[name]
+    assert match(_with_a(text, FVar("A"))) is None
+    assert match(_with_a(text, parse_formula("Q(x)"))) is None
+    assert match(_with_a(text, parse_formula("Q(w)"))) is not None
 
 
 def _random_formula(rng, depth, atoms):
@@ -612,7 +627,7 @@ def test_checker_accepts_every_instance_the_harness_checks(sig, variables):
         mvars = schema_metavariables(pattern)
         for _ in range(50):
             instances.append((name, instantiate(pattern, {m: rng.choice(pool) for m in mvars})))
-    missed = [(name, str(f)) for name, f in instances if match_schema(f, AXIOMS[name]) is None]
+    missed = [(name, str(f)) for name, f in instances if AXIOMS[name](f) is None]
     assert not missed, (len(missed), missed[:5])
 
 
@@ -683,7 +698,7 @@ def test_what_the_checker_accepts_is_valid():
     atoms = list(enumerate_formulas(SIG_PC_EQ, ("x", "y"), 0))
     bodies = atoms + [q(v, a) for q in (Forall, Exists) for v in ("x", "y") for a in atoms]
     candidates = _near_misses(bodies, ("x", "y"), [Var("x"), Var("y"), Const("c")])
-    accepted = {f for f in candidates for name in QUANT_EQ if match_schema(f, AXIOMS[name])}
+    accepted = {f for f in candidates for name in QUANT_EQ if AXIOMS[name](f)}
     structures = _structures_pc_eq()
     assert len(structures) == 78
     invalid = [

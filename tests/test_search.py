@@ -969,6 +969,27 @@ def test_harness_report_matches_both_references(matrix, broken):
         assert found & set(PROP_AXIOMS) <= set(PROP_AXIOMS) - tautologies
 
 
+@pytest.mark.parametrize(
+    "sig,axiom_pool",
+    [(SIG_P, []), (SIG_PC, ["Ax11", "Ax12"]), (SIG_PEQ, ["Eq1", "Eq2"])],
+    ids=["none", "Ax11-Ax12", "Eq1-Eq2"],
+)
+def test_harness_counts_each_pointwise_evaluation(monkeypatch, sig, axiom_pool):
+    # under CIORE nothing fails, so every is_valid_in call decides an
+    # instance that axiom_evaluations counts, and no other call is made
+    calls = []
+
+    def counted(f, A, matrix):
+        calls.append(f)
+        return structures.is_valid_in(f, A, matrix)
+
+    monkeypatch.setattr(search, "is_valid_in", counted)
+    report = soundness_harness(sig, axiom_pool=axiom_pool, instance_depth=0, max_size=2)
+    assert report.ok
+    assert report.axiom_evaluations == len(calls)
+    assert bool(calls) == bool(axiom_pool)
+
+
 def test_harness_counts_table_entries_and_distinct_fixed_instances():
     # under CIORE every propositional schema is a tautology: no table entry
     report = soundness_harness(SIG_P, axiom_pool=list(PROP_AXIOMS), max_size=2)
