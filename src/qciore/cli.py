@@ -544,6 +544,7 @@ def cmd_search(args) -> int:
         out = {"found": False, "exhausted": True, "max_domain_size": args.max}
     out["structures_checked"] = res.structures_checked
     out["structures_evaluated"] = res.structures_evaluated
+    out["structures_skipped"] = res.structures_skipped
     if res.found:
         out["structure"] = text
         out["assignment"] = _assignment_json(res.assignment)

@@ -74,6 +74,11 @@ def _function_tables(domain: tuple, arity: int) -> list[dict]:
     return [dict(zip(keys, values)) for values in itertools.product(domain, repeat=len(keys))]
 
 
+def _domain(n: int) -> tuple:
+    """The domain (e1..en) of the enumerated structures of size ``n``."""
+    return tuple("e%d" % i for i in range(1, n + 1))
+
+
 def _factors(sig: Signature, n: int, equality_normal: bool) -> tuple:
     """The domain (e1..en) and one factor per symbol of ``sig``, each
     (``Structure`` field, name, interpretations), in the order that
@@ -84,7 +89,7 @@ def _factors(sig: Signature, n: int, equality_normal: bool) -> tuple:
     factors are not checked again."""
     if n < 1:
         raise ValueError("domain size must be at least 1")
-    domain = tuple("e%d" % i for i in range(1, n + 1))
+    domain = _domain(n)
     factors = []
     for part, name, arity in structures._parts(sig):
         if part == "consts":
@@ -139,6 +144,87 @@ def _factor_sizes(sig: Signature, n: int, equality_normal: bool) -> list[int]:
 def structure_count(sig: Signature, n: int, equality_normal: bool = True) -> int:
     """How many structures enumerate_structures yields, in closed form."""
     return math.prod(_factor_sizes(sig, n, equality_normal))
+
+
+# ---------------------------------------------------------------------------
+# Renamings: a permutation of the domain carries a structure onto an
+# isomorphic one, in which every formula has the same verdict
+
+#: the most entries ``_image_tables`` builds for one key; past it the search
+#: evaluates every structure, as if no renaming mapped one onto another
+_RENAMING_ENTRIES = 1 << 18
+
+
+def _image_table(base: int, places: list, values) -> list[int]:
+    """The image's index for every index of a factor whose interpretations
+    are numbered by m digits in ``base``, the first slowest, where the
+    renaming moves digit j to place ``places[j]`` (0 the slowest) and turns
+    its value d into ``values[d]``."""
+    m = len(places)
+    out = [0]
+    for place in places:
+        weight = base ** (m - 1 - place)
+        steps = [v * weight for v in values]
+        out = [q + s for q in out for s in steps]
+    return out
+
+
+def _image_tables(sig: Signature, n: int, equality_normal: bool) -> list:
+    """For each permutation of the domain but the identity, one table per
+    factor of ``_factors(sig, n, equality_normal)`` that maps each
+    interpretation's index to its image's: a predicate's plus, minus and
+    dot classes carried cell by cell, a function's arguments and values
+    renamed, a constant's element renamed, and under normal equality each
+    element's diagonal digit moved.  The images are computed on the digits
+    of ``_factors``' numbering (a predicate's by ``triples._partitions``, a
+    cell a base-3 digit); no interpretation is built."""
+    domain = _domain(n)
+    digits = []  # per factor: its cells in digit order, base, whether values are elements
+    for part, name, arity in structures._parts(sig):
+        normal = name == EQ and equality_normal  # one digit per element's diagonal pair
+        cells = list(itertools.product(range(n), repeat=1 if normal else arity))
+        if part == "preds" and not normal:
+            cells.sort(key=lambda cell: str(tuple(domain[i] for i in cell)))
+        base = (2 if normal else 3) if part == "preds" else n
+        digits.append((cells, {c: j for j, c in enumerate(cells)}, base, part != "preds"))
+    return [
+        tuple(
+            _image_table(base, [at[tuple(p[i] for i in c)] for c in cells],
+                         p if renamed else range(base))
+            for cells, at, base, renamed in digits
+        )
+        for p in itertools.islice(itertools.permutations(range(n)), 1, None)
+    ]
+
+
+@functools.lru_cache(maxsize=8)
+def _least_test(sig: Signature, n: int, equality_normal: bool):
+    """Whether a tuple of indices into ``_factors(sig, n, equality_normal)``
+    is least in its class: for every renaming, the first factor whose image
+    index (``_image_tables``) differs has a larger one, as tuples compare.
+    Per index of the first factor, the renamings that map it lower are
+    ruled out once, and only those that fix it are tried on the rest.
+    Every tuple is least when there is no renaming or no factor, or when
+    the tables would hold more than ``_RENAMING_ENTRIES`` entries.  Built
+    once per key."""
+    sizes = _factor_sizes(sig, n, equality_normal)
+    if n == 1 or not sizes or (math.factorial(n) - 1) * sum(sizes) > _RENAMING_ENTRIES:
+        return lambda indices: True
+    renamings = _image_tables(sig, n, equality_normal)
+    # per index of the first factor: None if a renaming maps it lower, else
+    # the renamings that fix it
+    fixers = [
+        None if any(r[0][i] < i for r in renamings) else [r for r in renamings if r[0][i] == i]
+        for i in range(sizes[0])
+    ]
+
+    def least(indices: tuple) -> bool:
+        ties = fixers[indices[0]]
+        return ties is not None and all(
+            tuple(map(operator.getitem, tables, indices)) >= indices for tables in ties
+        )
+
+    return least
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +294,7 @@ class SearchResult:
     size: int | None = None
     structures_checked: int = 0  # structures decided
     structures_evaluated: int = 0  # of those, where a formula was evaluated
+    structures_skipped: int = 0  # of those, decided by an earlier isomorphic one
     exhausted: bool = False
     limit_hit: str | None = None
 
@@ -241,27 +328,52 @@ def find_countermodel(spec: SearchSpec, progress=None, progress_every: int = 100
     and read back for every other structure with that reduct.  A full
     structure is built only for a check over the whole signature, and for
     the countermodel; where every check is over the whole signature, the
-    structures are taken from ``enumerate_structures``.  None is checked
-    but the countermodel, by ``make_structure`` in its re-check: ``_factors``
-    checked each interpretation once.
-    ``structures_checked`` counts the structures decided;
-    ``structures_evaluated`` counts those in which at least one premise or
-    the target was evaluated rather than read back.
+    structures are taken from ``enumerate_structures``, beside their index
+    tuples.  None is checked but the countermodel, by ``make_structure`` in
+    its re-check: ``_factors`` checked each interpretation once.
+
+    Renaming the domain carries each predicate's plus, minus and dot
+    classes, each function and each constant onto the image's, so every
+    verdict is the same in isomorphic structures.  Before a check over the
+    whole signature is evaluated, the structure is skipped unless it is
+    least in its class (``_least_test``, built at the first such test of a
+    size and cached per signature, size and equality mode): some renaming
+    maps it to an earlier tuple, that structure was decided before, and it
+    was no countermodel, or the search would have stopped.  So the first
+    countermodel, least in its class, and every count of structures
+    checked are those of a search without the skip.  The test runs only
+    there: a skipped structure fills no reduct verdict after it, so testing
+    a reduct's miss would only miss again.  ``soundness_harness`` does not
+    skip: it reports every violating structure.
+
+    ``structures_checked`` counts the structures decided.  They split into
+    ``structures_evaluated``, those in which at least one premise or the
+    target was evaluated; ``structures_skipped``, those skipped by the test
+    (even where a reduct verdict was filled on the way); and those whose
+    every verdict was read back.
     """
     if progress_every < 1:
         raise ValueError("progress_every must be at least 1")
     t0 = time.monotonic()
-    checked = evaluated = 0
+    checked = evaluated = skipped = 0
     sig = spec.sig
     # (signature, members) per premise group, then the target's
     checks = _group_by_signature(spec.gamma)[0]
     checks.append((syntax.signature_of(spec.phi), (spec.phi,)))
 
+    def result(**fields) -> SearchResult:
+        return SearchResult(structures_checked=checked, structures_evaluated=evaluated,
+                            structures_skipped=skipped, **fields)
+
     for n in range(1, spec.max_domain_size + 1):
         if all(used == sig for used, _ in checks):
             # every check reads the whole structure: take each as enumerated
             walks = [None] * len(checks)
-            points = ((None, A) for A in enumerate_structures(sig, n, spec.equality_normal))
+            points = zip(
+                itertools.product(*map(range, _factor_sizes(sig, n, spec.equality_normal))),
+                enumerate_structures(sig, n, spec.equality_normal),
+                strict=True,
+            )
         else:
             domain, factors = _factors(sig, n, spec.equality_normal)
             walks = [
@@ -272,6 +384,7 @@ def find_countermodel(spec: SearchSpec, progress=None, progress_every: int = 100
                 (indices, None)
                 for indices in itertools.product(*(range(len(v)) for _, _, v in factors))
             )
+        is_least = None  # the size's _least_test, fetched at its first test
         for indices, A in points:  # A is None where only indices are walked
             limit_hit = None
             if spec.max_structures is not None and checked >= spec.max_structures:
@@ -279,18 +392,19 @@ def find_countermodel(spec: SearchSpec, progress=None, progress_every: int = 100
             elif spec.time_budget_s is not None and time.monotonic() - t0 > spec.time_budget_s:
                 limit_hit = "time budget"
             if limit_hit:
-                return SearchResult(
-                    found=False,
-                    structures_checked=checked,
-                    structures_evaluated=evaluated,
-                    limit_hit=limit_hit,
-                )
+                return result(found=False, limit_hit=limit_hit)
             checked += 1
             if progress is not None and checked % progress_every == 0:
                 progress(checked, time.monotonic() - t0)
             fresh = False  # whether a premise or the target is evaluated here
+            least = None  # whether the structure is least in its class, once tested
             for (_, members), walk in zip(checks, walks):
                 if walk is None:
+                    if least is None:
+                        is_least = is_least or _least_test(sig, n, spec.equality_normal)
+                        least = is_least(indices)
+                        if not least:
+                            break
                     A = A or _structure_at(sig, domain, factors, indices)
                     verdict = _first_failure(members, A)
                     fresh = True
@@ -305,6 +419,9 @@ def find_countermodel(spec: SearchSpec, progress=None, progress_every: int = 100
                         fresh = True
                 if not verdict[0]:
                     break
+            if least is False:
+                skipped += 1
+                continue
             evaluated += fresh
             if verdict[0] or members is not checks[-1][1]:
                 continue  # the target holds, or a premise fails
@@ -315,21 +432,8 @@ def find_countermodel(spec: SearchSpec, progress=None, progress_every: int = 100
             value = eval_formula(spec.phi, A, witness)
             if value in DESIGNATED or not _first_failure(spec.gamma, A)[0]:
                 raise RuntimeError("countermodel failed its own re-check")
-            return SearchResult(
-                found=True,
-                structure=A,
-                assignment=witness,
-                value=value,
-                size=n,
-                structures_checked=checked,
-                structures_evaluated=evaluated,
-            )
-    return SearchResult(
-        found=False,
-        structures_checked=checked,
-        structures_evaluated=evaluated,
-        exhausted=True,
-    )
+            return result(found=True, structure=A, assignment=witness, value=value, size=n)
+    return result(found=False, exhausted=True)
 
 
 def check_consequence_bounded(

@@ -402,6 +402,7 @@ def test_search_json_reports_structures_evaluated(capsys):
     # bare identifiers are variables: the premises mention P only, the target Q
     assert data["structures_checked"] == 9 + 81
     assert data["structures_evaluated"] == 3 + 9
+    assert data["structures_skipped"] == 0  # no check reads the whole structure
 
 
 def test_search_command_exhausts(capsys):
@@ -446,7 +447,7 @@ _FOUND_STRUCT = "domain = {e1, e2}\npred P/1 { plus={(e1)} minus={} dot={(e2)} }
             _FOUND + ["--json"],
             1,
             '{"found": true, "size": 2, "structures_checked": 6, '
-            '"structures_evaluated": 6, "structure": '
+            '"structures_evaluated": 6, "structures_skipped": 0, "structure": '
             + json.dumps(_FOUND_STRUCT)
             + ', "assignment": {"default": "e1"}, "value": "0"}\n',
         ),
@@ -459,14 +460,14 @@ _FOUND_STRUCT = "domain = {e1, e2}\npred P/1 { plus={(e1)} minus={} dot={(e2)} }
             _LIMIT + ["--json"],
             3,
             '{"found": false, "limit_hit": "structure budget", '
-            '"structures_checked": 4, "structures_evaluated": 4}\n',
+            '"structures_checked": 4, "structures_evaluated": 4, "structures_skipped": 0}\n',
         ),
         (_EXHAUSTED, 0, "no countermodel up to size 2 (checked 12 structures)\n"),
         (
             _EXHAUSTED + ["--json"],
             0,
             '{"found": false, "exhausted": true, "max_domain_size": 2, '
-            '"structures_checked": 12, "structures_evaluated": 12}\n',
+            '"structures_checked": 12, "structures_evaluated": 9, "structures_skipped": 3}\n',
         ),
     ],
     ids=["found", "found-json", "limit", "limit-json", "exhausted", "exhausted-json"],

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 import re
 import time
 
@@ -638,10 +639,199 @@ def test_search_refuses_a_metavariable_and_names_it(phi, gamma, named):
 
 
 def test_search_evaluates_whole_signature_formulas_everywhere():
+    # nothing is read back: every structure that is least in its class
+    # under renaming (3 + 6 + 10 of P/1's) is evaluated, the rest skipped
     phi = parse_formula("(forall x. P(x)) -> P(y)")
     res = find_countermodel(SearchSpec(sig=SIG_P, phi=phi, max_domain_size=3))
     assert res.exhausted
-    assert res.structures_evaluated == res.structures_checked == 3 + 9 + 27
+    assert res.structures_checked == 3 + 9 + 27
+    assert res.structures_evaluated == 3 + 6 + 10
+    assert res.structures_skipped == 0 + 3 + 17
+
+
+# ---------------------------------------------------------------------------
+# Renamings: the search decides one structure per isomorphism class
+
+SIG_R = Signature(predicates={"R": 2})
+
+
+def renamed(A, image: dict):
+    """A's image under the renaming ``image`` of its domain, built directly:
+    each predicate's classes, each function's arguments and values, each
+    constant."""
+
+    def carry(cells):
+        return {tuple(image[e] for e in cell) for cell in cells}
+
+    return structures.Structure(
+        A.sig,
+        A.domain,
+        {p: triples.make_triple(carry(t.plus), carry(t.minus), carry(t.dot))
+         for p, t in A.preds.items()},
+        {f: {tuple(image[e] for e in args): image[v] for args, v in table.items()}
+         for f, table in A.funs.items()},
+        {c: image[v] for c, v in A.consts.items()},
+    )
+
+
+def renamings(domain) -> list:
+    """Every renaming of ``domain`` but the identity, in the order of
+    ``itertools.permutations``."""
+    return [dict(zip(domain, p)) for p in itertools.permutations(domain)][1:]
+
+
+def indexed_structures(sig, n, equality_normal):
+    """(structure, its index tuple) in enumeration order."""
+    sizes = search._factor_sizes(sig, n, equality_normal)
+    return list(zip(enumerate_structures(sig, n, equality_normal),
+                    itertools.product(*map(range, sizes))))
+
+
+def isomorphism_classes(sig, n, equality_normal) -> int:
+    """How many classes the structures of size n fall into under renaming."""
+    images = renamings(search._domain(n))
+    return len({frozenset([canonical(A)] + [canonical(renamed(A, m)) for m in images])
+                for A in enumerate_structures(sig, n, equality_normal)})
+
+
+@pytest.mark.parametrize(
+    "sig,n,equality_normal,stride",
+    [
+        (SIG_P, 3, True, 1),
+        (SIG_R, 2, True, 1),
+        (SIG_R, 3, True, 41),  # every 41st of 19,683 structures
+        (Signature(functions={"f": 1}), 3, True, 1),
+        (Signature(functions={"g": 2}), 2, True, 1),
+        (Signature(constants={"c"}), 3, True, 1),
+        (Signature(has_equality=True), 3, True, 1),
+        (Signature(has_equality=True), 2, False, 1),
+        (SIG_PFC, 3, True, 1),
+        (SIG_PCEQ, 2, False, 1),
+    ],
+    ids=["P1", "R2", "R2-size-3", "f1", "g2", "c", "eq-normal", "eq-free", "P1+f1+c",
+         "P1+c+eq-free"],
+)
+def test_image_tables_give_every_directly_renamed_interpretation(sig, n, equality_normal,
+                                                                 stride):
+    # the tables come from digit arithmetic; the oracle renames each
+    # structure and looks its index tuple up
+    pairs = indexed_structures(sig, n, equality_normal)
+    index_of = {canonical(A): indices for A, indices in pairs}
+    tables = search._image_tables(sig, n, equality_normal)
+    images = renamings(pairs[0][0].domain)
+    assert len(tables) == len(images) == math.factorial(n) - 1
+    for image, per_factor in zip(images, tables):
+        assert [len(t) for t in per_factor] == search._factor_sizes(sig, n, equality_normal)
+        for A, indices in pairs[::stride]:  # at stride 1 every index of every factor occurs
+            got = tuple(t[i] for t, i in zip(per_factor, indices))
+            assert got == index_of[canonical(renamed(A, image))]
+
+
+def _count_table_builds(monkeypatch) -> list:
+    search._least_test.cache_clear()
+    calls = []
+    build = search._image_tables
+    monkeypatch.setattr(search, "_image_tables", lambda *a: calls.append(a) or build(*a))
+    return calls
+
+
+def test_image_tables_are_built_once_per_key(monkeypatch):
+    calls = _count_table_builds(monkeypatch)
+    for text in ("(forall x. P(x)) -> P(y)", "P(x) | ~P(x)", "(forall x. P(x)) -> P(y)"):
+        find_countermodel(SearchSpec(sig=SIG_P, phi=parse_formula(text), max_domain_size=3))
+    phi = parse_formula("(x = x) -> (P(x) | ~P(x))")
+    for normal in (False, True):
+        res = find_countermodel(SearchSpec(sig=SIG_PEQ, phi=phi, max_domain_size=2,
+                                           equality_normal=normal))
+        assert res.exhausted
+    # none for size 1, which has no renaming
+    assert calls == [(SIG_P, 2, True), (SIG_P, 3, True), (SIG_PEQ, 2, False), (SIG_PEQ, 2, True)]
+
+
+def test_a_reduct_only_search_builds_no_tables(monkeypatch):
+    calls = _count_table_builds(monkeypatch)
+    res = criterion_5_exhaustive(4)
+    assert res.structures_skipped == 0 and calls == []
+
+
+def test_no_tables_past_the_entry_cap(monkeypatch):
+    # P/1 at size 6 would take 719 tables of 729 entries: every structure
+    # of that size is evaluated instead
+    calls = _count_table_builds(monkeypatch)
+    phi = parse_formula("(forall x. P(x)) -> P(y)")
+    res = find_countermodel(SearchSpec(sig=SIG_P, phi=phi, max_domain_size=6))
+    assert calls == [(SIG_P, n, True) for n in (2, 3, 4, 5)]
+    assert res.exhausted and res.structures_checked == 3 + 9 + 27 + 81 + 243 + 729
+    assert res.structures_evaluated == 3 + 6 + 10 + 15 + 21 + 729
+    # nor for R/2 at size 4 (23 tables of 3^16 entries)
+    monkeypatch.setattr(search, "_image_tables", lambda *a: pytest.fail("built %s" % (a,)))
+    assert search._least_test(SIG_R, 4, True)((3**16 - 1,))
+
+
+# (signature, premises, target, max size, extra spec fields): every premise
+# and the target mention the whole signature, but in the last two
+ISOMORPHISM_SEARCHES = [
+    (SIG_PC, [], "P(c) -> P(x)", 3, {}),
+    (SIG_PC, ["exists x. P(x) & ~P(c)"], "P(c) | ~P(c)", 3, {}),
+    (SIG_PF, ["(P(x) & P(y)) | (P(f(f(x))) -> P(y))"], "P(f(y)) -> P(y)", 3, {}),
+    (SIG_PF, ["forall x. P(x) -> P(f(x))"], "P(x) -> P(f(f(x)))", 3, {}),
+    (SIG_PF, [], "(forall x. P(x)) -> P(f(y))", 3, {"max_structures": 500}),
+    # found at size 3, after 7,703 structures
+    (SIG_R, ["forall x. ~R(x, x)", "forall x. exists y. R(x, y)"],
+     "exists x. exists y. R(x, y) & R(y, x)", 3, {}),
+    (SIG_R, ["forall x. ~R(x, x) & ~@R(x, x)", "forall x. exists y. R(x, y) & @R(x, y)"],
+     "exists x. exists y. R(x, y) & R(y, x)", 2, {}),
+    (SIG_PEQ, [], "x = y -> (P(x) -> P(y))", 2, {"equality_normal": False}),
+    (SIG_PEQ, ["~(y = x) | ~P(y)"], "~(y = x) | P(y) | x = y", 2, {"equality_normal": False}),
+    (SIG_PEQ, [], "(x = x) -> (P(x) | ~P(x))", 2, {"equality_normal": False}),
+    # premises over P alone, or over P and c, are read back; the target
+    # reads the whole structure
+    (SIG_PC, ["exists x. ~P(x)", "exists x. P(x) & ~P(x)", "exists x. P(x) & @P(x)"],
+     "P(c) -> P(x)", 3, {}),
+    (SIG_PQC, ["P(c)"], "Q(x) -> Q(c) | ~P(x)", 2, {}),
+]
+
+
+@pytest.mark.parametrize(
+    "sig,gamma,phi,size,extra",
+    ISOMORPHISM_SEARCHES,
+    ids=["%s|%s|%d" % (";".join(c[1]), c[2], i) for i, c in enumerate(ISOMORPHISM_SEARCHES)],
+)
+def test_search_skipping_isomorphic_structures_matches_the_reference(sig, gamma, phi, size,
+                                                                    extra):
+    spec = SearchSpec(
+        sig=sig,
+        phi=parse_formula(phi, sig),
+        gamma=tuple(parse_formula(g, sig) for g in gamma),
+        max_domain_size=size,
+        **extra,
+    )
+    calls = []
+    res = find_countermodel(spec, progress=lambda k, t: calls.append(k), progress_every=7)
+    expected, expected_calls = reference_search(spec, 7)
+    assert summary(res) == expected
+    assert calls == expected_calls
+    assert res.structures_skipped > 0
+    whole = all(syntax.signature_of(f) == sig for f in (spec.phi, *spec.gamma))
+    # checked = evaluated + read back + skipped, and nothing is read back
+    # where every check reads the whole structure
+    read_back = res.structures_checked - res.structures_evaluated - res.structures_skipped
+    assert read_back == 0 if whole else read_back > 0
+    if whole and res.exhausted:
+        # one structure evaluated per class
+        normal = spec.equality_normal
+        assert res.structures_evaluated == sum(
+            isomorphism_classes(sig, n, normal) for n in range(1, size + 1)
+        )
+
+
+def test_search_decides_p1_r2_to_size_3_once_per_class():
+    phi = parse_formula("(forall x. exists y. R(x, y) & P(y)) -> (exists y. P(y))")
+    res = find_countermodel(SearchSpec(sig=SIG_PR, phi=phi, max_domain_size=3))
+    assert res.exhausted
+    assert res.structures_checked == 532179 == sum(structure_count(SIG_PR, n) for n in (1, 2, 3))
+    assert res.structures_evaluated == 90081  # 9 + 378 + 89,694 classes
+    assert res.structures_skipped == 532179 - 90081
 
 
 # ---------------------------------------------------------------------------
